@@ -3,8 +3,7 @@
 //! One module per experiment of `DESIGN.md` §3 (E1–E8). Each experiment
 //! exposes a `*_table()` function that regenerates the corresponding
 //! table/figure as a [`Table`] of printed rows; the `report` binary
-//! dispatches on experiment ids, and the Criterion benches in `benches/`
-//! time the same kernels.
+//! dispatches on experiment ids.
 
 #![forbid(unsafe_code)]
 

@@ -14,24 +14,14 @@ use std::collections::HashMap;
 use cbq_bdd::{BddManager, BddRef};
 use cbq_ckt::{Network, Trace};
 
-use crate::engine::{Budget, Engine, Meter};
+use crate::engine::{Budget, Direction, Engine, Meter};
 use crate::verdict::{McRun, McStats, Verdict};
-
-/// Traversal direction for [`BddUmc`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum BddDirection {
-    /// Backward from the bad states (the paper's direction).
-    #[default]
-    Backward,
-    /// Forward from the initial state.
-    Forward,
-}
 
 /// BDD-based reachability engine.
 #[derive(Clone, Debug)]
 pub struct BddUmc {
     /// Traversal direction.
-    pub direction: BddDirection,
+    pub direction: Direction,
     /// Abort with `Unknown` once the manager exceeds this many nodes.
     pub node_cap: usize,
     /// Iteration bound.
@@ -41,7 +31,7 @@ pub struct BddUmc {
 impl Default for BddUmc {
     fn default() -> BddUmc {
         BddUmc {
-            direction: BddDirection::Backward,
+            direction: Direction::Backward,
             node_cap: 5_000_000,
             max_iterations: 10_000,
         }
@@ -89,8 +79,8 @@ impl Levels {
 impl Engine for BddUmc {
     fn name(&self) -> &'static str {
         match self.direction {
-            BddDirection::Backward => "bdd",
-            BddDirection::Forward => "bdd-forward",
+            Direction::Backward => "bdd",
+            Direction::Forward => "bdd-forward",
         }
     }
 
@@ -98,8 +88,8 @@ impl Engine for BddUmc {
     fn check(&self, net: &Network, budget: &Budget) -> McRun {
         let meter = Meter::start(budget);
         match self.direction {
-            BddDirection::Backward => self.check_backward(net, &meter),
-            BddDirection::Forward => self.check_forward(net, &meter),
+            Direction::Backward => self.check_backward(net, &meter),
+            Direction::Forward => self.check_forward(net, &meter),
         }
     }
 }
@@ -399,11 +389,11 @@ mod tests {
     fn engines() -> [BddUmc; 2] {
         [
             BddUmc {
-                direction: BddDirection::Backward,
+                direction: Direction::Backward,
                 ..BddUmc::default()
             },
             BddUmc {
-                direction: BddDirection::Forward,
+                direction: Direction::Forward,
                 ..BddUmc::default()
             },
         ]

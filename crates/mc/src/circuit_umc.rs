@@ -1,6 +1,24 @@
-//! The paper's traversal routine: backward reachability with AIG state
-//! sets and circuit-based quantification (Section 3), generalised to the
-//! partitioned state-set representation of [`crate::stateset`].
+//! The paper's traversal routine (Section 3): reachability over AIG
+//! state sets, every image step closed by circuit-based quantification
+//! and every fixpoint or intersection test answered by SAT — in either
+//! [`Direction`], on the partitioned state-set representation of
+//! [`crate::stateset`].
+//!
+//! Backward, the paper's direction, starts from F₀ = ∃i. bad and forms
+//! each pre-image by in-lining the next-state functions, which leaves
+//! only the primary inputs to quantify.
+//!
+//! Forward starts from the initial states, and its **image** enjoys no
+//! such free next-state elimination: `Img(R)(s') = ∃s,i. T(s,i,s') ∧
+//! R(s)` requires quantifying *all* current-state and input variables
+//! out of a genuine transition-relation conjunction, then renaming
+//! `s' → s`. This exercises the quantification machinery far harder than
+//! pre-image; the residual policy (naive completion or all-solutions
+//! enumeration) matters much more there, and so does the
+//! between-iterations state-set sweep ([`crate::sweep`]) — image
+//! computation churns through far more temporary nodes per step.
+//! Partitioning pays off accordingly: each partition images its own
+//! window in its own manager, in parallel.
 
 use cbq_aig::{AigPerfCounters, Lit, Var};
 use cbq_ckt::{Network, Trace};
@@ -8,7 +26,7 @@ use cbq_cnf::AigCnfStats;
 use cbq_core::{exists_many, QuantConfig};
 use cbq_sat::{SatResult, SolverStats};
 
-use crate::engine::{Budget, Engine, Meter};
+use crate::engine::{Budget, Direction, Engine, Meter};
 use crate::ganai::all_solutions_exists;
 use crate::stateset::{
     read_vars, state_cube, Partition, PartitionConfig, PartitionStats, StateSet,
@@ -34,8 +52,8 @@ pub enum ResidualPolicy {
     },
 }
 
-/// Backward-reachability model checker over AIG state sets — the paper's
-/// engine, on the partitioned [`StateSet`] representation.
+/// Reachability model checker over AIG state sets — the paper's engine,
+/// on the partitioned [`StateSet`] representation, in either direction.
 ///
 /// "Given an invariant property P we start reachability from its
 /// complement and we terminate as soon as no newly reached states are
@@ -44,15 +62,21 @@ pub enum ResidualPolicy {
 /// and manipulated using AIGs instead of BDDs. Operations on AIGs, e.g.,
 /// equivalence, are performed using a SAT engine."
 ///
+/// [`CircuitUmc::default`] is that backward routine (registry name
+/// `circuit`); [`CircuitUmc::forward`] runs the same traversal from the
+/// initial states with image computation (registry name `forward`).
+///
 /// With the default [`PartitionConfig`] (one partition) the traversal is
 /// the paper's monolithic routine. With `--partitions N|auto` the state
 /// set is tiled into window-disjoint partitions, each owning its own AIG
-/// manager and clause database, and every iteration's pre-image,
+/// manager and clause database, and every iteration's image,
 /// quantification, and sweep runs in parallel across partitions —
 /// verdicts, fixpoint iteration counts, and minimal counterexample
 /// depths are identical for any partition count.
 #[derive(Clone, Debug)]
 pub struct CircuitUmc {
+    /// Traversal direction.
+    pub direction: Direction,
     /// Quantification engine configuration (merge/optimise/budget).
     pub quant: QuantConfig,
     /// What to do with variables partial quantification aborts.
@@ -66,8 +90,10 @@ pub struct CircuitUmc {
 }
 
 impl Default for CircuitUmc {
+    /// The paper's backward traversal.
     fn default() -> CircuitUmc {
         CircuitUmc {
+            direction: Direction::Backward,
             quant: QuantConfig::full(),
             residual: ResidualPolicy::Naive,
             sweep: Some(StateSweepConfig::default()),
@@ -77,10 +103,23 @@ impl Default for CircuitUmc {
     }
 }
 
-/// Statistics of a [`CircuitUmc`] run.
+impl CircuitUmc {
+    /// The forward traversal: reachability from the initial states, with
+    /// residual variables handed to all-solutions enumeration.
+    pub fn forward() -> CircuitUmc {
+        CircuitUmc {
+            direction: Direction::Forward,
+            residual: ResidualPolicy::Enumerate { max_rounds: 10_000 },
+            ..CircuitUmc::default()
+        }
+    }
+}
+
+/// Statistics of a [`CircuitUmc`] run, in either direction.
 #[derive(Clone, Debug, Default)]
 pub struct CircuitUmcStats {
-    /// Backward iterations executed.
+    /// Image steps completed: the fixpoint iteration of a safe run, the
+    /// counterexample depth of an unsafe one.
     pub iterations: usize,
     /// AND-gate count of each frontier after quantification and merge
     /// (summed over partitions).
@@ -95,7 +134,7 @@ pub struct CircuitUmcStats {
     /// Assumption-based SAT checks issued (all partitions, all purposes,
     /// including checks on clause databases retired by sweeping).
     pub sat_checks: u64,
-    /// Input variables aborted by partial quantification, total.
+    /// Variables aborted by partial quantification, total.
     pub quant_aborts: usize,
     /// AIG-manager hot-path counters accumulated over every
     /// quantification (all partitions): strash probes, scratchpad walk
@@ -116,19 +155,32 @@ pub struct CircuitUmcStats {
     pub solver: SolverStats,
 }
 
+/// The forward traversal's statistics: both directions report
+/// [`CircuitUmcStats`].
+pub type ForwardCircuitUmcStats = CircuitUmcStats;
+
+impl CircuitUmcStats {
+    /// Adds one quantification's counters.
+    fn absorb(&mut self, q: &PartQuant) {
+        self.quant_aborts += q.aborts;
+        self.ganai_cofactors += q.cofactors;
+        self.quant_perf.add(q.perf);
+    }
+}
+
 /// Result of quantifying one partition's pre-image/image, with the
 /// residual policy applied. `complete == false` means a cooperative
 /// budget cancellation interrupted the quantification — the literal
 /// still carries un-eliminated variables and must not be used as a
 /// frontier (the worker reports [`Verdict::Bounded`] instead).
-pub(crate) struct PartQuant {
-    pub lit: Lit,
-    pub aborts: usize,
-    pub cofactors: usize,
-    pub complete: bool,
+struct PartQuant {
+    lit: Lit,
+    aborts: usize,
+    cofactors: usize,
+    complete: bool,
     /// Hot-path counter deltas of this quantification's `exists_many`
     /// calls (residual passes included).
-    pub perf: AigPerfCounters,
+    perf: AigPerfCounters,
 }
 
 /// The manager hot-path counters an [`exists_many`] run charged to its
@@ -143,9 +195,8 @@ fn quant_perf(s: &cbq_core::QuantStats) -> AigPerfCounters {
 
 /// Quantifies `vars` out of `f` inside partition `p`, honouring the
 /// partial-quantification growth budget, the partition's cooperative
-/// deadline/node budget, and the residual policy. Shared by the backward
-/// and forward engines.
-pub(crate) fn quantify_in_partition(
+/// deadline/node budget, and the residual policy.
+fn quantify_in_partition(
     p: &mut Partition,
     f: Lit,
     vars: &[Var],
@@ -178,83 +229,94 @@ pub(crate) fn quantify_in_partition(
         out.complete = false;
         return out;
     }
-    let naive = || QuantConfig::naive().with_deadline(deadline);
-    match residual {
-        ResidualPolicy::Naive => {
-            let q2 = exists_many(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, &naive());
+    let enumerated = match residual {
+        ResidualPolicy::Naive => None,
+        ResidualPolicy::Enumerate { max_rounds } => {
+            all_solutions_exists(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, max_rounds)
+        }
+    };
+    match enumerated {
+        Some((lit, gstats)) => {
+            out.cofactors = gstats.cofactors;
+            out.lit = lit;
+        }
+        // The naive policy, or enumeration ran out of rounds.
+        None => {
+            let naive = QuantConfig::naive().with_deadline(deadline);
+            let q2 = exists_many(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, &naive);
             out.perf.add(quant_perf(&q2.stats));
             out.lit = q2.lit;
             out.complete = q2.remaining.is_empty();
-        }
-        ResidualPolicy::Enumerate { max_rounds } => {
-            match all_solutions_exists(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, max_rounds) {
-                Some((lit, gstats)) => {
-                    out.cofactors = gstats.cofactors;
-                    out.lit = lit;
-                }
-                None => {
-                    let q2 = exists_many(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, &naive());
-                    out.perf.add(quant_perf(&q2.stats));
-                    out.lit = q2.lit;
-                    out.complete = q2.remaining.is_empty();
-                }
-            }
         }
     }
     out
 }
 
-/// One partition worker's contribution to an iteration.
+/// The verdict of a quantification that a budget interrupted: the
+/// exhausted limit, or the wall clock when only the partition's own
+/// cooperative deadline has passed so far.
+fn interrupted(meter: &Meter, steps: usize, nodes: usize, sat_checks: u64) -> Verdict {
+    meter
+        .exceeded(steps, nodes, sat_checks)
+        .unwrap_or(Verdict::Bounded {
+            resource: Resource::WallClock,
+            limit: 0,
+        })
+}
+
+/// One partition worker's share of an image step.
 struct PartStep {
+    /// The partition's image over current-state variables (`FALSE` when
+    /// the step stopped early).
     image: Lit,
+    /// Forward only: some frontier state fires `bad` under some input.
+    fires_bad: bool,
+    /// The budget that stopped the step, if any.
     bounded: Option<Verdict>,
-    aborts: usize,
-    cofactors: usize,
-    perf: AigPerfCounters,
+    /// The step's quantification, if one ran.
+    quant: Option<PartQuant>,
 }
 
 impl PartStep {
     fn empty() -> PartStep {
         PartStep {
             image: Lit::FALSE,
+            fires_bad: false,
             bounded: None,
-            aborts: 0,
-            cofactors: 0,
-            perf: AigPerfCounters::default(),
+            quant: None,
         }
     }
 }
 
-/// Bundles the typed stats into the uniform run record.
-fn finish(verdict: Verdict, stats: CircuitUmcStats, meter: &Meter) -> McRun {
-    let common = McStats {
-        engine: "circuit",
-        iterations: stats.iterations,
-        peak_nodes: stats.peak_nodes,
-        sat_checks: stats.sat_checks,
-        elapsed: meter.elapsed(),
-    };
-    McRun::new(verdict, common).with_detail(stats)
-}
-
 impl Engine for CircuitUmc {
     fn name(&self) -> &'static str {
-        "circuit"
+        match self.direction {
+            Direction::Backward => "circuit",
+            Direction::Forward => "forward",
+        }
     }
 
-    /// Runs backward reachability on `net` within `budget`.
+    /// Runs reachability on `net` within `budget`.
     fn check(&self, net: &Network, budget: &Budget) -> McRun {
         let meter = Meter::start(budget);
         let mut stats = CircuitUmcStats::default();
         let verdict = self.traverse(net, &meter, &mut stats);
-        finish(verdict, stats, &meter)
+        let common = McStats {
+            engine: self.name(),
+            iterations: stats.iterations,
+            peak_nodes: stats.peak_nodes,
+            sat_checks: stats.sat_checks,
+            elapsed: meter.elapsed(),
+        };
+        McRun::new(verdict, common).with_detail(stats)
     }
 }
 
 impl CircuitUmc {
     fn traverse(&self, net: &Network, meter: &Meter, stats: &mut CircuitUmcStats) -> Verdict {
-        let mut ss = StateSet::new_backward(
+        let mut ss = StateSet::new(
             net,
+            self.direction,
             self.partition.clone(),
             self.sweep.clone(),
             meter.deadline(),
@@ -264,59 +326,23 @@ impl CircuitUmc {
         if let Some(bounded) = meter.exceeded(0, ss.total_nodes(), 0) {
             return self.seal(bounded, stats, &ss);
         }
-
-        // F₀ = ∃i. bad(s, i), computed on the seed partition before the
-        // state space is tiled.
-        {
-            let p = &mut ss.parts[0];
-            let bad = p.bad;
-            let pis = p.pis.clone();
-            let q = quantify_in_partition(p, bad, &pis, &self.quant, self.residual);
-            stats.quant_aborts += q.aborts;
-            stats.ganai_cofactors += q.cofactors;
-            stats.quant_perf.add(q.perf);
-            if !q.complete {
-                let bounded = meter
-                    .exceeded(0, ss.total_nodes(), ss.total_sat_checks())
-                    .unwrap_or(Verdict::Bounded {
-                        resource: Resource::WallClock,
-                        limit: 0,
-                    });
-                return self.seal(bounded, stats, &ss);
-            }
-            let p = &mut ss.parts[0];
-            p.frontier = q.lit;
-            p.frontier_parts = vec![q.lit];
-            p.frontiers.push(q.lit);
-            p.reached = q.lit;
-            // Is the initial state already bad?
-            if p.cnf.solve_under(&p.aig, &[p.frontier, p.init]) == SatResult::Sat {
-                let trace = self.extract_trace(&mut ss, net, 0);
-                return self.seal(Verdict::Unsafe { trace }, stats, &ss);
+        if self.direction == Direction::Backward {
+            if let Some(verdict) = self.install_bad_frontier(&mut ss, net, meter, stats) {
+                return self.seal(verdict, stats, &ss);
             }
         }
         stats.frontier_sizes.push(ss.frontier_size());
-        stats.peak_nodes = stats.peak_nodes.max(ss.total_nodes());
-        if ss.parts[0].sweep_if_due(&mut []) {
-            // Refresh the just-recorded F₀ entry; if a pathological exit
-            // path ever reaches here without one, simply skip instead of
-            // panicking on a stats detail.
-            if let Some(last) = stats.frontier_sizes.last_mut() {
-                *last = ss.frontier_size();
-            }
-        }
         ss.split_to_target();
         ss.record_iteration();
 
         for iter in 1..=self.max_iterations {
-            let spent = ss.total_sat_checks();
-            if let Some(bounded) = meter.exceeded(iter - 1, ss.total_nodes(), spent) {
+            let done = iter - 1;
+            if let Some(bounded) = meter.exceeded(done, ss.total_nodes(), ss.total_sat_checks()) {
                 return self.seal(bounded, stats, &ss);
             }
-            stats.iterations = iter;
-            // Per-partition pre-image + input quantification + sweep,
-            // in parallel across the partitions' private managers.
-            let steps = ss.par_map(|_, p| self.partition_step(p, iter, meter));
+            // Per-partition image + quantification + sweep, in parallel
+            // across the partitions' private managers.
+            let steps = ss.par_map(|_, p| self.partition_step(p, done, meter));
             if steps.iter().any(Option::is_none) {
                 let verdict = Verdict::Unknown {
                     reason: format!(
@@ -327,24 +353,29 @@ impl CircuitUmc {
                 return self.seal(verdict, stats, &ss);
             }
             let steps: Vec<PartStep> = steps.into_iter().flatten().collect();
-            for step in &steps {
-                stats.quant_aborts += step.aborts;
-                stats.ganai_cofactors += step.cofactors;
-                stats.quant_perf.add(step.perf);
+            for q in steps.iter().filter_map(|s| s.quant.as_ref()) {
+                stats.absorb(q);
             }
             if let Some(bounded) = steps.iter().find_map(|s| s.bounded.clone()) {
                 return self.seal(bounded, stats, &ss);
             }
+            // Forward counterexample: a frontier state fires bad (lowest
+            // partition index, for determinism).
+            if let Some(t) = steps.iter().position(|s| s.fires_bad) {
+                let trace = forward_trace(&mut ss, done, t);
+                return self.seal(Verdict::Unsafe { trace }, stats, &ss);
+            }
+            stats.iterations = iter;
             // Deterministic merge: redistribute images onto windows,
-            // subtract reached, detect fixpoint / counterexample.
+            // subtract reached, detect fixpoint / backward counterexample.
             let images: Vec<Lit> = steps.iter().map(|s| s.image).collect();
-            let outcome = ss.merge_images(&images, true);
+            let outcome = ss.merge_images(&images);
             if !outcome.any_new {
                 return self.seal(Verdict::Safe { iterations: iter }, stats, &ss);
             }
             stats.frontier_sizes.push(ss.frontier_size());
             if outcome.cex_partition.is_some() {
-                let trace = self.extract_trace(&mut ss, net, iter);
+                let trace = backward_trace(&mut ss, net, iter);
                 return self.seal(Verdict::Unsafe { trace }, stats, &ss);
             }
             ss.prune_and_resplit();
@@ -356,10 +387,50 @@ impl CircuitUmc {
         self.seal(verdict, stats, &ss)
     }
 
-    /// One partition's share of a backward iteration: pre-image by
-    /// in-lining, input quantification, and the partition-local sweep.
-    fn partition_step(&self, p: &mut Partition, iter: usize, meter: &Meter) -> PartStep {
-        if let Some(bounded) = meter.exceeded(iter - 1, p.aig.num_nodes(), 0) {
+    /// The backward prologue: installs F₀ = ∃i. bad(s, i) on the seed
+    /// partition, before the state space is tiled, and sweeps it.
+    /// Returns the verdict when the traversal ends here: an initial state
+    /// is already bad, or a budget interrupted the quantification.
+    fn install_bad_frontier(
+        &self,
+        ss: &mut StateSet,
+        net: &Network,
+        meter: &Meter,
+        stats: &mut CircuitUmcStats,
+    ) -> Option<Verdict> {
+        let p = &mut ss.parts[0];
+        let (bad, pis) = (p.bad, p.pis.clone());
+        let q = quantify_in_partition(p, bad, &pis, &self.quant, self.residual);
+        stats.absorb(&q);
+        if !q.complete {
+            return Some(interrupted(
+                meter,
+                0,
+                ss.total_nodes(),
+                ss.total_sat_checks(),
+            ));
+        }
+        let p = &mut ss.parts[0];
+        p.frontier = q.lit;
+        p.frontier_parts = vec![q.lit];
+        p.frontiers.push(q.lit);
+        p.reached = q.lit;
+        if p.cnf.solve_under(&p.aig, &[p.frontier, p.init]) == SatResult::Sat {
+            let trace = backward_trace(ss, net, 0);
+            return Some(Verdict::Unsafe { trace });
+        }
+        stats.peak_nodes = stats.peak_nodes.max(ss.total_nodes());
+        ss.parts[0].sweep_if_due(&mut []);
+        None
+    }
+
+    /// One partition's share of an image step, then the partition-local
+    /// sweep. Backward: the pre-image by in-lining, then ∃ inputs.
+    /// Forward: the bad-intersection check, then ∃ latches and inputs of
+    /// `T ∧ frontier`, then the rename `s' → s`. `done` counts the
+    /// completed steps.
+    fn partition_step(&self, p: &mut Partition, done: usize, meter: &Meter) -> PartStep {
+        if let Some(bounded) = meter.exceeded(done, p.aig.num_nodes(), 0) {
             return PartStep {
                 bounded: Some(bounded),
                 ..PartStep::empty()
@@ -368,33 +439,38 @@ impl CircuitUmc {
         if p.frontier == Lit::FALSE {
             return PartStep::empty();
         }
-        let pre_raw = p.preimage(p.frontier);
-        let pis = p.pis.clone();
-        let q = quantify_in_partition(p, pre_raw, &pis, &self.quant, self.residual);
+        let (f, vars) = match self.direction {
+            Direction::Backward => (p.preimage(p.frontier), p.pis.clone()),
+            Direction::Forward => {
+                if p.cnf.solve_under(&p.aig, &[p.frontier, p.bad]) == SatResult::Sat {
+                    return PartStep {
+                        fires_bad: true,
+                        ..PartStep::empty()
+                    };
+                }
+                (p.aig.and(p.trans, p.frontier), p.elim_vars())
+            }
+        };
+        let q = quantify_in_partition(p, f, &vars, &self.quant, self.residual);
         if !q.complete {
-            let bounded =
-                meter
-                    .exceeded(iter - 1, p.aig.num_nodes(), 0)
-                    .unwrap_or(Verdict::Bounded {
-                        resource: Resource::WallClock,
-                        limit: 0,
-                    });
             return PartStep {
-                bounded: Some(bounded),
-                aborts: q.aborts,
-                cofactors: q.cofactors,
-                perf: q.perf,
+                bounded: Some(interrupted(meter, done, p.aig.num_nodes(), 0)),
+                quant: Some(q),
                 ..PartStep::empty()
             };
         }
-        let mut extra = [q.lit];
-        p.sweep_if_due(&mut extra);
+        let mut image = [match self.direction {
+            Direction::Backward => q.lit,
+            Direction::Forward => {
+                let rename = p.rename();
+                p.aig.compose(q.lit, &rename)
+            }
+        }];
+        p.sweep_if_due(&mut image);
         PartStep {
-            image: extra[0],
-            bounded: None,
-            aborts: q.aborts,
-            cofactors: q.cofactors,
-            perf: q.perf,
+            image: image[0],
+            quant: Some(q),
+            ..PartStep::empty()
         }
     }
 
@@ -409,47 +485,97 @@ impl CircuitUmc {
         stats.solver = ss.aggregate_solver();
         verdict
     }
+}
 
-    /// Walks a counterexample forward: from the initial state, at each
-    /// level find a partition (in index order) and an input leading into
-    /// its share of the next (closer-to-bad) frontier, finishing with an
-    /// input that fires `bad` itself.
-    fn extract_trace(&self, ss: &mut StateSet, net: &Network, level: usize) -> Trace {
-        let mut inputs_seq: Vec<Vec<bool>> = Vec::with_capacity(level + 1);
-        let mut state = net.initial_state();
-        for l in (0..level).rev() {
-            let mut found = false;
-            for idx in 0..ss.parts.len() {
-                let p = &mut ss.parts[idx];
-                if p.frontiers.len() <= l || p.frontiers[l] == Lit::FALSE {
-                    continue;
-                }
-                let target = p.frontiers[l];
-                let pre_raw = p.preimage(target);
-                let cube = state_cube(&mut p.aig, &p.latches, &state);
-                if p.cnf.solve_under(&p.aig, &[pre_raw, cube]) == SatResult::Sat {
-                    let inputs = read_vars(&p.aig, &p.pis, &p.cnf);
-                    let (next, _) = net.step(&state, &inputs);
-                    inputs_seq.push(inputs);
-                    state = next;
-                    found = true;
-                    break;
-                }
+/// Walks a backward counterexample forward: from the initial state, at
+/// each level find a partition (in index order) and an input leading into
+/// its share of the next (closer-to-bad) frontier, finishing with an
+/// input that fires `bad` itself.
+fn backward_trace(ss: &mut StateSet, net: &Network, level: usize) -> Trace {
+    let mut inputs_seq: Vec<Vec<bool>> = Vec::with_capacity(level + 1);
+    let mut state = net.initial_state();
+    for l in (0..level).rev() {
+        let mut found = false;
+        for idx in 0..ss.parts.len() {
+            let p = &mut ss.parts[idx];
+            if p.frontiers.len() <= l || p.frontiers[l] == Lit::FALSE {
+                continue;
             }
-            debug_assert!(found, "trace step must be satisfiable in some partition");
-            if !found {
+            let target = p.frontiers[l];
+            let pre_raw = p.preimage(target);
+            let cube = state_cube(&mut p.aig, &p.latches, &state);
+            if p.cnf.solve_under(&p.aig, &[pre_raw, cube]) == SatResult::Sat {
+                let inputs = read_vars(&p.aig, &p.pis, &p.cnf);
+                let (next, _) = net.step(&state, &inputs);
+                inputs_seq.push(inputs);
+                state = next;
+                found = true;
                 break;
             }
         }
-        // Final step: fire bad from the current state (bad is a global
-        // function; any partition's view works).
-        let p = &mut ss.parts[0];
-        let cube = state_cube(&mut p.aig, &p.latches, &state);
-        let r = p.cnf.solve_under(&p.aig, &[p.bad, cube]);
-        debug_assert_eq!(r, SatResult::Sat, "bad must fire at trace end");
-        inputs_seq.push(read_vars(&p.aig, &p.pis, &p.cnf));
-        Trace::new(inputs_seq)
+        debug_assert!(found, "trace step must be satisfiable in some partition");
+        if !found {
+            break;
+        }
     }
+    // Final step: fire bad from the current state (bad is a global
+    // function; any partition's view works).
+    let p = &mut ss.parts[0];
+    let cube = state_cube(&mut p.aig, &p.latches, &state);
+    let r = p.cnf.solve_under(&p.aig, &[p.bad, cube]);
+    debug_assert_eq!(r, SatResult::Sat, "bad must fire at trace end");
+    inputs_seq.push(read_vars(&p.aig, &p.pis, &p.cnf));
+    Trace::new(inputs_seq)
+}
+
+/// Walks a forward counterexample backwards through the forward frontiers
+/// (searching partitions in index order at each level), from a state of
+/// partition `t0`'s frontier at `level` that fires `bad`, then emits the
+/// input sequence in forward order.
+fn forward_trace(ss: &mut StateSet, level: usize, t0: usize) -> Trace {
+    // Concrete final state (in partition t0's frontier) plus the bad
+    // input.
+    let (mut states_rev, mut inputs_rev) = {
+        let p = &mut ss.parts[t0];
+        let r = p.cnf.solve_under(&p.aig, &[p.frontiers[level], p.bad]);
+        debug_assert_eq!(r, SatResult::Sat);
+        (
+            vec![read_vars(&p.aig, &p.latches, &p.cnf)],
+            vec![read_vars(&p.aig, &p.pis, &p.cnf)],
+        )
+    };
+    for l in (0..level).rev() {
+        let target = states_rev.last().expect("non-empty").clone();
+        let mut found = false;
+        for idx in 0..ss.parts.len() {
+            let p = &mut ss.parts[idx];
+            if p.frontiers.len() <= l || p.frontiers[l] == Lit::FALSE {
+                continue;
+            }
+            // Predecessor: F_l(s) ∧ (δ(s,i) == target).
+            let eq = {
+                let eqs: Vec<Lit> = p
+                    .deltas
+                    .iter()
+                    .zip(&target)
+                    .map(|(delta, v)| delta.xor_sign(!v))
+                    .collect();
+                p.aig.and_many(&eqs)
+            };
+            if p.cnf.solve_under(&p.aig, &[p.frontiers[l], eq]) == SatResult::Sat {
+                states_rev.push(read_vars(&p.aig, &p.latches, &p.cnf));
+                inputs_rev.push(read_vars(&p.aig, &p.pis, &p.cnf));
+                found = true;
+                break;
+            }
+        }
+        debug_assert!(found, "predecessor must exist in some partition");
+        if !found {
+            break;
+        }
+    }
+    inputs_rev.reverse();
+    Trace::new(inputs_rev)
 }
 
 #[cfg(test)]
@@ -459,123 +585,169 @@ mod tests {
     use crate::testsupport::{check_safe, check_unsafe};
     use cbq_ckt::generators;
 
-    #[test]
-    fn safe_token_ring() {
-        check_safe(&CircuitUmc::default(), &generators::token_ring(6));
+    /// Both directions in their registry defaults.
+    fn engines() -> [CircuitUmc; 2] {
+        [CircuitUmc::default(), CircuitUmc::forward()]
     }
 
     #[test]
-    fn safe_bounded_counter() {
-        check_safe(&CircuitUmc::default(), &generators::bounded_counter(4, 9));
-    }
-
-    #[test]
-    fn safe_gray_counter() {
-        check_safe(&CircuitUmc::default(), &generators::gray_counter(4));
-    }
-
-    #[test]
-    fn deep_backward_fixpoint_iteration_count() {
-        // The gap circuit converges in exactly gap+1 backward iterations.
-        let net = generators::bounded_counter_gap(4, 6, 12);
-        let run = CircuitUmc::default().check(&net, &Budget::unlimited());
-        match run.verdict {
-            Verdict::Safe { iterations } => assert_eq!(iterations, 12 - 6 + 1),
-            other => panic!("expected safe, got {other}"),
+    fn safe_circuits_both_directions() {
+        for engine in engines() {
+            for net in [
+                generators::token_ring(5),
+                generators::token_ring(6),
+                generators::bounded_counter(4, 9),
+                generators::gray_counter(4),
+                generators::lfsr(5, &[0, 2]),
+                generators::arbiter(4),
+                generators::mutex(),
+            ] {
+                check_safe(&engine, &net);
+            }
         }
     }
 
     #[test]
-    fn safe_lfsr() {
-        check_safe(&CircuitUmc::default(), &generators::lfsr(5, &[0, 2]));
+    fn unsafe_circuits_both_directions_with_minimal_traces() {
+        for engine in engines() {
+            for (net, depth) in [
+                (generators::token_ring_bug(5), 3),
+                (generators::mutex_bug(), 2),
+                (generators::shift_ones(4), 4),
+                (generators::counter_bug(4, 5), 5),
+                (generators::counter_bug(4, 6), 6),
+            ] {
+                check_unsafe(&engine, &net, Some(depth));
+            }
+        }
     }
 
     #[test]
-    fn safe_arbiter() {
-        check_safe(&CircuitUmc::default(), &generators::arbiter(4));
+    fn fixpoint_iteration_counts() {
+        // Backward, the gap circuit converges in exactly gap+1
+        // iterations. Forward, bounded_counter(3, 5) reaches its 5
+        // states (0..4) in 4 image steps, and the 5th finds nothing new.
+        for (engine, net, expected) in [
+            (
+                CircuitUmc::default(),
+                generators::bounded_counter_gap(4, 6, 12),
+                12 - 6 + 1,
+            ),
+            (CircuitUmc::forward(), generators::bounded_counter(3, 5), 5),
+        ] {
+            let run = engine.check(&net, &Budget::unlimited());
+            match run.verdict {
+                Verdict::Safe { iterations } => assert_eq!(iterations, expected),
+                other => panic!("{}: expected safe, got {other}", engine.name()),
+            }
+        }
     }
 
     #[test]
-    fn safe_mutex() {
-        check_safe(&CircuitUmc::default(), &generators::mutex());
-    }
-
-    #[test]
-    fn unsafe_token_ring_bug() {
-        check_unsafe(
-            &CircuitUmc::default(),
-            &generators::token_ring_bug(5),
-            Some(3),
-        );
-    }
-
-    #[test]
-    fn unsafe_mutex_bug() {
-        check_unsafe(&CircuitUmc::default(), &generators::mutex_bug(), Some(2));
-    }
-
-    #[test]
-    fn unsafe_shift_ones() {
-        check_unsafe(&CircuitUmc::default(), &generators::shift_ones(4), Some(4));
-    }
-
-    #[test]
-    fn unsafe_counter_bug() {
-        check_unsafe(
-            &CircuitUmc::default(),
-            &generators::counter_bug(4, 6),
-            Some(6),
-        );
+    fn iterations_count_completed_image_steps() {
+        // A safe run completes exactly `proved_at` image steps; an unsafe
+        // one completes as many steps as its counterexample is deep.
+        for engine in engines() {
+            for net in [
+                generators::bounded_counter_gap(5, 10, 20),
+                generators::bounded_counter_gap(4, 6, 12),
+                generators::bounded_counter(3, 5),
+                generators::token_ring(4),
+                generators::mutex_bug(),
+                generators::token_ring_bug(5),
+                generators::counter_bug(4, 5),
+            ] {
+                let run = engine.check(&net, &Budget::unlimited());
+                let steps = match &run.verdict {
+                    Verdict::Safe { iterations } => *iterations,
+                    Verdict::Unsafe { trace } => trace.len() - 1,
+                    other => panic!("{} on {}: got {other}", engine.name(), net.name()),
+                };
+                let detail = run.detail::<CircuitUmcStats>().expect("typed stats");
+                assert_eq!(
+                    (run.stats.iterations, detail.iterations),
+                    (steps, steps),
+                    "{} on {}: iterations vs {}",
+                    engine.name(),
+                    net.name(),
+                    run.verdict
+                );
+            }
+        }
     }
 
     #[test]
     fn residual_policies_agree() {
-        let net = generators::shift_ones(5);
-        let tight = CircuitUmc {
-            quant: QuantConfig::full().with_budget(1.05),
-            residual: ResidualPolicy::Enumerate { max_rounds: 128 },
-            ..CircuitUmc::default()
-        };
-        let run = tight.check(&net, &Budget::unlimited());
-        match run.verdict {
-            Verdict::Unsafe { trace } => assert!(trace.validates(&net)),
-            other => panic!("expected unsafe, got {other}"),
+        for direction in [Direction::Backward, Direction::Forward] {
+            let net = generators::shift_ones(5);
+            let tight = CircuitUmc {
+                direction,
+                quant: QuantConfig::full().with_budget(1.05),
+                residual: ResidualPolicy::Enumerate { max_rounds: 128 },
+                ..CircuitUmc::default()
+            };
+            let run = tight.check(&net, &Budget::unlimited());
+            match run.verdict {
+                Verdict::Unsafe { trace } => assert!(trace.validates(&net)),
+                other => panic!("{direction:?}: expected unsafe, got {other}"),
+            }
+            let naive = CircuitUmc {
+                residual: ResidualPolicy::Naive,
+                ..tight
+            };
+            let run2 = naive.check(&net, &Budget::unlimited());
+            assert!(
+                run2.verdict.is_unsafe(),
+                "{direction:?}: got {}",
+                run2.verdict
+            );
+            let naive_default = CircuitUmc {
+                direction,
+                residual: ResidualPolicy::Naive,
+                ..CircuitUmc::default()
+            };
+            let run3 = naive_default.check(&generators::token_ring(4), &Budget::unlimited());
+            assert!(
+                run3.verdict.is_safe(),
+                "{direction:?}: got {}",
+                run3.verdict
+            );
         }
-        let naive = CircuitUmc {
-            quant: QuantConfig::full().with_budget(1.05),
-            residual: ResidualPolicy::Naive,
-            ..CircuitUmc::default()
-        };
-        let run2 = naive.check(&net, &Budget::unlimited());
-        assert!(run2.verdict.is_unsafe());
     }
 
     #[test]
     fn stats_are_populated() {
-        let run = CircuitUmc::default().check(&generators::token_ring(4), &Budget::unlimited());
-        assert!(run.stats.iterations >= 1);
-        assert!(run.stats.sat_checks > 0);
-        assert!(run.stats.peak_nodes > 0);
-        let detail = run.detail::<CircuitUmcStats>().expect("typed stats");
-        assert!(!detail.frontier_sizes.is_empty());
-        assert_eq!(detail.iterations, run.stats.iterations);
-        assert!(!detail.partitions.trajectory.is_empty());
-        assert!(detail.partitions.trajectory.iter().all(|&n| n == 1));
+        for engine in engines() {
+            let run = engine.check(&generators::token_ring(4), &Budget::unlimited());
+            assert_eq!(run.stats.engine, engine.name());
+            assert!(run.stats.iterations >= 1);
+            assert!(run.stats.sat_checks > 0);
+            assert!(run.stats.peak_nodes > 0);
+            let detail = run.detail::<CircuitUmcStats>().expect("typed stats");
+            assert!(!detail.frontier_sizes.is_empty());
+            assert!(detail.reached_size > 0);
+            assert_eq!(detail.iterations, run.stats.iterations);
+            assert_eq!(detail.sat_checks, run.stats.sat_checks);
+            assert!(!detail.partitions.trajectory.is_empty());
+            assert!(detail.partitions.trajectory.iter().all(|&n| n == 1));
+        }
     }
 
     #[test]
     fn step_budget_bounds_the_traversal() {
-        // The gap circuit needs 7 backward iterations; 2 are not enough.
+        // The gap circuit needs 7 steps either way; 2 are not enough.
         let net = generators::bounded_counter_gap(4, 6, 12);
-        let run = CircuitUmc::default().check(&net, &Budget::unlimited().with_steps(2));
-        match run.verdict {
-            Verdict::Bounded { resource, limit } => {
-                assert_eq!(resource, crate::Resource::Steps);
-                assert_eq!(limit, 2);
+        for engine in engines() {
+            let run = engine.check(&net, &Budget::unlimited().with_steps(2));
+            match run.verdict {
+                Verdict::Bounded { resource, limit } => {
+                    assert_eq!(resource, crate::Resource::Steps);
+                    assert_eq!(limit, 2);
+                }
+                other => panic!("{}: expected bounded, got {other}", engine.name()),
             }
-            other => panic!("expected bounded, got {other}"),
+            assert_eq!(run.stats.iterations, 2);
         }
-        assert!(run.stats.iterations <= 2);
     }
 
     /// Structural verdict comparison: concrete counterexample inputs may
@@ -592,54 +764,59 @@ mod tests {
     #[test]
     fn sweeping_and_plain_traversals_agree() {
         // Same verdicts with sweeping forced on every iteration, forced
-        // off, and gc-less; the eager sweep must not grow the state sets.
-        for net in [
-            generators::token_ring(5),
-            generators::bounded_counter_gap(4, 6, 12),
-            generators::token_ring_bug(5),
-            generators::counter_bug(4, 6),
-        ] {
-            let plain = CircuitUmc {
-                sweep: None,
-                ..CircuitUmc::default()
-            };
-            let eager = CircuitUmc {
-                sweep: Some(StateSweepConfig::eager()),
-                ..CircuitUmc::default()
-            };
-            let merge_only = CircuitUmc {
-                sweep: Some(StateSweepConfig {
-                    gc: false,
-                    ..StateSweepConfig::eager()
-                }),
-                ..CircuitUmc::default()
-            };
-            let rp = plain.check(&net, &Budget::unlimited());
-            let re = eager.check(&net, &Budget::unlimited());
-            let rm = merge_only.check(&net, &Budget::unlimited());
-            let key = verdict_key(&rp.verdict);
-            assert_eq!(
-                key,
-                verdict_key(&re.verdict),
-                "{}: sweep changed verdict",
-                net.name()
-            );
-            assert_eq!(
-                key,
-                verdict_key(&rm.verdict),
-                "{}: gc-less sweep changed verdict",
-                net.name()
-            );
-            let de = re.detail::<CircuitUmcStats>().expect("stats");
-            assert!(de.sweep.runs > 0, "{}: eager sweep never ran", net.name());
-            let dp = rp.detail::<CircuitUmcStats>().expect("stats");
-            assert!(
-                de.reached_size <= dp.reached_size,
-                "{}: sweeping grew the reached set",
-                net.name()
-            );
-            if let Verdict::Unsafe { trace } = &re.verdict {
-                assert!(trace.validates(&net), "{}: swept trace bogus", net.name());
+        // off, and gc-less.
+        for engine in engines() {
+            for net in [
+                generators::token_ring(4),
+                generators::token_ring(5),
+                generators::bounded_counter_gap(4, 6, 12),
+                generators::token_ring_bug(5),
+                generators::shift_ones(4),
+                generators::counter_bug(4, 6),
+            ] {
+                let plain = CircuitUmc {
+                    sweep: None,
+                    ..engine.clone()
+                };
+                let eager = CircuitUmc {
+                    sweep: Some(StateSweepConfig::eager()),
+                    ..engine.clone()
+                };
+                let merge_only = CircuitUmc {
+                    sweep: Some(StateSweepConfig {
+                        gc: false,
+                        ..StateSweepConfig::eager()
+                    }),
+                    ..engine.clone()
+                };
+                let rp = plain.check(&net, &Budget::unlimited());
+                let re = eager.check(&net, &Budget::unlimited());
+                let rm = merge_only.check(&net, &Budget::unlimited());
+                let what = format!("{} on {}", engine.name(), net.name());
+                let key = verdict_key(&rp.verdict);
+                assert_eq!(
+                    key,
+                    verdict_key(&re.verdict),
+                    "{what}: sweep changed verdict"
+                );
+                assert_eq!(
+                    key,
+                    verdict_key(&rm.verdict),
+                    "{what}: gc-less sweep changed verdict"
+                );
+                let de = re.detail::<CircuitUmcStats>().expect("stats");
+                assert!(de.sweep.runs > 0, "{what}: eager sweep never ran");
+                // Checked backward only: forward reached sets are not
+                // monotone under sweeping (ring4's comes out larger with
+                // the eager sweep).
+                let dp = rp.detail::<CircuitUmcStats>().expect("stats");
+                assert!(
+                    engine.direction == Direction::Forward || de.reached_size <= dp.reached_size,
+                    "{what}: sweeping grew the reached set"
+                );
+                if let Verdict::Unsafe { trace } = &re.verdict {
+                    assert!(trace.validates(&net), "{what}: swept trace bogus");
+                }
             }
         }
     }
@@ -649,43 +826,43 @@ mod tests {
         // Window-disjoint partitioning is exact: identical verdicts and
         // fixpoint iterations / cex depths for any partition count, under
         // both split policies.
-        for net in [
-            generators::token_ring(5),
-            generators::bounded_counter_gap(4, 6, 12),
-            generators::gray_counter(4),
-            generators::token_ring_bug(5),
-            generators::counter_bug(4, 6),
-        ] {
-            let mono = CircuitUmc::default().check(&net, &Budget::unlimited());
-            let key = verdict_key(&mono.verdict);
-            for policy in [SplitPolicy::LatchCofactor, SplitPolicy::FrontierOrigin] {
-                let engine = CircuitUmc {
-                    partition: PartitionConfig {
-                        split: policy,
-                        ..PartitionConfig::with_count(PartitionCount::Fixed(3))
-                    },
-                    ..CircuitUmc::default()
-                };
-                let run = engine.check(&net, &Budget::unlimited());
-                assert_eq!(
-                    key,
-                    verdict_key(&run.verdict),
-                    "{} ({policy:?}): partitioning changed the verdict",
-                    net.name()
-                );
-                if let Verdict::Unsafe { trace } = &run.verdict {
+        for engine in engines() {
+            for net in [
+                generators::bounded_counter(3, 5),
+                generators::token_ring(4),
+                generators::token_ring(5),
+                generators::bounded_counter_gap(4, 6, 12),
+                generators::gray_counter(4),
+                generators::token_ring_bug(5),
+                generators::counter_bug(4, 5),
+                generators::counter_bug(4, 6),
+            ] {
+                let mono = engine.check(&net, &Budget::unlimited());
+                let key = verdict_key(&mono.verdict);
+                for policy in [SplitPolicy::LatchCofactor, SplitPolicy::FrontierOrigin] {
+                    let partitioned = CircuitUmc {
+                        partition: PartitionConfig {
+                            split: policy,
+                            ..PartitionConfig::with_count(PartitionCount::Fixed(3))
+                        },
+                        ..engine.clone()
+                    };
+                    let run = partitioned.check(&net, &Budget::unlimited());
+                    let what = format!("{} on {} ({policy:?})", engine.name(), net.name());
+                    assert_eq!(
+                        key,
+                        verdict_key(&run.verdict),
+                        "{what}: partitioning changed the verdict"
+                    );
+                    if let Verdict::Unsafe { trace } = &run.verdict {
+                        assert!(trace.validates(&net), "{what}: partitioned trace bogus");
+                    }
+                    let detail = run.detail::<CircuitUmcStats>().expect("stats");
                     assert!(
-                        trace.validates(&net),
-                        "{} ({policy:?}): partitioned trace bogus",
-                        net.name()
+                        detail.partitions.trajectory.iter().any(|&n| n > 1),
+                        "{what}: never actually partitioned"
                     );
                 }
-                let detail = run.detail::<CircuitUmcStats>().expect("stats");
-                assert!(
-                    detail.partitions.trajectory.iter().any(|&n| n > 1),
-                    "{} ({policy:?}): never actually partitioned",
-                    net.name()
-                );
             }
         }
     }

@@ -1,10 +1,10 @@
 //! The unified engine API: the [`Engine`] trait, resource [`Budget`]s,
 //! and the name-based engine registry.
 //!
-//! Every model checker in this crate — circuit-based backward and forward
-//! reachability, BDD reachability in both directions, BMC, k-induction,
-//! IC3/PDR, and the [`crate::Portfolio`] combinator — implements the same
-//! polymorphic entry point:
+//! Every model checker in this crate — circuit-based and BDD
+//! reachability in either [`Direction`], BMC, k-induction, IC3/PDR, and
+//! the [`crate::Portfolio`] combinator — implements the same polymorphic
+//! entry point:
 //!
 //! ```text
 //! fn check(&self, net: &Network, budget: &Budget) -> McRun
@@ -25,10 +25,9 @@ use std::time::{Duration, Instant};
 use cbq_ckt::Network;
 use cbq_core::VarOrder;
 
-use crate::bdd_umc::{BddDirection, BddUmc};
+use crate::bdd_umc::BddUmc;
 use crate::bmc::Bmc;
 use crate::circuit_umc::CircuitUmc;
-use crate::forward_umc::ForwardCircuitUmc;
 use crate::ic3::{GenMode, Ic3};
 use crate::induction::KInduction;
 use crate::itp::Itp;
@@ -212,6 +211,17 @@ pub trait Engine: Send + Sync {
     fn check(&self, net: &Network, budget: &Budget) -> McRun;
 }
 
+/// Traversal direction of the reachability engines ([`CircuitUmc`],
+/// [`BddUmc`]) and of the state sets they traverse.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub enum Direction {
+    /// Backward from the bad states (the paper's direction).
+    #[default]
+    Backward,
+    /// Forward from the initial states.
+    Forward,
+}
+
 /// A tuning-aware constructor: builds an engine with [`EngineTuning`]
 /// applied (see [`EngineSpec::tune`]).
 pub type TunedBuild = fn(&EngineTuning) -> Box<dyn Engine>;
@@ -245,31 +255,15 @@ pub fn registry() -> &'static [EngineSpec] {
             complete: true,
             minimal_cex: true,
             build: || Box::new(CircuitUmc::default()),
-            tune: Some(|tuning| {
-                let mut engine = CircuitUmc::default();
-                engine.sweep = tuning.sweep_of(engine.sweep);
-                engine.partition = tuning.partition_of(engine.partition);
-                if let Some(order) = tuning.quant_order {
-                    engine.quant.order = order;
-                }
-                Box::new(engine)
-            }),
+            tune: Some(|tuning| tuning.circuit(CircuitUmc::default())),
         },
         EngineSpec {
             name: "forward",
             summary: "forward reachability with circuit-based image computation",
             complete: true,
             minimal_cex: true,
-            build: || Box::new(ForwardCircuitUmc::default()),
-            tune: Some(|tuning| {
-                let mut engine = ForwardCircuitUmc::default();
-                engine.sweep = tuning.sweep_of(engine.sweep);
-                engine.partition = tuning.partition_of(engine.partition);
-                if let Some(order) = tuning.quant_order {
-                    engine.quant.order = order;
-                }
-                Box::new(engine)
-            }),
+            build: || Box::new(CircuitUmc::forward()),
+            tune: Some(|tuning| tuning.circuit(CircuitUmc::forward())),
         },
         EngineSpec {
             name: "bdd",
@@ -286,7 +280,7 @@ pub fn registry() -> &'static [EngineSpec] {
             minimal_cex: true,
             build: || {
                 Box::new(BddUmc {
-                    direction: BddDirection::Forward,
+                    direction: Direction::Forward,
                     ..BddUmc::default()
                 })
             },
@@ -421,26 +415,24 @@ impl EngineTuning {
         *self == EngineTuning::default()
     }
 
-    /// Applies the sweep override to an engine's default sweep setting.
-    fn sweep_of(&self, default: Option<StateSweepConfig>) -> Option<StateSweepConfig> {
+    /// Applies the sweep, partitioning, and quantification-order
+    /// overrides to a circuit-based traversal of either direction.
+    fn circuit(&self, mut engine: CircuitUmc) -> Box<dyn Engine> {
         match self.sweep {
-            None => default,
-            Some(false) => None,
-            Some(true) => Some(StateSweepConfig::default()),
+            None => {}
+            Some(false) => engine.sweep = None,
+            Some(true) => engine.sweep = Some(StateSweepConfig::default()),
         }
-    }
-
-    /// Applies the partitioning overrides to an engine's default
-    /// partition configuration.
-    fn partition_of(&self, default: PartitionConfig) -> PartitionConfig {
-        let mut cfg = match self.partitions {
-            None => default,
-            Some(count) => PartitionConfig::with_count(count),
-        };
+        if let Some(count) = self.partitions {
+            engine.partition = PartitionConfig::with_count(count);
+        }
         if let Some(split) = self.split {
-            cfg.split = split;
+            engine.partition.split = split;
         }
-        cfg
+        if let Some(order) = self.quant_order {
+            engine.quant.order = order;
+        }
+        Box::new(engine)
     }
 }
 

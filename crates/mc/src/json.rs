@@ -9,11 +9,12 @@ use cbq_aig::AigPerfCounters;
 use cbq_cnf::AigCnfStats;
 use cbq_sat::SolverStats;
 
+use crate::bdd_umc::BddUmcStats;
 use crate::bmc::BmcStats;
 use crate::bus::BusClientStats;
 use crate::circuit_umc::CircuitUmcStats;
-use crate::forward_umc::ForwardCircuitUmcStats;
 use crate::ic3::Ic3Stats;
+use crate::induction::KInductionStats;
 use crate::itp::ItpStats;
 use crate::portfolio::PortfolioStats;
 use crate::stateset::PartitionStats;
@@ -157,20 +158,6 @@ pub fn run_to_json_fields(run: &McRun) -> String {
             solver_json(&d.solver),
             cnf_json(&d.cnf)
         );
-    } else if let Some(d) = run.detail::<ForwardCircuitUmcStats>() {
-        detail = format!(
-            ",\"frontier_sizes\":{},\"quant_aborts\":{},\"ganai_cofactors\":{},\
-             \"quant_perf\":{},\"sweep_runs\":{},\"partitions\":{},\
-             \"solver\":{},\"cnf\":{}",
-            json_usize_list(&d.frontier_sizes),
-            d.quant_aborts,
-            d.ganai_cofactors,
-            quant_perf_json(&d.quant_perf),
-            d.sweep.runs,
-            partition_json(&d.partitions),
-            solver_json(&d.solver),
-            cnf_json(&d.cnf)
-        );
     } else if let Some(d) = run.detail::<Ic3Stats>() {
         detail = format!(
             ",\"frames\":{},\"obligations\":{},\"clauses\":{},\"pushed\":{},\
@@ -219,6 +206,21 @@ pub fn run_to_json_fields(run: &McRun) -> String {
             d.latches_pruned,
             d.coi_lemmas_skipped,
             bus_client_json(&d.bus)
+        );
+    } else if let Some(d) = run.detail::<KInductionStats>() {
+        detail = format!(
+            ",\"k\":{},\"base_checks\":{},\"step_checks\":{},\"unrolled_nodes\":{},\"bus\":{}",
+            d.k,
+            d.base_checks,
+            d.step_checks,
+            d.unrolled_nodes,
+            bus_client_json(&d.bus)
+        );
+    } else if let Some(d) = run.detail::<BddUmcStats>() {
+        detail = format!(
+            ",\"frontier_sizes\":{},\"reached_size\":{}",
+            json_usize_list(&d.frontier_sizes),
+            d.reached_size
         );
     } else if let Some(d) = run.detail::<PortfolioStats>() {
         let members: Vec<String> = d
@@ -304,14 +306,22 @@ mod tests {
     fn circuit_and_bmc_json_carry_quant_and_coi_detail() {
         use crate::bmc::Bmc;
         use crate::circuit_umc::CircuitUmc;
-        let run = CircuitUmc::default().check(&generators::mutex_bug(), &Budget::unlimited());
-        let json = run_to_json(&run);
-        assert!(
-            json.contains("\"quant_perf\":{\"strash_probes\":"),
-            "got {json}"
-        );
-        assert!(json.contains("\"scratch_walk_nodes\":"), "got {json}");
-        assert!(json.contains("\"cofactor_cache_hits\":"), "got {json}");
+        // Both directions share one detail branch.
+        for engine in [CircuitUmc::default(), CircuitUmc::forward()] {
+            let run = engine.check(&generators::mutex_bug(), &Budget::unlimited());
+            let json = run_to_json(&run);
+            assert!(
+                json.contains(&format!("\"engine\":\"{}\"", engine.name())),
+                "got {json}"
+            );
+            assert!(
+                json.contains("\"quant_perf\":{\"strash_probes\":"),
+                "got {json}"
+            );
+            assert!(json.contains("\"scratch_walk_nodes\":"), "got {json}");
+            assert!(json.contains("\"cofactor_cache_hits\":"), "got {json}");
+            assert!(json.contains("\"reached_size\":"), "got {json}");
+        }
         let run = Bmc::default().check(&generators::mutex_bug(), &Budget::unlimited());
         let json = run_to_json(&run);
         assert!(json.contains("\"verdict\":\"unsafe\""), "got {json}");
@@ -319,6 +329,42 @@ mod tests {
         assert!(json.contains("\"latches_stuck\":"), "got {json}");
         assert!(json.contains("\"latches_pruned\":"), "got {json}");
         assert!(json.contains("\"coi_lemmas_skipped\":"), "got {json}");
+    }
+
+    #[test]
+    fn kind_and_bdd_json_carry_their_detail() {
+        use crate::bdd_umc::{BddUmc, BddUmcStats};
+        use crate::engine::Direction;
+        use crate::induction::{KInduction, KInductionStats};
+        let run = KInduction::default().check(&generators::token_ring(4), &Budget::unlimited());
+        let d = run.detail::<KInductionStats>().expect("kind stats");
+        let json = run_to_json(&run);
+        assert!(json.contains("\"engine\":\"kind\""), "got {json}");
+        for field in [
+            format!("\"k\":{}", d.k),
+            format!("\"base_checks\":{}", d.base_checks),
+            format!("\"step_checks\":{}", d.step_checks),
+            format!("\"unrolled_nodes\":{}", d.unrolled_nodes),
+            format!("\"bus\":{}", bus_client_json(&d.bus)),
+        ] {
+            assert!(json.contains(&field), "{field} missing from {json}");
+        }
+        for direction in [Direction::Backward, Direction::Forward] {
+            let engine = BddUmc {
+                direction,
+                ..BddUmc::default()
+            };
+            let run = engine.check(&generators::token_ring(4), &Budget::unlimited());
+            let d = run.detail::<BddUmcStats>().expect("bdd stats");
+            let json = run_to_json(&run);
+            assert!(!d.frontier_sizes.is_empty());
+            for field in [
+                format!("\"frontier_sizes\":{}", json_usize_list(&d.frontier_sizes)),
+                format!("\"reached_size\":{}", d.reached_size),
+            ] {
+                assert!(json.contains(&field), "{field} missing from {json}");
+            }
+        }
     }
 
     #[test]

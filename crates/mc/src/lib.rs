@@ -7,7 +7,9 @@
 //! *quantification by substitution* (in-lining of the next-state
 //! functions) followed by circuit-based quantification of the primary
 //! inputs, and all fixpoint/intersection tests delegated to the SAT
-//! engine.
+//! engine. The same engine runs forward from the initial states
+//! ([`CircuitUmc::forward`], a [`Direction`] field): each step then forms
+//! an image, quantifying latches and inputs out of `T ∧ frontier`.
 //!
 //! Alongside it, every method the paper compares against or combines with
 //! (Section 4):
@@ -39,8 +41,8 @@
 //! [`McRun`] holds a common [`McStats`] record with the engine-specific
 //! counters downcastable via [`McRun::detail`].
 //!
-//! The circuit-based traversals run on the partitioned [`stateset`]
-//! subsystem: a [`StateSet`] is a disjunction of partitions, each owning
+//! The circuit-based traversal runs on the partitioned [`stateset`]
+//! subsystem in either direction: a [`StateSet`] is a disjunction of partitions, each owning
 //! its own AIG manager and clause database, tiled over the state space
 //! by latch-cofactor windows (or divided by frontier-of-origin), with
 //! per-partition pre-image/image + quantification + sweep executed in
@@ -88,7 +90,6 @@ mod bmc;
 mod bus;
 mod circuit_umc;
 mod engine;
-mod forward_umc;
 mod ic3;
 mod induction;
 mod itp;
@@ -104,15 +105,14 @@ pub mod preimage;
 pub mod stateset;
 pub mod sweep;
 
-pub use crate::bdd_umc::{BddDirection, BddUmc, BddUmcStats};
+pub use crate::bdd_umc::{BddUmc, BddUmcStats};
 pub use crate::bmc::{Bmc, BmcStats};
 pub use crate::bus::{BusClientStats, BusCounts, BusCursor, LatchCube, LemmaBus, LemmaValidator};
-pub use crate::circuit_umc::{CircuitUmc, CircuitUmcStats, ResidualPolicy};
+pub use crate::circuit_umc::{CircuitUmc, CircuitUmcStats, ForwardCircuitUmcStats, ResidualPolicy};
 pub use crate::engine::{
-    by_name, by_name_tuned, engine_names, registry, supports_tuning, Budget, Engine, EngineSpec,
-    EngineTuning, Meter,
+    by_name, by_name_tuned, engine_names, registry, supports_tuning, Budget, Direction, Engine,
+    EngineSpec, EngineTuning, Meter,
 };
-pub use crate::forward_umc::{ForwardCircuitUmc, ForwardCircuitUmcStats};
 pub use crate::ic3::{GenMode, Ic3, Ic3Stats};
 pub use crate::induction::{KInduction, KInductionStats};
 pub use crate::itp::{Itp, ItpStats};

@@ -50,6 +50,7 @@ use cbq_ckt::Network;
 use cbq_cnf::{AigCnf, AigCnfStats, CnfLifetime};
 use cbq_sat::{SatResult, SolverStats};
 
+use crate::engine::Direction;
 use crate::sweep::{StateSetSweeper, SweepConfig as StateSweepConfig, SweepStats};
 
 /// How many partitions a traversal starts with.
@@ -229,12 +230,13 @@ pub struct Partition {
 impl Partition {
     fn seed(
         net: &Network,
-        forward: bool,
+        direction: Direction,
         sweep: Option<StateSweepConfig>,
         deadline: Option<Instant>,
         node_limit: Option<usize>,
     ) -> Partition {
         let mut aig = net.aig().clone();
+        let forward = direction == Direction::Forward;
         let (next_vars, trans) = if forward {
             let next_vars: Vec<Var> = net.latches().iter().map(|_| aig.add_input()).collect();
             let eqs: Vec<Lit> = net
@@ -434,39 +436,27 @@ pub struct StateSet {
     /// Lifecycle counters.
     pub stats: PartitionStats,
     cfg: PartitionConfig,
+    direction: Direction,
 }
 
 impl StateSet {
-    /// A backward-traversal state set: one seed partition with empty
-    /// reached/frontier sets (the engine installs F₀ before splitting).
-    pub fn new_backward(
+    /// A state set with one seed partition. Backward, its reached set and
+    /// frontier start empty (the engine installs F₀ before splitting);
+    /// forward, both start as the initial states, and the partition
+    /// carries the transition relation and next-state variables.
+    pub fn new(
         net: &Network,
+        direction: Direction,
         cfg: PartitionConfig,
         sweep: Option<StateSweepConfig>,
         deadline: Option<Instant>,
         node_limit: Option<usize>,
     ) -> StateSet {
         StateSet {
-            parts: vec![Partition::seed(net, false, sweep, deadline, node_limit)],
+            parts: vec![Partition::seed(net, direction, sweep, deadline, node_limit)],
             stats: PartitionStats::default(),
             cfg,
-        }
-    }
-
-    /// A forward-traversal state set: one seed partition whose frontier
-    /// and reached set are the initial states, plus transition relation
-    /// and next-state variables.
-    pub fn new_forward(
-        net: &Network,
-        cfg: PartitionConfig,
-        sweep: Option<StateSweepConfig>,
-        deadline: Option<Instant>,
-        node_limit: Option<usize>,
-    ) -> StateSet {
-        StateSet {
-            parts: vec![Partition::seed(net, true, sweep, deadline, node_limit)],
-            stats: PartitionStats::default(),
-            cfg,
+            direction,
         }
     }
 
@@ -659,11 +649,10 @@ impl StateSet {
     /// counterexample signals. Index-ordered throughout, so repeated runs
     /// produce identical frontiers and stats.
     ///
-    /// `detect_init_cex` enables the backward traversals' counterexample
-    /// scan (does any new frontier intersect the initial states?);
-    /// forward traversals detect counterexamples against `bad` instead
-    /// and pass `false`.
-    pub fn merge_images(&mut self, images: &[Lit], detect_init_cex: bool) -> MergeOutcome {
+    /// Backward state sets also scan for a counterexample: does any new
+    /// frontier intersect the initial states? Forward traversals detect
+    /// counterexamples against `bad` instead, before imaging.
+    pub fn merge_images(&mut self, images: &[Lit]) -> MergeOutcome {
         let n = self.parts.len();
         debug_assert_eq!(images.len(), n);
         // Distinct windows in first-occurrence (index) order.
@@ -751,7 +740,7 @@ impl StateSet {
         // Counterexample signal: lowest-index partition whose new
         // frontier intersects the initial states.
         let mut cex_partition = None;
-        if detect_init_cex {
+        if self.direction == Direction::Backward {
             for t in 0..n {
                 let p = &mut self.parts[t];
                 if p.frontier != Lit::FALSE
@@ -1005,8 +994,9 @@ mod tests {
     #[test]
     fn latch_split_tiles_the_state_space() {
         let net = generators::token_ring(4);
-        let mut ss = StateSet::new_backward(
+        let mut ss = StateSet::new(
             &net,
+            Direction::Backward,
             PartitionConfig::with_count(PartitionCount::Fixed(4)),
             None,
             None,
@@ -1043,8 +1033,9 @@ mod tests {
         // slot returns None, every healthy partition's result survives,
         // and the panicked index is recorded for the engine's verdict.
         let net = generators::token_ring(4);
-        let mut ss = StateSet::new_backward(
+        let mut ss = StateSet::new(
             &net,
+            Direction::Backward,
             PartitionConfig::with_count(PartitionCount::Fixed(2)),
             None,
             None,

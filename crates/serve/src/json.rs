@@ -28,14 +28,11 @@ pub enum Json {
 impl Json {
     /// Parses one JSON value; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(format!("trailing content at byte {}", p.pos));
         }
         Ok(v)
@@ -116,19 +113,21 @@ impl fmt::Display for Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`; only ever advanced past ASCII bytes or
+    /// whole strings of chars, so it always sits on a char boundary.
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.text.as_bytes().get(self.pos) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -141,7 +140,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -226,7 +225,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number `{text}` at byte {start}"))
@@ -280,12 +279,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf-8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain characters up to the
+                    // next quote or backslash (both ASCII, so the run
+                    // ends on a char boundary).
+                    let rest = &self.text[self.pos..];
+                    let len = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -293,11 +293,13 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "non-ascii \\u escape".to_string())?;
+        let text = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| "non-ascii \\u escape".to_string())?;
         let v = u32::from_str_radix(text, 16).map_err(|_| "bad \\u escape".to_string())?;
         self.pos = end;
         Ok(v)
@@ -342,6 +344,37 @@ mod tests {
         for bad in ["", "{", "[1,", "\"x", "nul", "{\"a\"1}", "1 2", "{]"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn megabyte_check_lines_parse_in_linear_time() {
+        // A resubmit carries its whole model on one line, so parsing must
+        // stay linear in the line length.
+        use crate::CheckRequest;
+        use cbq_mc::Budget;
+        use std::time::{Duration, Instant};
+        // A 1 MB AIGER text: one input feeding a chain of AND gates.
+        let ands = 80_000;
+        let mut model = format!("aag {} 1 0 1 {ands}\n2\n{}\n", ands + 1, 2 * (ands + 1));
+        for lhs in (2..=ands + 1).map(|v| 2 * v) {
+            model.push_str(&format!("{lhs} {} 2\n", lhs - 2));
+        }
+        assert!(model.len() >= 1 << 20, "model is {} bytes", model.len());
+        let request = CheckRequest {
+            id: 1,
+            model,
+            engine: "circuit".to_string(),
+            budget: Budget::unlimited(),
+            use_cache: true,
+        };
+        let line = request.to_json_line();
+        let start = Instant::now();
+        let msg = Json::parse(&line).expect("parses");
+        assert_eq!(Json::parse(&msg.to_string()).as_ref(), Ok(&msg));
+        let elapsed = start.elapsed();
+        let back = CheckRequest::from_json(&msg, 0).expect("a check request");
+        assert_eq!(back.model, request.model);
+        assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
     }
 
     #[test]

@@ -155,22 +155,15 @@ impl Server {
                 process_check(&job.request, &self.cache, &self.cfg.caps)
             });
             self.jobs_done.fetch_add(1, Ordering::SeqCst);
-            if let Some(run) = &outcome.run {
-                let perf = run
-                    .detail::<cbq_mc::CircuitUmcStats>()
-                    .map(|d| d.quant_perf)
-                    .or_else(|| {
-                        run.detail::<cbq_mc::ForwardCircuitUmcStats>()
-                            .map(|d| d.quant_perf)
-                    });
-                if let Some(p) = perf {
-                    self.quant_strash_probes
-                        .fetch_add(p.strash_probes, Ordering::SeqCst);
-                    self.quant_scratch_walk_nodes
-                        .fetch_add(p.scratch_walk_nodes, Ordering::SeqCst);
-                    self.quant_cofactor_cache_hits
-                        .fetch_add(p.cofactor_cache_hits, Ordering::SeqCst);
-                }
+            let traversal = outcome.run.as_ref();
+            if let Some(d) = traversal.and_then(|r| r.detail::<cbq_mc::CircuitUmcStats>()) {
+                let p = d.quant_perf;
+                self.quant_strash_probes
+                    .fetch_add(p.strash_probes, Ordering::SeqCst);
+                self.quant_scratch_walk_nodes
+                    .fetch_add(p.scratch_walk_nodes, Ordering::SeqCst);
+                self.quant_cofactor_cache_hits
+                    .fetch_add(p.cofactor_cache_hits, Ordering::SeqCst);
             }
             send_line(&job.out, &outcome.line);
         }

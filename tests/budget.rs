@@ -85,7 +85,7 @@ fn tight_timeouts_cancel_cooperatively_and_promptly() {
     // the sweep candidate loop, so even circuits whose single
     // quantification is expensive return Bounded quickly instead of
     // finishing the pass first. Partition workers report Bounded too.
-    use cbq::mc::{CircuitUmc, ForwardCircuitUmc, PartitionConfig, PartitionCount};
+    use cbq::mc::{CircuitUmc, PartitionConfig, PartitionCount};
     let net = generators::arbiter(7);
     for timeout_ms in [1u64, 20] {
         for parts in [1usize, 4] {
@@ -106,9 +106,9 @@ fn tight_timeouts_cancel_cooperatively_and_promptly() {
                 "circuit x{parts}: {timeout_ms}ms deadline overshot to {:?}",
                 start.elapsed()
             );
-            let forward = ForwardCircuitUmc {
+            let forward = CircuitUmc {
                 partition: PartitionConfig::with_count(PartitionCount::Fixed(parts)),
-                ..ForwardCircuitUmc::default()
+                ..CircuitUmc::forward()
             };
             let start = Instant::now();
             let run = forward.check(&net, &budget);

@@ -191,7 +191,7 @@ fn activation_reuse_and_rebuild_lifetimes_match_oracle() {
     // engines. Only the activation runs may retain learnt clauses.
     use cbq::cnf::CnfLifetime;
     use cbq::mc::sweep::SweepConfig as StateSweepConfig;
-    use cbq::mc::{CircuitUmcStats, ForwardCircuitUmc, ForwardCircuitUmcStats};
+    use cbq::mc::CircuitUmcStats;
     let mut retained_total = 0;
     for (net, expected) in suite_with_oracle() {
         for lifetime in [CnfLifetime::Activation, CnfLifetime::Rebuild] {
@@ -222,9 +222,9 @@ fn activation_reuse_and_rebuild_lifetimes_match_oracle() {
                     net.name()
                 ),
             }
-            let run = ForwardCircuitUmc {
+            let run = CircuitUmc {
                 sweep,
-                ..ForwardCircuitUmc::default()
+                ..CircuitUmc::forward()
             }
             .check(&net, &Budget::unlimited());
             assert_agrees(
@@ -235,7 +235,7 @@ fn activation_reuse_and_rebuild_lifetimes_match_oracle() {
                 true,
                 true,
             );
-            let d = run.detail::<ForwardCircuitUmcStats>().expect("stats");
+            let d = run.detail::<CircuitUmcStats>().expect("stats");
             if lifetime == CnfLifetime::Rebuild {
                 assert_eq!(d.cnf.learnts_retained, 0);
             }
@@ -258,7 +258,7 @@ fn ic3_agrees_with_circuit_engines_on_e6_family() {
     // both through Network::step and on the bit-parallel simulator.
     // Depths are NOT compared: IC3 traces are genuine but need not be
     // minimal (EngineSpec::minimal_cex is false).
-    use cbq::mc::{Bmc, ForwardCircuitUmc, Ic3, Ic3Stats};
+    use cbq::mc::{Bmc, Ic3, Ic3Stats};
     let e6_family = vec![
         generators::token_ring(5),
         generators::bounded_counter_gap(4, 6, 12),
@@ -276,7 +276,7 @@ fn ic3_agrees_with_circuit_engines_on_e6_family() {
     for net in e6_family {
         let ic3 = Ic3::default().check(&net, &Budget::unlimited());
         let circuit = CircuitUmc::default().check(&net, &Budget::unlimited());
-        let forward = ForwardCircuitUmc::default().check(&net, &Budget::unlimited());
+        let forward = CircuitUmc::forward().check(&net, &Budget::unlimited());
         assert_eq!(
             ic3.verdict.is_safe(),
             circuit.verdict.is_safe(),

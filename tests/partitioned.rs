@@ -1,5 +1,5 @@
 //! Partitioned state-set integration tests: for every E6 smoke model,
-//! `CircuitUmc`/`ForwardCircuitUmc` with `--partitions 1` and
+//! `CircuitUmc` in both directions with `--partitions 1` and
 //! `--partitions 4` must return identical verdicts (same fixpoint
 //! iteration / same minimal counterexample depth), counterexample traces
 //! must replay on the bit-parallel simulator, and repeated runs must be
@@ -7,10 +7,7 @@
 
 use cbq::ckt::generators;
 use cbq::ckt::Network;
-use cbq::mc::{
-    CircuitUmcStats, ForwardCircuitUmc, ForwardCircuitUmcStats, PartitionConfig, PartitionCount,
-    SplitPolicy,
-};
+use cbq::mc::{CircuitUmcStats, PartitionConfig, PartitionCount, SplitPolicy};
 use cbq::prelude::*;
 
 mod common;
@@ -89,15 +86,15 @@ fn backward_partitions_1_and_4_agree_on_the_suite() {
 #[test]
 fn forward_partitions_1_and_4_agree_on_the_suite() {
     for net in suite() {
-        let mono = ForwardCircuitUmc {
+        let mono = CircuitUmc {
             partition: partitioned(1, SplitPolicy::LatchCofactor),
-            ..ForwardCircuitUmc::default()
+            ..CircuitUmc::forward()
         }
         .check(&net, &Budget::unlimited());
         let key = verdict_key(&mono.verdict);
-        let part = ForwardCircuitUmc {
+        let part = CircuitUmc {
             partition: partitioned(4, SplitPolicy::LatchCofactor),
-            ..ForwardCircuitUmc::default()
+            ..CircuitUmc::forward()
         }
         .check(&net, &Budget::unlimited());
         assert_eq!(
@@ -158,14 +155,14 @@ fn partitioned_runs_are_deterministic() {
             net.name()
         );
 
-        let fwd = ForwardCircuitUmc {
+        let fwd = CircuitUmc {
             partition: partitioned(4, SplitPolicy::LatchCofactor),
-            ..ForwardCircuitUmc::default()
+            ..CircuitUmc::forward()
         };
         let fa = fwd.check(&net, &Budget::unlimited());
         let fb = fwd.check(&net, &Budget::unlimited());
-        let dfa = fa.detail::<ForwardCircuitUmcStats>().expect("stats");
-        let dfb = fb.detail::<ForwardCircuitUmcStats>().expect("stats");
+        let dfa = fa.detail::<CircuitUmcStats>().expect("stats");
+        let dfb = fb.detail::<CircuitUmcStats>().expect("stats");
         assert_eq!(dfa.frontier_sizes, dfb.frontier_sizes);
         assert_eq!(dfa.partitions, dfb.partitions);
     }
