@@ -185,7 +185,8 @@ impl AagFile {
     /// # Errors
     ///
     /// Returns [`ParseAagError`] if the file has latches, an AND references
-    /// an undefined literal, or definitions are not in topological order.
+    /// an undefined literal, definitions are not in topological order, or
+    /// a variable is defined twice (see [`AagDefs`]).
     pub fn build(&self) -> Result<(Aig, Vec<Var>, Vec<Lit>), ParseAagError> {
         if !self.latches.is_empty() {
             return Err(ParseAagError::new(
@@ -194,33 +195,77 @@ impl AagFile {
             ));
         }
         let mut aig = Aig::new();
-        let mut map: HashMap<u32, Lit> = HashMap::new();
-        map.insert(0, Lit::FALSE);
+        let mut defs = AagDefs::default();
         let mut in_vars = Vec::with_capacity(self.inputs.len());
         for code in &self.inputs {
             let v = aig.add_input();
             in_vars.push(v);
-            map.insert(code / 2, v.lit());
+            defs.define(*code, v.lit())?;
         }
         for (lhs, r0, r1) in &self.ands {
-            let f0 = lookup(&map, *r0)?;
-            let f1 = lookup(&map, *r1)?;
-            let l = aig.and(f0, f1);
-            map.insert(lhs / 2, l);
+            let l = aig.and(defs.lookup(*r0)?, defs.lookup(*r1)?);
+            defs.define(*lhs, l)?;
         }
         let outs = self
             .outputs
             .iter()
-            .map(|o| lookup(&map, *o))
+            .map(|o| defs.lookup(*o))
             .collect::<Result<Vec<_>, _>>()?;
         Ok((aig, in_vars, outs))
     }
 }
 
-fn lookup(map: &HashMap<u32, Lit>, code: u32) -> Result<Lit, ParseAagError> {
-    map.get(&(code / 2))
-        .map(|l| l.xor_sign(code % 2 == 1))
-        .ok_or_else(|| ParseAagError::new(0, format!("undefined literal {code}")))
+/// The literal each AIGER variable stands for while a file is
+/// materialised into a manager: the constant from the start, then
+/// inputs, latches and AND gates as their definitions arrive. Shared by
+/// [`AagFile::build`] and the sequential reader of the network layer.
+#[derive(Clone, Debug)]
+pub struct AagDefs {
+    map: HashMap<u32, Lit>,
+}
+
+impl Default for AagDefs {
+    /// Only variable 0, the constant, defined.
+    fn default() -> AagDefs {
+        AagDefs {
+            map: HashMap::from([(0, Lit::FALSE)]),
+        }
+    }
+}
+
+impl AagDefs {
+    /// Defines the variable of the even literal `code` as `lit`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseAagError`] naming `code` if its variable is the
+    /// constant or already defined.
+    pub fn define(&mut self, code: u32, lit: Lit) -> Result<(), ParseAagError> {
+        match self.map.insert(code / 2, lit) {
+            None => Ok(()),
+            Some(_) if code / 2 == 0 => Err(ParseAagError::new(
+                0,
+                format!("literal {code} redefines the constant"),
+            )),
+            Some(_) => Err(ParseAagError::new(
+                0,
+                format!("literal {code} redefines variable {}", code / 2),
+            )),
+        }
+    }
+
+    /// The manager literal `code` stands for.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseAagError`] naming `code` if its variable is not
+    /// defined (yet).
+    pub fn lookup(&self, code: u32) -> Result<Lit, ParseAagError> {
+        self.map
+            .get(&(code / 2))
+            .map(|l| l.xor_sign(code % 2 == 1))
+            .ok_or_else(|| ParseAagError::new(0, format!("undefined literal {code}")))
+    }
 }
 
 /// Serialises the cone of `roots` as a combinational ASCII AIGER file.
@@ -384,6 +429,29 @@ mod tests {
         let (aig2, _, outs) = file.build().unwrap();
         assert_eq!(outs, vec![Lit::TRUE, Lit::FALSE]);
         assert_eq!(aig2.num_ands(), 0);
+    }
+
+    #[test]
+    fn build_rejects_a_definition_of_the_constant() {
+        let err = parse_aag("aag 1 1 0 1 1\n2\n0\n0 2 2\n")
+            .unwrap()
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("literal 0 redefines"), "{err}");
+    }
+
+    #[test]
+    fn build_rejects_a_second_definition() {
+        let err = parse_aag("aag 2 2 0 1 1\n2\n4\n4\n4 2 2\n")
+            .unwrap()
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("literal 4 redefines"), "{err}");
+        let err = parse_aag("aag 1 2 0 0 0\n2\n2\n")
+            .unwrap()
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("literal 2 redefines"), "{err}");
     }
 
     #[test]

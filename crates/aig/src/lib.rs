@@ -57,7 +57,7 @@ mod table;
 pub mod io;
 pub mod sim;
 
-pub use crate::aig::{Aig, AigPerfCounters, AigTuning};
+pub use crate::aig::{Aig, AigPerfCounters};
 pub use crate::cube::{Assignment, Cube};
 pub use crate::dfs::ConeStats;
 pub use crate::lit::{Lit, Var};

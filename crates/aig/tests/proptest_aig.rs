@@ -1,12 +1,15 @@
 //! Property-based tests of the AIG manager: algebraic laws, cofactor and
-//! composition semantics, compaction, simulation-vs-eval agreement and
-//! AIGER round-trips on random circuits.
+//! composition semantics, bit-identity with the test-side oracle,
+//! compaction, simulation-vs-eval agreement and AIGER round-trips on
+//! random circuits.
+
+mod oracle;
 
 use proptest::prelude::*;
 
 use cbq_aig::io::{parse_aag, write_aag};
 use cbq_aig::sim::{BitSim, TernSim};
-use cbq_aig::{Aig, AigTuning, Lit, Var};
+use cbq_aig::{Aig, Lit, Var};
 
 /// A recipe for building a random circuit: a list of gate descriptors
 /// over a pool that starts with `num_inputs` inputs.
@@ -57,55 +60,6 @@ fn build(num_inputs: usize, ops: &[GateOp]) -> (Aig, Lit) {
     }
     let root = *pool.last().expect("non-empty pool");
     (aig, root)
-}
-
-/// Materialises a recipe in a manager with the given tuning.
-fn build_with(num_inputs: usize, ops: &[GateOp], tuning: AigTuning) -> (Aig, Lit) {
-    let mut aig = Aig::with_tuning(tuning);
-    let mut pool: Vec<Lit> = (0..num_inputs).map(|_| aig.add_input().lit()).collect();
-    for op in ops {
-        let pick = |i: usize| pool[i % pool.len()];
-        let l = match *op {
-            GateOp::And(a, pa, b, pb) => {
-                let x = pick(a).xor_sign(pa);
-                let y = pick(b).xor_sign(pb);
-                aig.and(x, y)
-            }
-            GateOp::Xor(a, pa, b, pb) => {
-                let x = pick(a).xor_sign(pa);
-                let y = pick(b).xor_sign(pb);
-                aig.xor(x, y)
-            }
-            GateOp::Ite(c, t, e) => {
-                let (c, t, e) = (pick(c), pick(t), pick(e));
-                aig.ite(c, t, e)
-            }
-        };
-        pool.push(l);
-    }
-    let root = *pool.last().expect("non-empty pool");
-    (aig, root)
-}
-
-/// The ablation ladder: reference oracle, then each fast path layered in.
-fn tuning_rungs() -> [AigTuning; 5] {
-    [
-        AigTuning::reference(),
-        AigTuning {
-            open_strash: true,
-            ..AigTuning::reference()
-        },
-        AigTuning {
-            open_strash: true,
-            dense_scratch: true,
-            ..AigTuning::reference()
-        },
-        AigTuning {
-            cofactor_cache: false,
-            ..AigTuning::full()
-        },
-        AigTuning::full(),
-    ]
 }
 
 const N: usize = 6;
@@ -273,88 +227,67 @@ proptest! {
         }
     }
 
-    /// Differential: every tuning rung — reference `HashMap` strash and
-    /// per-call maps up to the full dense/open-addressing/cached hot path
-    /// — produces *bit-identical* managers under the same build recipe
-    /// followed by input-substitution composes and cofactors: same
-    /// literals returned, same node counts, at every step.
+    /// Differential: the manager's substitutions — `compose`,
+    /// `compose_many`, and `cofactor` on its first call and on a cache hit
+    /// — return the literals the test-side oracle computes on a clone of
+    /// the same manager, and both clones end with the same node list.
     #[test]
-    fn tuning_rungs_are_bit_identical(
+    fn substitutions_match_the_oracle(
         ops in ops_strategy(24),
         vi in 0..N,
         wi in 0..N,
         value: bool,
         phase: bool,
     ) {
-        let runs: Vec<(Vec<Lit>, usize)> = tuning_rungs()
-            .iter()
-            .map(|&tuning| {
-                let (mut aig, root) = build_with(N, &ops, tuning);
-                let v = aig.input_var(vi);
-                let w = aig.input_var(wi);
-                let mut log = vec![root];
-                // Input-only substitution: swap v for (w ^ phase).
-                log.push(aig.compose(root, &[(v, w.lit().xor_sign(phase))]));
-                log.push(aig.cofactor(root, v, value));
-                log.push(aig.cofactor(root, v, value)); // cache-hit path
-                let (f1, f0) = aig.cofactors(log[1], w);
-                log.push(f1);
-                log.push(f0);
-                (log, aig.num_nodes())
-            })
-            .collect();
-        for (rung, run) in runs.iter().enumerate().skip(1) {
-            prop_assert_eq!(&runs[0], run, "rung {} diverged from reference", rung);
+        let (mut aig, root) = build(N, &ops);
+        let mut slow = aig.clone();
+        let v = aig.input_var(vi);
+        let w = aig.input_var(wi);
+        // Input-only substitution: swap v for (w ^ phase).
+        let swap = [(v, w.lit().xor_sign(phase))];
+        let composed = aig.compose(root, &swap);
+        prop_assert_eq!(composed, oracle::compose(&mut slow, root, &swap));
+        // First call, then an immediate cache hit.
+        let cof = aig.cofactor(root, v, value);
+        prop_assert_eq!(cof, oracle::cofactor(&mut slow, root, v, value));
+        prop_assert!(!aig.support_contains(cof, v));
+        let hits = aig.perf_counters().cofactor_cache_hits;
+        prop_assert_eq!(aig.cofactor(root, v, value), cof);
+        prop_assert_eq!(aig.perf_counters().cofactor_cache_hits, hits + 1);
+        let (f1, f0) = aig.cofactors(composed, w);
+        prop_assert_eq!(f1, oracle::cofactor(&mut slow, composed, w, true));
+        prop_assert_eq!(f0, oracle::cofactor(&mut slow, composed, w, false));
+        // One shared walk over several roots; a gate of the cone, when
+        // there is one, is a substitution target too.
+        let mut map = vec![(w, v.lit().xor_sign(!phase))];
+        if let Some(gate) = aig
+            .collect_cone(&[root])
+            .into_iter()
+            .find(|g| aig.node(*g).is_and())
+        {
+            map.push((gate, w.lit()));
         }
+        let roots = [root, !composed, f1, f0];
+        prop_assert_eq!(
+            aig.compose_many(&roots, &map),
+            oracle::compose_many(&mut slow, &roots, &map)
+        );
+        // After the manager has grown, a repeated cofactor still answers
+        // what a full recomputation does.
+        prop_assert_eq!(aig.cofactor(root, v, value), oracle::cofactor(&mut slow, root, v, value));
+        prop_assert_eq!(aig.nodes(), slow.nodes());
+        oracle::check_strash(&mut aig)?;
     }
 
-    /// Differential: support-limited cofactoring equals the reference
-    /// full-cone rebuild semantically on every assignment, and the result
-    /// is independent of the eliminated variable.
+    /// Structural hashing holds across table growth and compaction: no
+    /// two gates share normalised fanins, and `and` of an existing gate's
+    /// fanins returns that gate without growing the manager.
     #[test]
-    fn support_limited_cofactor_matches_reference(
-        ops in ops_strategy(24),
-        vi in 0..N,
-        value: bool,
-    ) {
-        let (mut fast, froot) = build_with(N, &ops, AigTuning::full());
-        let (mut slow, sroot) = build_with(N, &ops, AigTuning::reference());
-        let fv = fast.input_var(vi);
-        let sv = slow.input_var(vi);
-        let fcof = fast.cofactor(froot, fv, value);
-        let scof = slow.cofactor(sroot, sv, value);
-        prop_assert_eq!(fcof, scof, "cofactor lits diverge");
-        prop_assert!(!fast.support_contains(fcof, fv));
-        for mask in 0..1u32 << N {
-            let mut asg: Vec<bool> = (0..N).map(|i| (mask >> i) & 1 != 0).collect();
-            asg[vi] = value;
-            prop_assert_eq!(fast.eval(fcof, &asg), slow.eval(scof, &asg));
-        }
-    }
-
-    /// Differential: the open-addressing strash answers every `and`
-    /// exactly like the reference `HashMap` table — same hit/miss
-    /// behaviour, so same literals and node counts — across growth
-    /// boundaries, and survives compaction.
-    #[test]
-    fn open_strash_matches_hashmap_strash(ops in ops_strategy(48)) {
-        let (open, oroot) = build_with(N, &ops, AigTuning {
-            open_strash: true,
-            ..AigTuning::reference()
-        });
-        let (href, hroot) = build_with(N, &ops, AigTuning::reference());
-        prop_assert_eq!(oroot, hroot);
-        prop_assert_eq!(open.num_nodes(), href.num_nodes());
-        // Compaction rebuilds the table. This tuning has no identity
-        // shortcut (reference scratch), so an identity compose re-issues
-        // every cone gate through `and` — each must strash back to the
-        // packed node instead of creating a duplicate.
-        let (mut packed, roots) = open.compact(&[oroot]);
-        let before = packed.num_nodes();
-        let v = packed.input_var(0);
-        let again = packed.compose(roots[0], &[(v, v.lit())]);
-        prop_assert_eq!(again, roots[0]);
-        prop_assert_eq!(packed.num_nodes(), before);
+    fn strash_is_canonical_across_growth_and_compaction(ops in ops_strategy(48)) {
+        let (mut aig, root) = build(N, &ops);
+        oracle::check_strash(&mut aig)?;
+        let (mut packed, _) = aig.compact(&[root]);
+        oracle::check_strash(&mut packed)?;
     }
 
     /// The support really is the set of variables the function depends on

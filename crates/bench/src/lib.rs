@@ -11,7 +11,7 @@ use std::fmt;
 use std::time::Instant;
 
 use cbq_aig::sim::BitSim;
-use cbq_aig::{Aig, AigPerfCounters, AigTuning, Lit, Var};
+use cbq_aig::{Aig, Lit, Var};
 use cbq_cec::{sweep, MergeOrder, SweepConfig};
 use cbq_ckt::generators;
 use cbq_ckt::random::similar_pair;
@@ -1111,141 +1111,6 @@ pub fn e6i_table() -> Table {
 }
 
 // ---------------------------------------------------------------------
-// E6q — AIG-manager hot-path ablation (quantification tunings)
-// ---------------------------------------------------------------------
-
-/// The e6q tuning ladder: from the all-`HashMap` reference manager up to
-/// the full dense hot path, each rung enabling one more fast path in the
-/// order the implementation layers them (open-addressing strash, dense
-/// generation-stamped scratchpads, support-limited cofactoring, and the
-/// direct-mapped cofactor cache).
-pub fn e6q_rungs() -> [(&'static str, AigTuning); 5] {
-    [
-        ("hashmap", AigTuning::reference()),
-        (
-            "strash",
-            AigTuning {
-                open_strash: true,
-                ..AigTuning::reference()
-            },
-        ),
-        (
-            "scratch",
-            AigTuning {
-                open_strash: true,
-                dense_scratch: true,
-                ..AigTuning::reference()
-            },
-        ),
-        (
-            "support",
-            AigTuning {
-                cofactor_cache: false,
-                ..AigTuning::full()
-            },
-        ),
-        ("cache", AigTuning::full()),
-    ]
-}
-
-/// E6q kernel: one circuit-engine run with the given manager tuning
-/// installed as the process default (the engine creates managers
-/// internally, one per state-set partition). Restores the full tuning
-/// before returning. Returns (verdict, peak nodes, quantifier hot-path
-/// counters, ms).
-pub fn quant_tuning_run(
-    net: &Network,
-    tuning: AigTuning,
-    budget: &Budget,
-) -> (Verdict, usize, AigPerfCounters, f64) {
-    AigTuning::set_process_default(tuning);
-    // The engine quantifies inside a clone of the network's own manager
-    // (and clones preserve their source tuning), so the rung has to be
-    // installed on the network too, not just on fresh managers.
-    let mut net = net.clone();
-    net.aig_mut().set_tuning(tuning);
-    let start = Instant::now();
-    let run = CircuitUmc::default().check(&net, budget);
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    AigTuning::set_process_default(AigTuning::full());
-    let detail = run.detail::<CircuitUmcStats>().expect("circuit stats");
-    (
-        run.verdict.clone(),
-        detail.peak_nodes,
-        detail.quant_perf,
-        elapsed,
-    )
-}
-
-/// E6q: the manager hot-path ablation across the E6 suite. The claims:
-/// every rung reaches the *same* verdict with the same fixpoint
-/// iteration count or counterexample depth (a `!=` marker prints
-/// otherwise — the tunings are semantics-preserving by construction),
-/// and the `walk` columns — nodes visited by the quantifier's
-/// substitution walks, counted identically on the reference and dense
-/// paths — drop at the `support` rung: support limiting stops every
-/// cofactor walk at the substituted variable's node index instead of
-/// descending through the whole cone. `probes` counts strash *slots
-/// inspected* on the open table but *lookups* on the `HashMap` (whose
-/// per-probe cost includes hashing `RandomState` and chasing boxes), so
-/// it sizes each rung's table traffic rather than comparing across
-/// representations. `hits` is full-rung-only: unbudgeted engine runs
-/// never re-ask a (root, var, phase) cofactor, so the cache earns its
-/// keep under growth-budget aborts (e7), not here.
-pub fn e6q_table() -> Table {
-    let mut t = Table::new(
-        "E6q — AIG-manager hot-path ablation (hashmap < strash < scratch < support < cache)",
-        &[
-            "circuit",
-            "verdict",
-            "walk hashmap",
-            "walk strash",
-            "walk scratch",
-            "walk support",
-            "walk cache",
-            "probes ref",
-            "probes full",
-            "hits",
-            "ms hashmap",
-            "ms cache",
-            "peak",
-        ],
-    );
-    let budget = e6_budget();
-    for net in umc_suite() {
-        let runs: Vec<(Verdict, usize, AigPerfCounters, f64)> = e6q_rungs()
-            .iter()
-            .map(|(_, tuning)| quant_tuning_run(&net, *tuning, &budget))
-            .collect();
-        let agree = runs
-            .iter()
-            .all(|(v, ..)| verdict_cell(v) == verdict_cell(&runs[0].0));
-        let verdict = if agree {
-            verdict_cell(&runs[4].0)
-        } else {
-            format!(
-                "{} != {}",
-                verdict_cell(&runs[0].0),
-                verdict_cell(&runs[4].0)
-            )
-        };
-        let full = &runs[4];
-        let mut row = vec![net.name().to_string(), verdict];
-        for r in &runs {
-            row.push(r.2.scratch_walk_nodes.to_string());
-        }
-        row.push(runs[0].2.strash_probes.to_string());
-        row.push(full.2.strash_probes.to_string());
-        row.push(full.2.cofactor_cache_hits.to_string());
-        row.push(format!("{:.1}", runs[0].3));
-        row.push(format!("{:.1}", full.3));
-        row.push(full.1.to_string());
-        t.push(row);
-    }
-    t
-}
-
-// ---------------------------------------------------------------------
 // E6c — the serve cache: whole-run replay and IC3 warm starts
 // ---------------------------------------------------------------------
 
@@ -1336,20 +1201,19 @@ pub fn e6c_table() -> Table {
 }
 
 // ---------------------------------------------------------------------
-// E6pp — the parallel portfolio: sequential vs parallel vs parallel+bus
+// E6pp — the portfolio: sequential vs parallel with the lemma bus
 // ---------------------------------------------------------------------
 
-/// E6pp kernel: one portfolio run in the requested mode. Returns the
-/// verdict, wall-clock ms, and — for bus runs — the publication and
-/// admission counters.
+/// E6pp kernel: one portfolio run, sequential or parallel. Returns the
+/// verdict, wall-clock ms, and — for parallel runs — the bus publication
+/// and admission counters.
 pub fn portfolio_run(
     net: &Network,
     parallel: bool,
-    bus: bool,
     budget: &Budget,
 ) -> (Verdict, f64, Option<PortfolioBusStats>) {
     let engine = if parallel {
-        Portfolio::standard_parallel(bus)
+        Portfolio::standard_parallel()
     } else {
         Portfolio::standard()
     };
@@ -1363,21 +1227,19 @@ pub fn portfolio_run(
 }
 
 /// E6pp: the portfolio ablation on the E6 suite — the sequential
-/// budget-sliced cascade against the concurrent scoped-thread race,
-/// without and with the cross-engine lemma bus. The claims: all three
-/// modes return the same verdict everywhere (parallel determinism — the
-/// winner is the smallest-index conclusive member), and on wall clock
-/// the parallel modes win wherever the sequential cascade burns its
-/// early slices on members that cannot answer (a `!=` marker prints on
-/// any verdict divergence).
+/// budget-sliced cascade against the concurrent scoped-thread race with
+/// its cross-engine lemma bus. The claims: both modes return the same
+/// verdict everywhere (parallel determinism — the winner is the
+/// smallest-index conclusive member), and on wall clock the parallel
+/// mode wins wherever the bus lets a member conclude early (a `!=`
+/// marker prints on any verdict divergence).
 pub fn e6pp_table() -> Table {
     let mut t = Table::new(
-        "E6pp — portfolio: sequential vs parallel vs parallel+bus (E6 suite)",
+        "E6pp — portfolio: sequential vs parallel+bus (E6 suite)",
         &[
             "circuit",
             "verdict",
             "ms seq",
-            "ms par",
             "ms par+bus",
             "cubes",
             "admitted",
@@ -1395,13 +1257,9 @@ pub fn e6pp_table() -> Table {
     let mut models = umc_suite();
     models.push(generators::shadowed_counter_gap(7, 50, 100, 256));
     for net in models {
-        let (v_seq, ms_seq, _) = portfolio_run(&net, false, false, &budget);
-        let (v_par, ms_par, _) = portfolio_run(&net, true, false, &budget);
-        let (v_bus, ms_bus, bus) = portfolio_run(&net, true, true, &budget);
-        let agree = v_seq.is_safe() == v_par.is_safe()
-            && v_seq.is_unsafe() == v_par.is_unsafe()
-            && v_seq.is_safe() == v_bus.is_safe()
-            && v_seq.is_unsafe() == v_bus.is_unsafe();
+        let (v_seq, ms_seq, _) = portfolio_run(&net, false, &budget);
+        let (v_bus, ms_bus, bus) = portfolio_run(&net, true, &budget);
+        let agree = v_seq.is_safe() == v_bus.is_safe() && v_seq.is_unsafe() == v_bus.is_unsafe();
         let verdict = if agree {
             verdict_cell(&v_seq)
         } else {
@@ -1420,7 +1278,6 @@ pub fn e6pp_table() -> Table {
             net.name().to_string(),
             verdict,
             format!("{ms_seq:.1}"),
-            format!("{ms_par:.1}"),
             format!("{ms_bus:.1}"),
             cubes.to_string(),
             admitted.to_string(),
@@ -1598,7 +1455,6 @@ pub fn run_experiment(id: &str) -> Option<Table> {
         "e6pdr" => Some(e6pdr_table()),
         "e6g" => Some(e6g_table()),
         "e6i" => Some(e6i_table()),
-        "e6q" => Some(e6q_table()),
         "e6c" => Some(e6c_table()),
         "e6pp" => Some(e6pp_table()),
         "e7" => Some(e7_table()),
@@ -1609,9 +1465,9 @@ pub fn run_experiment(id: &str) -> Option<Table> {
 }
 
 /// All experiment ids in report order (`smoke` is CI-only and excluded).
-pub const EXPERIMENTS: [&str; 17] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e6s", "e6p", "e6a", "e6pdr", "e6g", "e6i", "e6q", "e6c",
-    "e6pp", "e7", "e8",
+pub const EXPERIMENTS: [&str; 16] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e6s", "e6p", "e6a", "e6pdr", "e6g", "e6i", "e6c", "e6pp",
+    "e7", "e8",
 ];
 
 #[cfg(test)]
@@ -1727,22 +1583,6 @@ mod tests {
         // an UNSAT unrolling (it asserts internally).
         let _ = proof_overhead_run(&generators::mutex(), 4);
         let _ = proof_overhead_run(&generators::mutex_bug(), 4);
-    }
-
-    #[test]
-    fn e6q_rungs_agree_on_tiny_models() {
-        let budget = Budget::unlimited().with_steps(100);
-        for net in [generators::mutex(), generators::mutex_bug()] {
-            let runs: Vec<(Verdict, usize, AigPerfCounters, f64)> = e6q_rungs()
-                .iter()
-                .map(|(_, tuning)| quant_tuning_run(&net, *tuning, &budget))
-                .collect();
-            for (v, ..) in &runs {
-                assert_eq!(verdict_cell(v), verdict_cell(&runs[0].0), "{}", net.name());
-            }
-            // The full rung actually drove the dense hot path.
-            assert!(runs[4].2.scratch_walk_nodes > 0, "{}", net.name());
-        }
     }
 
     #[test]

@@ -563,6 +563,13 @@ mod tests {
     }
 
     #[test]
+    fn rings_wider_than_64_stations_start_with_one_token() {
+        let init = token_ring(130).initial_state();
+        assert_eq!(init.iter().filter(|&&bit| bit).count(), 1);
+        assert!(init[0]);
+    }
+
+    #[test]
     fn arbiter_safe_and_bug_unsafe() {
         assert_eq!(explicit_check(&arbiter(4), 1 << 12), None);
         assert!(explicit_check(&arbiter_bug(4), 1 << 12).is_some());

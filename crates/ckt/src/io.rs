@@ -1,8 +1,6 @@
 //! Sequential ASCII AIGER (`aag`) reading and writing for [`Network`]s.
 
-use std::collections::HashMap;
-
-use cbq_aig::io::{parse_aag, ParseAagError};
+use cbq_aig::io::{parse_aag, AagDefs, ParseAagError};
 use cbq_aig::{Lit, Node, Var};
 
 use crate::network::Network;
@@ -77,46 +75,34 @@ pub fn write_network(net: &Network) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseAagError`] on malformed input or non-topological AND
-/// definitions.
+/// Returns [`ParseAagError`] on malformed input, non-topological AND
+/// definitions, undefined literals, or a variable defined twice (see
+/// [`AagDefs`]).
 pub fn read_network(text: &str, name: impl Into<String>) -> Result<Network, ParseAagError> {
     let file = parse_aag(text)?;
     let mut b = Network::builder(name);
-    let mut map: HashMap<u32, Lit> = HashMap::new();
-    map.insert(0, Lit::FALSE);
+    let mut defs = AagDefs::default();
     let mut latch_vars = Vec::new();
     for code in &file.inputs {
-        let v = b.add_input();
-        map.insert(code / 2, v.lit());
+        defs.define(*code, b.add_input().lit())?;
     }
     for (code, _, init) in &file.latches {
         let v = b.add_latch(*init);
         latch_vars.push(v);
-        map.insert(code / 2, v.lit());
+        defs.define(*code, v.lit())?;
     }
     for (lhs, r0, r1) in &file.ands {
-        let f0 = resolve(&map, *r0)?;
-        let f1 = resolve(&map, *r1)?;
-        let l = b.aig_mut().and(f0, f1);
-        map.insert(lhs / 2, l);
+        let l = b.aig_mut().and(defs.lookup(*r0)?, defs.lookup(*r1)?);
+        defs.define(*lhs, l)?;
     }
     for ((_, next_code, _), v) in file.latches.iter().zip(&latch_vars) {
-        let next = resolve(&map, *next_code)?;
-        b.set_next(*v, next);
+        b.set_next(*v, defs.lookup(*next_code)?);
     }
     let bad = match file.outputs.first() {
-        Some(code) => resolve(&map, *code)?,
+        Some(code) => defs.lookup(*code)?,
         None => Lit::FALSE,
     };
     Ok(b.build(bad))
-}
-
-fn resolve(map: &HashMap<u32, Lit>, code: u32) -> Result<Lit, ParseAagError> {
-    map.get(&(code / 2))
-        .map(|l| l.xor_sign(code % 2 == 1))
-        .ok_or_else(|| {
-            parse_aag(&format!("bad {code}")).unwrap_err() // reuse error type
-        })
 }
 
 #[cfg(test)]
@@ -206,5 +192,39 @@ mod tests {
     #[test]
     fn read_rejects_garbage() {
         assert!(read_network("not an aag", "x").is_err());
+    }
+
+    #[test]
+    fn read_rejects_a_definition_of_the_constant() {
+        // Accepting the AND gate over literal 0 would make output 0, the
+        // constant false, depend on the input.
+        let err = read_network("aag 1 1 0 1 1\n2\n0\n0 2 2\n", "x").unwrap_err();
+        assert!(err.to_string().contains("literal 0 redefines"), "{err}");
+    }
+
+    #[test]
+    fn read_rejects_a_second_definition() {
+        // AND over an input.
+        let err = read_network("aag 2 2 0 1 1\n2\n4\n4\n4 2 2\n", "x").unwrap_err();
+        assert!(err.to_string().contains("literal 4 redefines"), "{err}");
+        // Latch over an input.
+        let err = read_network("aag 2 1 1 1 0\n2\n2 2\n2\n", "x").unwrap_err();
+        assert!(err.to_string().contains("literal 2 redefines"), "{err}");
+    }
+
+    #[test]
+    fn undefined_literals_are_named_at_every_use() {
+        for (position, text, literal) in [
+            ("AND fanin", "aag 3 1 0 1 1\n2\n6\n6 2 4\n", 4),
+            ("latch next state", "aag 3 1 1 1 0\n2\n4 6\n4\n", 6),
+            ("output", "aag 3 1 0 1 0\n2\n7\n", 7),
+        ] {
+            let err = read_network(text, "x").unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("undefined literal {literal}")),
+                "{position}: {err}"
+            );
+            assert!(!err.contains("header"), "{position}: {err}");
+        }
     }
 }

@@ -200,10 +200,10 @@ impl NetworkBuilder {
     }
 
     /// Adds `n` latches with reset values from `init` (little-endian bit
-    /// `i` of `init`).
+    /// `i` of `init`; latches past bit 63 reset to 0).
     pub fn add_latch_word(&mut self, n: usize, init: u64) -> Vec<Var> {
         (0..n)
-            .map(|i| self.add_latch((init >> i) & 1 != 0))
+            .map(|i| self.add_latch(i < 64 && (init >> i) & 1 != 0))
             .collect()
     }
 

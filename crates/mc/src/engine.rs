@@ -347,12 +347,8 @@ pub fn registry() -> &'static [EngineSpec] {
             minimal_cex: false,
             build: || Box::new(Portfolio::standard()),
             tune: Some(|tuning| {
-                if tuning.portfolio_parallel.unwrap_or(false) {
-                    // The lemma bus rides on the parallel mode; it is on
-                    // by default and can be ablated away.
-                    Box::new(Portfolio::standard_parallel(
-                        tuning.portfolio_bus.unwrap_or(true),
-                    ))
+                if tuning.portfolio_parallel {
+                    Box::new(Portfolio::standard_parallel())
                 } else {
                     Box::new(Portfolio::standard())
                 }
@@ -398,15 +394,11 @@ pub struct EngineTuning {
     /// Interpolation unrolling-bound cap (`cbq check --itp-frames N`);
     /// `None` keeps the engine default.
     pub itp_frames: Option<usize>,
-    /// Run the portfolio members as concurrent workers with
-    /// first-conclusive-answer cancellation (`cbq check
-    /// --portfolio-par`); `None`/`Some(false)` keeps the sequential
-    /// budget-sliced default.
-    pub portfolio_parallel: Option<bool>,
-    /// Cross-engine lemma bus of the parallel portfolio (`cbq check
-    /// --portfolio-bus on|off`); `None` keeps the default (on whenever
-    /// the portfolio runs parallel). Ignored in sequential mode.
-    pub portfolio_bus: Option<bool>,
+    /// Run the portfolio members as concurrent workers sharing a lemma
+    /// bus, with first-conclusive-answer cancellation (`cbq check
+    /// --portfolio-par`); `false` keeps the sequential budget-sliced
+    /// default.
+    pub portfolio_parallel: bool,
 }
 
 impl EngineTuning {

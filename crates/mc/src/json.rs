@@ -382,8 +382,8 @@ mod tests {
     #[test]
     fn portfolio_json_reports_mode_members_and_bus() {
         use crate::portfolio::Portfolio;
-        let run = Portfolio::standard_parallel(true)
-            .check(&generators::mutex_bug(), &Budget::unlimited());
+        let run =
+            Portfolio::standard_parallel().check(&generators::mutex_bug(), &Budget::unlimited());
         let json = run_to_json(&run);
         assert!(json.contains("\"verdict\":\"unsafe\""), "got {json}");
         assert!(json.contains("\"parallel\":true"), "got {json}");

@@ -116,6 +116,6 @@ pub use crate::engine::{
 pub use crate::ic3::{GenMode, Ic3, Ic3Stats};
 pub use crate::induction::{KInduction, KInductionStats};
 pub use crate::itp::{Itp, ItpStats};
-pub use crate::portfolio::{Portfolio, PortfolioBusStats, PortfolioStats};
+pub use crate::portfolio::{Portfolio, PortfolioBusStats, PortfolioMode, PortfolioStats};
 pub use crate::stateset::{PartitionConfig, PartitionCount, PartitionStats, SplitPolicy, StateSet};
 pub use crate::verdict::{McRun, McStats, Resource, Verdict};

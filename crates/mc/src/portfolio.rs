@@ -55,17 +55,22 @@ pub struct Portfolio {
     /// The member engines, in priority order (index order is the
     /// sequential execution order *and* the parallel winner priority).
     pub members: Vec<Box<dyn Engine>>,
-    /// Run members concurrently on scoped threads instead of slicing the
-    /// budget sequentially.
-    pub parallel: bool,
-    /// The lemma bus shared by the members (parallel mode only). Wired
-    /// into the members at construction by
-    /// [`Portfolio::standard_parallel`]; also spawns the merge scout.
-    /// Reusing one portfolio across models is sound — consumers
-    /// re-validate against their own model — but stale cross-model
-    /// publications waste admission queries, so prefer one portfolio per
-    /// model when the bus is on.
-    pub bus: Option<Arc<LemmaBus>>,
+    /// Sequential, or parallel with its lemma bus.
+    pub mode: PortfolioMode,
+}
+
+/// How a [`Portfolio`] runs its members.
+#[derive(Clone, Debug)]
+pub enum PortfolioMode {
+    /// In member order, each over a slice of the caller's budget.
+    Sequential,
+    /// Concurrently on scoped threads, sharing this lemma bus, which a
+    /// merge scout thread also publishes to. [`Portfolio::standard_parallel`]
+    /// wires it into the members that speak it. Reusing one portfolio
+    /// across models is sound — consumers re-validate against their own
+    /// model — but stale cross-model publications waste admission
+    /// queries, so prefer one portfolio per model.
+    Parallel(Arc<LemmaBus>),
 }
 
 /// Bus traffic of one parallel portfolio run.
@@ -90,7 +95,7 @@ pub struct PortfolioStats {
     pub runs: Vec<(&'static str, McRun)>,
     /// Whether the members ran concurrently.
     pub parallel: bool,
-    /// Lemma-bus traffic of this run (parallel mode with the bus on).
+    /// Lemma-bus traffic of this run (parallel mode only).
     pub bus: Option<PortfolioBusStats>,
 }
 
@@ -99,8 +104,7 @@ impl Portfolio {
     pub fn new(members: Vec<Box<dyn Engine>>) -> Portfolio {
         Portfolio {
             members,
-            parallel: false,
-            bus: None,
+            mode: PortfolioMode::Sequential,
         }
     }
 
@@ -114,14 +118,13 @@ impl Portfolio {
         Portfolio::new(Portfolio::standard_members(None))
     }
 
-    /// The standard lineup in parallel mode, optionally wired to a
-    /// shared [`LemmaBus`] (which also enables the merge scout thread).
-    pub fn standard_parallel(bus: bool) -> Portfolio {
-        let bus = bus.then(|| Arc::new(LemmaBus::new()));
+    /// The standard lineup in parallel mode, wired to a fresh shared
+    /// [`LemmaBus`].
+    pub fn standard_parallel() -> Portfolio {
+        let bus = Arc::new(LemmaBus::new());
         Portfolio {
-            members: Portfolio::standard_members(bus.clone()),
-            parallel: true,
-            bus,
+            members: Portfolio::standard_members(Some(bus.clone())),
+            mode: PortfolioMode::Parallel(bus),
         }
     }
 
@@ -215,7 +218,7 @@ impl Engine for Portfolio {
         };
         let detail = PortfolioStats {
             runs: Vec::new(),
-            parallel: self.parallel,
+            parallel: matches!(self.mode, PortfolioMode::Parallel(_)),
             bus: None,
         };
         if self.members.is_empty() {
@@ -228,10 +231,11 @@ impl Engine for Portfolio {
         if let Some(verdict) = meter.exceeded(0, 0, 0) {
             return finish(verdict, stats, detail, &meter);
         }
-        if self.parallel {
-            self.check_parallel(net, budget, meter, stats, detail)
-        } else {
-            self.check_sequential(net, budget, meter, stats, detail)
+        match &self.mode {
+            PortfolioMode::Sequential => self.check_sequential(net, budget, meter, stats, detail),
+            PortfolioMode::Parallel(bus) => {
+                self.check_parallel(net, budget, bus, meter, stats, detail)
+            }
         }
     }
 }
@@ -331,12 +335,13 @@ impl Portfolio {
         &self,
         net: &Network,
         budget: &Budget,
+        bus: &LemmaBus,
         meter: Meter,
         mut stats: McStats,
         mut detail: PortfolioStats,
     ) -> McRun {
         let n = self.members.len();
-        let counts_before = self.bus.as_ref().map(|b| b.counts());
+        let before = bus.counts();
         let cancels: Vec<Arc<AtomicBool>> =
             (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
         let scout_cancel = Arc::new(AtomicBool::new(false));
@@ -369,18 +374,12 @@ impl Portfolio {
                     })
                 })
                 .collect();
-            let scout = self.bus.as_deref().map(|bus| {
-                s.spawn(move || {
-                    merge_scout(net, bus, scout_cancel.as_ref());
-                })
-            });
+            let scout = s.spawn(move || merge_scout(net, bus, scout_cancel.as_ref()));
             let results: Vec<Option<McRun>> = handles.into_iter().map(|h| h.join().ok()).collect();
             // All members are done; stop the scout even when nobody
             // concluded, then wait for it.
             scout_cancel.store(true, Ordering::Relaxed);
-            if let Some(scout) = scout {
-                let _ = scout.join();
-            }
+            let _ = scout.join();
             results
         });
         // Aggregate in member order; a panicked member yields an Unknown
@@ -410,19 +409,17 @@ impl Portfolio {
             }
             detail.runs.push((member.name(), run));
         }
-        detail.bus = counts_before.map(|before| {
-            let after = self.bus.as_ref().expect("bus present").counts();
-            let mut clients = BusClientStats::default();
-            for (_, run) in &detail.runs {
-                absorb_client_stats(&mut clients, run);
-            }
-            PortfolioBusStats {
-                published: BusCounts {
-                    cubes: after.cubes - before.cubes,
-                    merges: after.merges - before.merges,
-                },
-                clients,
-            }
+        let after = bus.counts();
+        let mut clients = BusClientStats::default();
+        for (_, run) in &detail.runs {
+            absorb_client_stats(&mut clients, run);
+        }
+        detail.bus = Some(PortfolioBusStats {
+            published: BusCounts {
+                cubes: after.cubes - before.cubes,
+                merges: after.merges - before.merges,
+            },
+            clients,
         });
         let verdict = match winner {
             Some((_, verdict)) => verdict,
@@ -475,19 +472,12 @@ mod tests {
             generators::gray_counter(4),
         ] {
             let seq = Portfolio::standard().check(&net, &Budget::unlimited());
-            for bus in [false, true] {
-                let par = Portfolio::standard_parallel(bus).check(&net, &Budget::unlimited());
-                assert_eq!(
-                    seq.verdict,
-                    par.verdict,
-                    "{} diverged (bus: {bus})",
-                    net.name()
-                );
-                let detail = par.detail::<PortfolioStats>().expect("stats");
-                assert!(detail.parallel);
-                assert_eq!(detail.bus.is_some(), bus);
-                assert_eq!(detail.runs.len(), 6, "every member reports");
-            }
+            let par = Portfolio::standard_parallel().check(&net, &Budget::unlimited());
+            assert_eq!(seq.verdict, par.verdict, "{} diverged", net.name());
+            let detail = par.detail::<PortfolioStats>().expect("stats");
+            assert!(detail.parallel);
+            assert!(detail.bus.is_some());
+            assert_eq!(detail.runs.len(), 6, "every member reports");
         }
     }
 
@@ -537,8 +527,7 @@ mod tests {
         // hang — this is the cancellation-latency regression.
         let portfolio = Portfolio {
             members: vec![Box::new(Quick), Box::new(Spin)],
-            parallel: true,
-            bus: None,
+            mode: PortfolioMode::Parallel(Arc::default()),
         };
         let start = Instant::now();
         let run = portfolio.check(&generators::mutex(), &Budget::unlimited());
@@ -572,8 +561,7 @@ mod tests {
                 }),
                 Box::new(Quick),
             ],
-            parallel: true,
-            bus: None,
+            mode: PortfolioMode::Parallel(Arc::default()),
         };
         let run = portfolio.check(&buggy, &Budget::unlimited());
         match &run.verdict {
@@ -591,8 +579,10 @@ mod tests {
             (generators::token_ring(5), true),
             (generators::token_ring_bug(5), false),
         ] {
-            let portfolio = Portfolio::standard_parallel(true);
-            let bus = portfolio.bus.as_ref().expect("bus on").clone();
+            let portfolio = Portfolio::standard_parallel();
+            let PortfolioMode::Parallel(bus) = &portfolio.mode else {
+                panic!("standard_parallel runs sequentially");
+            };
             // Deliberately junk publications: a non-inductive cube, a
             // reset-intersecting cube, garbage ordinals, and a bogus
             // merge in out-of-range coordinates.
@@ -655,8 +645,7 @@ mod tests {
         // caller's millisecond limit — never `limit: 0`.
         let portfolio = Portfolio {
             members: vec![Box::new(Spin), Box::new(Spin), Box::new(Spin)],
-            parallel: false,
-            bus: None,
+            mode: PortfolioMode::Sequential,
         };
         let timeout = Duration::from_millis(30);
         let run = portfolio.check(

@@ -17,6 +17,7 @@
 //! Every subcommand accepts `--help`/`-h`. Unknown flags, engines, or
 //! modes are errors (exit 2), never silent fallbacks.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -180,8 +181,20 @@ fn cmd_gen(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    print!("{}", write_network(&net));
-    ExitCode::SUCCESS
+    // One write on locked stdout; a reader that stops early (`| head`)
+    // closes the pipe, which ends the output, not the process with a panic.
+    let mut out = std::io::stdout().lock();
+    match out
+        .write_all(write_network(&net).as_bytes())
+        .and_then(|()| out.flush())
+    {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn load(path: &str) -> Result<Network, String> {
@@ -250,7 +263,7 @@ fn check_help() -> String {
                  [--quant-order O] [--partitions N|auto] [--split P]
                  [--ic3-frames N] [--ic3-gen core|drop|ternary|ctg|ctg-deep]
                  [--itp-frames N]
-                 [--portfolio-par] [--portfolio-bus on|off]
+                 [--portfolio-par]
                  [--steps N] [--nodes N] [--sat-checks N]
                  [--timeout-ms N] [--json]
 
@@ -278,12 +291,11 @@ Model-checks the circuit's bad-state property.
   --itp-frames N     interpolation unrolling-depth safety net
                      (itp engine; default 64)
   --portfolio-par    run the portfolio members concurrently (scoped
-                     threads, first conclusive answer wins; portfolio
-                     engine only — the sequential cascade is the default)
-  --portfolio-bus on|off
-                     cross-engine lemma bus in parallel mode: IC3 frame
-                     clauses and sweep-proven merges are shared and
-                     re-validated by each consumer (default: on)
+                     threads, first conclusive answer wins) over a
+                     cross-engine lemma bus: IC3 frame clauses and
+                     sweep-proven merges are shared and re-validated by
+                     each consumer (portfolio engine only — the
+                     sequential cascade is the default)
   --steps N          budget: at most N engine iterations / depth frames
   --nodes N          budget: at most N representation nodes
   --sat-checks N     budget: at most N SAT checks
@@ -312,7 +324,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
             "ic3-frames",
             "ic3-gen",
             "itp-frames",
-            "portfolio-bus",
             "steps",
             "nodes",
             "sat-checks",
@@ -410,14 +421,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "portfolio-bus" => match value {
-                "on" => tuning.portfolio_bus = Some(true),
-                "off" => tuning.portfolio_bus = Some(false),
-                other => {
-                    eprintln!("flag `--portfolio-bus` expects `on` or `off`, got `{other}`");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
                 let n = match parse_count(other, value) {
                     Ok(n) => n,
@@ -457,18 +460,9 @@ fn cmd_check(args: &[String]) -> ExitCode {
     if tuning.itp_frames.is_some() && engine_name != "itp" {
         eprintln!("note: engine `{engine_name}` ignores --itp-frames");
     }
-    if switches.contains(&"portfolio-par") {
-        tuning.portfolio_parallel = Some(true);
-    }
-    let portfolio_flags = tuning.portfolio_parallel.is_some() || tuning.portfolio_bus.is_some();
-    if portfolio_flags && engine_name != "portfolio" {
-        eprintln!("note: engine `{engine_name}` ignores --portfolio-par/--portfolio-bus");
-    }
-    if tuning.portfolio_bus.is_some() && tuning.portfolio_parallel.is_none() {
-        eprintln!(
-            "note: --portfolio-bus has no effect without --portfolio-par \
-             (the sequential cascade shares no lemmas)"
-        );
+    tuning.portfolio_parallel = switches.contains(&"portfolio-par");
+    if tuning.portfolio_parallel && engine_name != "portfolio" {
+        eprintln!("note: engine `{engine_name}` ignores --portfolio-par");
     }
     if tuning.split.is_some() && tuning.partitions.is_none() {
         eprintln!(

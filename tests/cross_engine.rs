@@ -488,8 +488,8 @@ fn ic3_gen_modes_agree_on_e6_family() {
 #[test]
 fn parallel_portfolio_matches_sequential_on_e6_family() {
     // The parallel-determinism contract of the portfolio rewrite: the
-    // concurrent scoped-thread race (with and without the lemma bus)
-    // must return *exactly* the sequential cascade's answer on every E6
+    // concurrent scoped-thread race over the lemma bus must return
+    // *exactly* the sequential cascade's answer on every E6
     // model — same safe/unsafe classification and, on unsafe models,
     // the same minimal counterexample depth, because the winner is the
     // smallest-index conclusive member and earlier members are never
@@ -510,42 +510,36 @@ fn parallel_portfolio_matches_sequential_on_e6_family() {
     ];
     for net in &e6_family {
         let seq = Portfolio::standard().check(net, &Budget::unlimited());
-        for bus in [false, true] {
-            let par = Portfolio::standard_parallel(bus).check(net, &Budget::unlimited());
-            match (&seq.verdict, &par.verdict) {
-                (Verdict::Safe { .. }, Verdict::Safe { .. }) => {}
-                (Verdict::Unsafe { trace: s }, Verdict::Unsafe { trace: p }) => {
-                    assert!(
-                        p.validates(net),
-                        "{} (bus={bus}): parallel trace does not replay",
-                        net.name()
-                    );
-                    assert!(
-                        replays_on_sim(net, p),
-                        "{} (bus={bus}): parallel trace rejected by the simulator",
-                        net.name()
-                    );
-                    assert_eq!(
-                        s.len(),
-                        p.len(),
-                        "{} (bus={bus}): parallel cex depth diverged",
-                        net.name()
-                    );
-                }
-                (s, p) => panic!(
-                    "{} (bus={bus}): sequential says {s}, parallel says {p}",
+        let par = Portfolio::standard_parallel().check(net, &Budget::unlimited());
+        match (&seq.verdict, &par.verdict) {
+            (Verdict::Safe { .. }, Verdict::Safe { .. }) => {}
+            (Verdict::Unsafe { trace: s }, Verdict::Unsafe { trace: p }) => {
+                assert!(
+                    p.validates(net),
+                    "{}: parallel trace does not replay",
                     net.name()
-                ),
+                );
+                assert!(
+                    replays_on_sim(net, p),
+                    "{}: parallel trace rejected by the simulator",
+                    net.name()
+                );
+                assert_eq!(
+                    s.len(),
+                    p.len(),
+                    "{}: parallel cex depth diverged",
+                    net.name()
+                );
             }
-            let detail = par.detail::<PortfolioStats>().expect("portfolio stats");
-            assert!(detail.parallel, "{}: run not marked parallel", net.name());
-            assert_eq!(
-                detail.bus.is_some(),
-                bus,
-                "{}: bus stats presence must track the bus switch",
-                net.name()
-            );
+            (s, p) => panic!("{}: sequential says {s}, parallel says {p}", net.name()),
         }
+        let detail = par.detail::<PortfolioStats>().expect("portfolio stats");
+        assert!(detail.parallel, "{}: run not marked parallel", net.name());
+        assert!(
+            detail.bus.is_some(),
+            "{}: a parallel run must report its bus traffic",
+            net.name()
+        );
     }
 }
 
