@@ -30,6 +30,7 @@
 use std::collections::HashMap;
 
 use cbq_ckt::Network;
+use cbq_mc::json::{field, Json};
 use cbq_mc::McRun;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -142,19 +143,24 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Renders the counters as one JSON object.
+    /// Renders the counters as one JSON object (the benchmark package's
+    /// name for `Json::from(&stats)`).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"lookups\":{},\"tier1_hits\":{},\"tier2_hits\":{},\"tier3_hits\":{},\
-             \"misses\":{},\"runs_cached\":{},\"lemma_sets_cached\":{}}}",
-            self.lookups,
-            self.tier1_hits,
-            self.tier2_hits,
-            self.tier3_hits,
-            self.misses,
-            self.runs_cached,
-            self.lemma_sets_cached,
-        )
+        Json::from(self).to_string()
+    }
+}
+
+impl From<&CacheStats> for Json {
+    fn from(s: &CacheStats) -> Json {
+        Json::Obj(vec![
+            field("lookups", s.lookups),
+            field("tier1_hits", s.tier1_hits),
+            field("tier2_hits", s.tier2_hits),
+            field("tier3_hits", s.tier3_hits),
+            field("misses", s.misses),
+            field("runs_cached", s.runs_cached),
+            field("lemma_sets_cached", s.lemma_sets_cached),
+        ])
     }
 }
 

@@ -5,8 +5,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
+use cbq_mc::json::{field, Json};
+
 use crate::job::CheckRequest;
-use crate::json::Json;
 
 fn connect(addr: &str) -> Result<TcpStream, String> {
     TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))
@@ -56,20 +57,26 @@ pub fn submit_one(addr: &str, request: &CheckRequest) -> Result<Json, String> {
     }
 }
 
+/// Sends the bare request `{"cmd":cmd}` and returns its one reply,
+/// which must be the event `reply`.
+fn command(addr: &str, cmd: &str, reply: &str) -> Result<Json, String> {
+    let mut stream = connect(addr)?;
+    send(&mut stream, &Json::Obj(vec![field("cmd", cmd)]).to_string())?;
+    let mut lines = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?).lines();
+    let msg = read_event(&mut lines)?;
+    match msg.get("event").and_then(Json::as_str) {
+        Some(event) if event == reply => Ok(msg),
+        other => Err(format!("unexpected event {other:?}")),
+    }
+}
+
 /// Fetches the server's `stats` record.
 ///
 /// # Errors
 ///
 /// Returns a message on connection failures or protocol violations.
 pub fn server_stats(addr: &str) -> Result<Json, String> {
-    let mut stream = connect(addr)?;
-    send(&mut stream, "{\"cmd\":\"stats\"}")?;
-    let mut lines = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?).lines();
-    let msg = read_event(&mut lines)?;
-    match msg.get("event").and_then(Json::as_str) {
-        Some("stats") => Ok(msg),
-        other => Err(format!("unexpected event {other:?}")),
-    }
+    command(addr, "stats", "stats")
 }
 
 /// Asks the server to shut down; returns once the `bye` arrives.
@@ -78,12 +85,5 @@ pub fn server_stats(addr: &str) -> Result<Json, String> {
 ///
 /// Returns a message on connection failures or protocol violations.
 pub fn shutdown(addr: &str) -> Result<(), String> {
-    let mut stream = connect(addr)?;
-    send(&mut stream, "{\"cmd\":\"shutdown\"}")?;
-    let mut lines = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?).lines();
-    let msg = read_event(&mut lines)?;
-    match msg.get("event").and_then(Json::as_str) {
-        Some("bye") => Ok(()),
-        other => Err(format!("unexpected event {other:?}")),
-    }
+    command(addr, "shutdown", "bye").map(drop)
 }

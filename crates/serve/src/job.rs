@@ -12,11 +12,10 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use cbq_ckt::io::read_network;
-use cbq_mc::json::run_to_json_fields;
+use cbq_mc::json::{field, run_fields, Json};
 use cbq_mc::{by_name, engine_names, Budget, Engine, Ic3, McRun};
 
 use crate::cache::{CacheTier, ModelKey, StructuralCache};
-use crate::json::Json;
 
 /// Server-side resource ceilings. Every job budget is clamped against
 /// these, so a request can tighten but never widen what the operator
@@ -95,7 +94,7 @@ impl CheckRequest {
                 engine_names().join(", ")
             ));
         }
-        let field = |name: &str| -> Result<Option<u64>, String> {
+        let count = |name: &str| -> Result<Option<u64>, String> {
             match msg.get(name) {
                 None | Some(Json::Null) => Ok(None),
                 Some(v) => v
@@ -105,13 +104,13 @@ impl CheckRequest {
             }
         };
         let mut budget = Budget::unlimited();
-        budget.max_steps = field("steps")?.map(|n| n as usize);
-        budget.max_nodes = field("nodes")?.map(|n| n as usize);
-        budget.max_sat_checks = field("sat_checks")?;
-        budget.timeout = field("timeout_ms")?.map(Duration::from_millis);
+        budget.max_steps = count("steps")?.map(|n| n as usize);
+        budget.max_nodes = count("nodes")?.map(|n| n as usize);
+        budget.max_sat_checks = count("sat_checks")?;
+        budget.timeout = count("timeout_ms")?.map(Duration::from_millis);
         Ok(CheckRequest {
             // 0 means "server assigns" (JSON job tags start at 1).
-            id: field("id")?.filter(|&n| n != 0).unwrap_or(fallback_id),
+            id: count("id")?.filter(|&n| n != 0).unwrap_or(fallback_id),
             model,
             engine,
             budget,
@@ -122,33 +121,24 @@ impl CheckRequest {
     /// Renders this request as one protocol line (the client side of
     /// [`CheckRequest::from_json`]).
     pub fn to_json_line(&self) -> String {
-        use cbq_mc::json::json_str;
-        let mut line = String::from("{\"cmd\":\"check\"");
+        let mut fields = vec![field("cmd", "check")];
         if self.id != 0 {
-            line.push_str(&format!(",\"id\":{}", self.id));
+            fields.push(field("id", self.id));
         }
-        line.push_str(&format!(
-            ",\"model\":{},\"engine\":{}",
-            json_str(&self.model),
-            json_str(&self.engine),
-        ));
-        if let Some(n) = self.budget.max_steps {
-            line.push_str(&format!(",\"steps\":{n}"));
-        }
-        if let Some(n) = self.budget.max_nodes {
-            line.push_str(&format!(",\"nodes\":{n}"));
-        }
-        if let Some(n) = self.budget.max_sat_checks {
-            line.push_str(&format!(",\"sat_checks\":{n}"));
-        }
-        if let Some(t) = self.budget.timeout {
-            line.push_str(&format!(",\"timeout_ms\":{}", t.as_millis()));
-        }
+        fields.push(field("model", self.model.as_str()));
+        fields.push(field("engine", self.engine.as_str()));
+        let budget = &self.budget;
+        fields.extend(budget.max_steps.map(|n| field("steps", n)));
+        fields.extend(budget.max_nodes.map(|n| field("nodes", n)));
+        fields.extend(budget.max_sat_checks.map(|n| field("sat_checks", n)));
+        let timeout_ms = budget
+            .timeout
+            .map(|t| u64::try_from(t.as_millis()).unwrap_or(u64::MAX));
+        fields.extend(timeout_ms.map(|ms| field("timeout_ms", ms)));
         if !self.use_cache {
-            line.push_str(",\"cache\":false");
+            fields.push(field("cache", false));
         }
-        line.push('}');
-        line
+        Json::Obj(fields).to_string()
     }
 }
 
@@ -187,10 +177,12 @@ where
 
 /// Renders an `error` event line.
 pub fn error_line(job: u64, message: &str) -> String {
-    format!(
-        "{{\"event\":\"error\",\"job\":{job},\"message\":{}}}",
-        cbq_mc::json::json_str(message)
-    )
+    Json::Obj(vec![
+        field("event", "error"),
+        field("job", job),
+        field("message", message),
+    ])
+    .to_string()
 }
 
 /// The outcome of one processed job: the wire line plus the run it
@@ -231,7 +223,7 @@ pub fn process_check(
         let mut cache = lock_recovering(cache);
         if let Some((run, tier)) = cache.lookup_run(&key, &req.engine) {
             let run = run.with_job(req.id);
-            let line = result_line(&run, tier, &cache.stats.to_json());
+            let line = result_line(&run, tier, Json::from(&cache.stats));
             return JobOutcome {
                 line,
                 run: Some(run),
@@ -259,28 +251,30 @@ pub fn process_check(
     }
     .with_job(req.id);
 
-    let stats_json = if req.use_cache {
+    let cache_stats = {
         let mut cache = lock_recovering(cache);
-        cache.record(&key, &req.engine, &run);
-        cache.stats.to_json()
-    } else {
-        lock_recovering(cache).stats.to_json()
+        if req.use_cache {
+            cache.record(&key, &req.engine, &run);
+        }
+        Json::from(&cache.stats)
     };
     JobOutcome {
-        line: result_line(&run, tier, &stats_json),
+        line: result_line(&run, tier, cache_stats),
         run: Some(run),
         tier,
     }
 }
 
-fn result_line(run: &McRun, tier: CacheTier, stats_json: &str) -> String {
-    format!(
-        "{{\"event\":\"result\",{},\"cache\":{{\"tier\":{},\"hit\":{}}},\"cache_stats\":{}}}",
-        run_to_json_fields(run),
-        tier.number(),
-        tier != CacheTier::Miss,
-        stats_json,
-    )
+fn result_line(run: &McRun, tier: CacheTier, cache_stats: Json) -> String {
+    let cache = Json::Obj(vec![
+        field("tier", u64::from(tier.number())),
+        field("hit", tier != CacheTier::Miss),
+    ]);
+    let mut fields = run_fields(run);
+    fields.insert(0, field("event", "result"));
+    fields.push(field("cache", cache));
+    fields.push(field("cache_stats", cache_stats));
+    Json::Obj(fields).to_string()
 }
 
 #[cfg(test)]
@@ -288,6 +282,7 @@ mod tests {
     use super::*;
     use cbq_ckt::generators;
     use cbq_ckt::io::write_network;
+    use cbq_mc::json::run_to_json_fields;
 
     fn check_req(net: &cbq_ckt::Network, engine: &str, id: u64) -> CheckRequest {
         CheckRequest {
@@ -301,7 +296,9 @@ mod tests {
 
     #[test]
     fn request_round_trips_through_the_wire_format() {
-        let mut req = check_req(&generators::mutex(), "ic3", 7);
+        // 2^53 + 1 has no exact f64: ids must never pass through one.
+        let id = (1 << 53) + 1;
+        let mut req = check_req(&generators::mutex(), "ic3", id);
         req.budget = Budget::unlimited()
             .with_steps(10)
             .with_sat_checks(500)
@@ -311,7 +308,7 @@ mod tests {
         let msg = Json::parse(&line).unwrap();
         assert_eq!(msg.get("cmd").and_then(Json::as_str), Some("check"));
         let back = CheckRequest::from_json(&msg, 999).unwrap();
-        assert_eq!(back.id, 7);
+        assert_eq!(back.id, id);
         assert_eq!(back.engine, "ic3");
         assert_eq!(back.model, req.model);
         assert_eq!(back.budget, req.budget);
@@ -328,11 +325,65 @@ mod tests {
         assert!(CheckRequest::from_json(&bad_engine, 1)
             .unwrap_err()
             .contains("unknown engine"));
-        let bad_budget =
-            Json::parse(r#"{"cmd":"check","model":"x","engine":"bmc","steps":-3}"#).unwrap();
-        assert!(CheckRequest::from_json(&bad_budget, 1)
-            .unwrap_err()
-            .contains("steps"));
+        // Negative, past u64::MAX (no saturation), or not a plain integer.
+        for steps in ["-3", "18446744073709551616", "1e3", "5.0"] {
+            let line = format!(r#"{{"cmd":"check","model":"x","engine":"bmc","steps":{steps}}}"#);
+            let bad_budget = Json::parse(&line).unwrap();
+            let err = CheckRequest::from_json(&bad_budget, 1).unwrap_err();
+            assert!(
+                err.contains("`steps` must be a non-negative integer"),
+                "{steps}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn result_line_is_the_run_record_plus_cache_fields() {
+        // perfbench's in-process replay builds its result lines in this
+        // exact form and compares them with the server's.
+        let cache = Mutex::new(StructuralCache::new());
+        let caps = ServerCaps::default();
+        let net = generators::counter_bug(5, 6);
+        for (id, tier, hit) in [(1, 0, false), (2, 1, true)] {
+            let out = process_check(&check_req(&net, "ic3", id), &cache, &caps);
+            let run = out.run.expect("ran");
+            let expected = format!(
+                "{{\"event\":\"result\",{},\"cache\":{{\"tier\":{tier},\"hit\":{hit}}},\
+                 \"cache_stats\":{}}}",
+                run_to_json_fields(&run),
+                cache.lock().unwrap().stats.to_json(),
+            );
+            assert_eq!(out.line, expected);
+        }
+    }
+
+    #[test]
+    fn megabyte_check_lines_parse_in_linear_time() {
+        // A resubmit carries its whole model on one line, so parsing must
+        // stay linear in the line length.
+        use std::time::Instant;
+        // A 1 MB AIGER text: one input feeding a chain of AND gates.
+        let ands = 80_000;
+        let mut model = format!("aag {} 1 0 1 {ands}\n2\n{}\n", ands + 1, 2 * (ands + 1));
+        for lhs in (2..=ands + 1).map(|v| 2 * v) {
+            model.push_str(&format!("{lhs} {} 2\n", lhs - 2));
+        }
+        assert!(model.len() >= 1 << 20, "model is {} bytes", model.len());
+        let request = CheckRequest {
+            id: 1,
+            model,
+            engine: "circuit".to_string(),
+            budget: Budget::unlimited(),
+            use_cache: true,
+        };
+        let line = request.to_json_line();
+        let start = Instant::now();
+        let msg = Json::parse(&line).expect("parses");
+        assert_eq!(Json::parse(&msg.to_string()).as_ref(), Ok(&msg));
+        let elapsed = start.elapsed();
+        let back = CheckRequest::from_json(&msg, 0).expect("a check request");
+        assert_eq!(back.model, request.model);
+        assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
     }
 
     #[test]

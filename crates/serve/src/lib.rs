@@ -25,7 +25,9 @@
 //! documented in the workspace `README.md`; [`CheckRequest`] /
 //! [`job::process_check`] are its transport-free core, [`Server`] the
 //! TCP shell, and [`client`] the matching blocking helpers that `cbq
-//! submit` is built on.
+//! submit` is built on. Every line in either direction is read and
+//! written by the workspace's one codec, [`cbq_mc::json::Json`],
+//! re-exported here as [`Json`].
 //!
 //! ## Example
 //!
@@ -70,10 +72,9 @@
 pub mod cache;
 pub mod client;
 pub mod job;
-pub mod json;
 pub mod server;
 
 pub use crate::cache::{CacheStats, CacheTier, ModelKey, StructuralCache};
 pub use crate::job::{process_check, CheckRequest, JobOutcome, ServerCaps};
-pub use crate::json::Json;
 pub use crate::server::{ServeConfig, Server};
+pub use cbq_mc::json::Json;

@@ -16,11 +16,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use cbq_aig::AigPerfCounters;
+use cbq_mc::json::{field, Json};
+
 use crate::cache::StructuralCache;
 use crate::job::{
     error_line, lock_recovering, process_check, run_job_guarded, CheckRequest, ServerCaps,
 };
-use crate::json::Json;
 
 /// Server construction knobs.
 #[derive(Clone, Debug)]
@@ -60,11 +62,8 @@ pub struct Server {
     next_job: AtomicU64,
     jobs_done: AtomicU64,
     /// Aggregate AIG-manager hot-path counters over every completed
-    /// quantification-engine job (strash probes / scratchpad walk nodes /
-    /// cofactor-cache hits), surfaced by the `stats` command.
-    quant_strash_probes: AtomicU64,
-    quant_scratch_walk_nodes: AtomicU64,
-    quant_cofactor_cache_hits: AtomicU64,
+    /// quantification-engine job, surfaced by the `stats` command.
+    quant_perf: Mutex<AigPerfCounters>,
 }
 
 impl Server {
@@ -84,9 +83,7 @@ impl Server {
             stop: AtomicBool::new(false),
             next_job: AtomicU64::new(1),
             jobs_done: AtomicU64::new(0),
-            quant_strash_probes: AtomicU64::new(0),
-            quant_scratch_walk_nodes: AtomicU64::new(0),
-            quant_cofactor_cache_hits: AtomicU64::new(0),
+            quant_perf: Mutex::new(AigPerfCounters::default()),
         })
     }
 
@@ -157,13 +154,7 @@ impl Server {
             self.jobs_done.fetch_add(1, Ordering::SeqCst);
             let traversal = outcome.run.as_ref();
             if let Some(d) = traversal.and_then(|r| r.detail::<cbq_mc::CircuitUmcStats>()) {
-                let p = d.quant_perf;
-                self.quant_strash_probes
-                    .fetch_add(p.strash_probes, Ordering::SeqCst);
-                self.quant_scratch_walk_nodes
-                    .fetch_add(p.scratch_walk_nodes, Ordering::SeqCst);
-                self.quant_cofactor_cache_hits
-                    .fetch_add(p.cofactor_cache_hits, Ordering::SeqCst);
+                lock_recovering(&self.quant_perf).add(d.quant_perf);
             }
             send_line(&job.out, &outcome.line);
         }
@@ -216,14 +207,12 @@ impl Server {
                 let id = self.next_job.fetch_add(1, Ordering::SeqCst);
                 match CheckRequest::from_json(&msg, id) {
                     Ok(request) => {
-                        send_line(
-                            out,
-                            &format!(
-                                "{{\"event\":\"accepted\",\"job\":{},\"engine\":{}}}",
-                                request.id,
-                                cbq_mc::json::json_str(&request.engine)
-                            ),
-                        );
+                        let accepted = Json::Obj(vec![
+                            field("event", "accepted"),
+                            field("job", request.id),
+                            field("engine", request.engine.as_str()),
+                        ]);
+                        send_line(out, &accepted.to_string());
                         match lock_recovering(out).try_clone() {
                             Ok(clone) => {
                                 let mut queue = lock_recovering(&self.queue);
@@ -242,30 +231,25 @@ impl Server {
                 true
             }
             Some("stats") => {
+                let quant_perf = *lock_recovering(&self.quant_perf);
                 let cache = lock_recovering(&self.cache);
-                let quant_perf = cbq_aig::AigPerfCounters {
-                    strash_probes: self.quant_strash_probes.load(Ordering::SeqCst),
-                    scratch_walk_nodes: self.quant_scratch_walk_nodes.load(Ordering::SeqCst),
-                    cofactor_cache_hits: self.quant_cofactor_cache_hits.load(Ordering::SeqCst),
-                };
-                let line = format!(
-                    "{{\"event\":\"stats\",\"jobs_done\":{},\"queued\":{},\"workers\":{},\
-                     \"cache_entries\":{},\"cache_stats\":{},\"quant_perf\":{}}}",
-                    self.jobs_done.load(Ordering::SeqCst),
-                    lock_recovering(&self.queue).len(),
-                    self.cfg.workers.max(1),
-                    cache.len(),
-                    cache.stats.to_json(),
-                    cbq_mc::json::quant_perf_json(&quant_perf),
-                );
+                let stats = Json::Obj(vec![
+                    field("event", "stats"),
+                    field("jobs_done", self.jobs_done.load(Ordering::SeqCst)),
+                    field("queued", lock_recovering(&self.queue).len()),
+                    field("workers", self.cfg.workers.max(1)),
+                    field("cache_entries", cache.len()),
+                    field("cache_stats", &cache.stats),
+                    field("quant_perf", &quant_perf),
+                ]);
                 drop(cache);
-                send_line(out, &line);
+                send_line(out, &stats.to_string());
                 true
             }
             Some("shutdown") => {
                 self.stop.store(true, Ordering::SeqCst);
                 self.ready.notify_all();
-                send_line(out, "{\"event\":\"bye\"}");
+                send_line(out, &Json::Obj(vec![field("event", "bye")]).to_string());
                 // Unblock the accept loop so `run` can return.
                 if let Ok(addr) = self.local_addr() {
                     let _ = TcpStream::connect(addr);

@@ -139,6 +139,15 @@ fn protocol_errors_are_reported_not_fatal() {
     let bad_cmd = send_recv("{\"cmd\":\"frobnicate\"}");
     assert_eq!(bad_cmd.get("event").and_then(Json::as_str), Some("error"));
 
+    // Nesting past the parser's bound is an error event, not a stack
+    // overflow that aborts the whole server.
+    let too_deep = send_recv(&"[".repeat(100_000));
+    assert!(too_deep
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("message")
+        .contains("nesting deeper than"));
+
     let bad_engine = send_recv("{\"cmd\":\"check\",\"model\":\"x\",\"engine\":\"zchaff\"}");
     assert!(bad_engine
         .get("message")

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use cbq::ckt::io::{read_network, write_network};
 use cbq::ckt::{generators, Network};
-use cbq::mc::json::{json_str, json_u64_list, run_to_json, solver_json};
+use cbq::mc::json::{field, run_to_json};
 use cbq::mc::{by_name_tuned, engine_names, registry, EngineTuning, PartitionCount, SplitPolicy};
 use cbq::prelude::*;
 use cbq::quant::{exists_bdd, exists_many, VarOrder};
@@ -760,7 +760,7 @@ fn cmd_sat(args: &[String]) -> ExitCode {
             (r, None, proof)
         }
     };
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+    let elapsed = start.elapsed();
     let verdict = match result {
         SatResult::Sat => "satisfiable",
         SatResult::Unsat => "unsatisfiable",
@@ -791,32 +791,25 @@ fn cmd_sat(args: &[String]) -> ExitCode {
         }
     }
     if json {
-        let solver_field = stats
-            .as_ref()
-            .map(|s| format!(",\"solver\":{}", solver_json(s)))
-            .unwrap_or_default();
-        let proof_field = match (&proof_path, result) {
-            (Some(out), SatResult::Unsat) => {
-                let verified = proof_steps
-                    .map(|n| format!(",\"proof_steps\":{n}"))
-                    .unwrap_or_default();
-                format!(",\"proof\":{}{verified}", json_str(out))
-            }
-            _ => String::new(),
-        };
-        println!(
-            "{{\"verdict\":{},\"backend\":{},\"vars\":{},\"clauses\":{},\
-             \"elapsed_ms\":{elapsed_ms:.3}{solver_field}{proof_field}}}",
-            json_str(verdict),
-            json_str(backend),
-            cnf.num_vars,
-            cnf.clauses.len()
-        );
+        let mut fields = vec![
+            field("verdict", verdict),
+            field("backend", backend),
+            field("vars", cnf.num_vars),
+            field("clauses", cnf.clauses.len()),
+            field("elapsed_ms", Json::millis(elapsed)),
+        ];
+        fields.extend(stats.as_ref().map(|s| field("solver", s)));
+        if let (Some(out), SatResult::Unsat) = (&proof_path, result) {
+            fields.push(field("proof", out.as_str()));
+            fields.extend(proof_steps.map(|n| field("proof_steps", n)));
+        }
+        println!("{}", Json::Obj(fields));
     } else {
         println!(
-            "{verdict}   [{backend}, {} vars, {} clauses, {elapsed_ms:.1} ms]",
+            "{verdict}   [{backend}, {} vars, {} clauses, {:.1} ms]",
             cnf.num_vars,
-            cnf.clauses.len()
+            cnf.clauses.len(),
+            elapsed.as_secs_f64() * 1e3
         );
         if let Some(s) = stats {
             println!(
@@ -830,7 +823,7 @@ fn cmd_sat(args: &[String]) -> ExitCode {
                 s.reduces,
                 s.arena_bytes()
             );
-            println!("lbd hist : {}", json_u64_list(&s.lbd_hist));
+            println!("lbd hist : {}", Json::from(s.lbd_hist.as_slice()));
         }
         if let (Some(out), SatResult::Unsat) = (&proof_path, result) {
             match proof_steps {
@@ -949,8 +942,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     match server.local_addr() {
         Ok(addr) => println!(
-            "{{\"event\":\"serving\",\"addr\":{}}}",
-            json_str(&addr.to_string())
+            "{}",
+            Json::Obj(vec![
+                field("event", "serving"),
+                field("addr", addr.to_string())
+            ])
         ),
         Err(e) => {
             eprintln!("error: {e}");
