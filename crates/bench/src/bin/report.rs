@@ -1,4 +1,5 @@
-//! Regenerates the evaluation tables/figures (E1–E8 of `DESIGN.md`).
+//! Regenerates the evaluation tables/figures (E1–E8; see the README's
+//! *Experiments* section and the snapshots in `BENCH.md`).
 //!
 //! ```text
 //! cargo run --release -p cbq-bench --bin report            # all

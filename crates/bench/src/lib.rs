@@ -1,9 +1,10 @@
 //! # cbq-bench — the evaluation harness
 //!
-//! One module per experiment of `DESIGN.md` §3 (E1–E8). Each experiment
-//! exposes a `*_table()` function that regenerates the corresponding
-//! table/figure as a [`Table`] of printed rows; the `report` binary
-//! dispatches on experiment ids.
+//! One section per experiment (E1–E8, described in the README's
+//! *Experiments* section; committed snapshots in `BENCH.md`). Each
+//! experiment exposes a `*_table()` function that regenerates the
+//! corresponding table/figure as a [`Table`] of printed rows; the
+//! `report` binary dispatches on experiment ids.
 
 #![forbid(unsafe_code)]
 
@@ -23,8 +24,8 @@ use cbq_mc::preimage::preimage_formula;
 use cbq_mc::sweep::SweepConfig as StateSweepConfig;
 use cbq_mc::{
     registry, Bmc, Budget, CircuitUmc, CircuitUmcStats, Engine, GenMode, Ic3, Ic3Stats, Itp,
-    ItpStats, PartitionConfig, PartitionCount, PartitionStats, Portfolio, PortfolioBusStats,
-    PortfolioStats, Verdict,
+    ItpStats, PartitionCount, PartitionStats, Portfolio, PortfolioBusStats, PortfolioStats,
+    Verdict,
 };
 use cbq_synth::OptConfig;
 
@@ -721,9 +722,9 @@ pub fn partition_run(
     count: PartitionCount,
     budget: &Budget,
 ) -> (Verdict, usize, PartitionStats, f64) {
-    // with_count(Fixed(1)) keeps the watermark off: genuinely monolithic.
+    // Fixed(1) keeps the resplit watermark off: genuinely monolithic.
     let engine = CircuitUmc {
-        partition: PartitionConfig::with_count(count),
+        partition: count,
         ..CircuitUmc::default()
     };
     let start = Instant::now();
@@ -754,7 +755,6 @@ pub fn e6p_table() -> Table {
             "maxcone x4",
             "parts",
             "splits",
-            "prunes",
             "ms x1",
             "ms x4",
             "ms auto",
@@ -784,7 +784,6 @@ pub fn e6p_table() -> Table {
             p4.max_cone.to_string(),
             p4.trajectory.last().copied().unwrap_or(1).to_string(),
             p4.splits.to_string(),
-            p4.prunes.to_string(),
             format!("{ms1:.1}"),
             format!("{ms4:.1}"),
             format!("{msa:.1}"),

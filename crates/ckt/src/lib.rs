@@ -2,7 +2,8 @@
 //!
 //! The paper evaluates on unnamed "hard-to-verify circuits and
 //! properties"; this crate provides the substituted benchmark suite
-//! (documented in `DESIGN.md` §5): a sequential network model over
+//! (the models behind the experiment tables in the README's *Experiments*
+//! section): a sequential network model over
 //! [`cbq_aig::Aig`] plus parametric generators for the circuit families
 //! used by every experiment — counters, Gray counters, token rings,
 //! round-robin arbiters, LFSRs, FIFO controllers, mutual-exclusion

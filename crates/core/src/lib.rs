@@ -124,11 +124,6 @@ pub struct QuantConfig {
     pub growth_budget: Option<f64>,
     /// Variable scheduling policy.
     pub order: VarOrder,
-    /// Interleaved re-sweeping: after an elimination, if the working cone
-    /// has grown past `factor ×` its size at the last sweep point, run the
-    /// merge phase on the whole cone before scheduling the next variable.
-    /// `None` disables it.
-    pub resweep_growth: Option<f64>,
     /// Cooperative cancellation: once this wall-clock instant passes, the
     /// inner elimination loop stops scheduling further variables and
     /// returns whatever is left as residual. Engines derive it from their
@@ -163,7 +158,6 @@ impl QuantConfig {
             use_opt: true,
             growth_budget: None,
             order: VarOrder::CheapestFirst,
-            resweep_growth: None,
             deadline: None,
             node_limit: None,
             cancel: None,
@@ -192,12 +186,6 @@ impl QuantConfig {
     /// Partial quantification with the given growth factor.
     pub fn with_budget(mut self, factor: f64) -> QuantConfig {
         self.growth_budget = Some(factor);
-        self
-    }
-
-    /// Interleaved re-sweeping at the given growth factor.
-    pub fn with_resweep(mut self, factor: f64) -> QuantConfig {
-        self.resweep_growth = Some(factor);
         self
     }
 
@@ -379,8 +367,6 @@ pub struct QuantStats {
     pub sweep: SweepStats,
     /// Optimisation-phase counters accumulated over all variables.
     pub opt: OptStats,
-    /// Whole-cone sweeps triggered by [`QuantConfig::resweep_growth`].
-    pub interleaved_sweeps: usize,
     /// AIG-manager cofactor-cache hits during this run.
     pub cofactor_cache_hits: u64,
     /// Nodes visited by dense scratchpad cone walks during this run.
@@ -506,10 +492,7 @@ fn accumulate_opt(total: &mut OptStats, s: OptStats) {
 ///
 /// Scheduling follows [`QuantConfig::order`]: per-elimination cost
 /// re-estimation, a per-pass static fanin-support-cost order, or the
-/// caller's order. When [`QuantConfig::resweep_growth`] is set, the whole
-/// working cone is re-swept as soon as it outgrows the factor —
-/// interleaving compaction with elimination instead of letting
-/// intermediate blow-up compound.
+/// caller's order.
 ///
 /// Aborted variables are retried once after all others (their cost may
 /// have collapsed); whatever still exceeds the budget is returned in
@@ -527,8 +510,6 @@ pub fn exists_many(
         ..QuantStats::default()
     };
     let mut current = f;
-    // Base size the interleaved-resweep growth factor is measured against.
-    let mut sweep_base = stats.nodes_before.max(1);
     let mut pending: Vec<Var> = vars.to_vec();
     let mut remaining: Vec<Var> = Vec::new();
     let mut gate = cfg.deadline_gate();
@@ -591,16 +572,6 @@ pub fn exists_many(
                     stats.quantified += 1;
                 }
                 None => next_round.push(v),
-            }
-            if let Some(factor) = cfg.resweep_growth {
-                let size = aig.cone_size_cached(current);
-                if size as f64 > sweep_base as f64 * factor {
-                    let swept = sweep(aig, &[current], cnf, &cfg.sweep);
-                    accumulate_sweep(&mut stats.sweep, swept.stats);
-                    current = swept.roots[0];
-                    stats.interleaved_sweeps += 1;
-                    sweep_base = aig.cone_size_cached(current).max(1);
-                }
             }
         }
         if passes == 2 || next_round.is_empty() {
@@ -864,29 +835,6 @@ mod tests {
             assert_eq!(VarOrder::from_name(order.name()), Some(order));
         }
         assert_eq!(VarOrder::from_name("nope"), None);
-    }
-
-    #[test]
-    fn interleaved_resweep_fires_and_stays_exact() {
-        // A function whose cofactors share little, so elimination grows
-        // the cone and a tight resweep factor must trigger.
-        let mut aig = Aig::new();
-        let vars: Vec<Var> = (0..8).map(|_| aig.add_input()).collect();
-        let mut f = Lit::FALSE;
-        for w in vars.chunks(2) {
-            let t = aig.xor(w[0].lit(), w[1].lit());
-            let u = aig.and(t, f);
-            f = aig.or(u, t);
-        }
-        let mut cnf = AigCnf::new();
-        // Naive elimination (no per-variable merging) + aggressive resweep.
-        let mut cfg = QuantConfig::naive().with_resweep(1.0);
-        cfg.order = VarOrder::StaticCost;
-        let targets = [vars[0], vars[2], vars[5]];
-        let res = exists_many(&mut aig, f, &targets, &mut cnf, &cfg);
-        assert!(res.remaining.is_empty());
-        assert!(res.stats.interleaved_sweeps > 0, "resweep never fired");
-        assert!(exhaustive_exists_check(&mut aig, f, &targets, res.lit, 8));
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! R(s)` requires quantifying *all* current-state and input variables
 //! out of a genuine transition-relation conjunction, then renaming
 //! `s' → s`. This exercises the quantification machinery far harder than
-//! pre-image; the residual policy (naive completion or all-solutions
-//! enumeration) matters much more there, and so does the
-//! between-iterations state-set sweep ([`crate::sweep`]) — image
-//! computation churns through far more temporary nodes per step.
+//! pre-image, and the between-iterations state-set sweep
+//! ([`crate::sweep`]) matters much more there — image computation
+//! churns through far more temporary nodes per step.
 //! Partitioning pays off accordingly: each partition images its own
 //! window in its own manager, in parallel.
 
@@ -27,30 +26,9 @@ use cbq_core::{exists_many, QuantConfig};
 use cbq_sat::{SatResult, SolverStats};
 
 use crate::engine::{Budget, Direction, Engine, Meter};
-use crate::ganai::all_solutions_exists;
-use crate::stateset::{
-    read_vars, state_cube, Partition, PartitionConfig, PartitionStats, StateSet,
-};
+use crate::stateset::{read_vars, state_cube, Partition, PartitionCount, PartitionStats, StateSet};
 use crate::sweep::{SweepConfig as StateSweepConfig, SweepStats};
 use crate::verdict::{McRun, McStats, Resource, Verdict};
-
-/// How to finish quantification when partial quantification aborts some
-/// input variables (Section 4: "it accepts effective quantification and
-/// aborts the expensive ones").
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ResidualPolicy {
-    /// Fall back to the naive cofactor disjunction (always completes, may
-    /// grow the circuit).
-    Naive,
-    /// Hand the residual variables to all-solutions SAT enumeration with
-    /// circuit cofactoring (the paper's proposed combination with [2]),
-    /// bounded by this many enumeration rounds (falls back to naive if
-    /// exhausted).
-    Enumerate {
-        /// Maximum enumeration rounds per quantification.
-        max_rounds: usize,
-    },
-}
 
 /// Reachability model checker over AIG state sets — the paper's engine,
 /// on the partitioned [`StateSet`] representation, in either direction.
@@ -66,8 +44,8 @@ pub enum ResidualPolicy {
 /// `circuit`); [`CircuitUmc::forward`] runs the same traversal from the
 /// initial states with image computation (registry name `forward`).
 ///
-/// With the default [`PartitionConfig`] (one partition) the traversal is
-/// the paper's monolithic routine. With `--partitions N|auto` the state
+/// With the default partition count ([`PartitionCount::Fixed`]`(1)`) the
+/// traversal is the paper's monolithic routine. With `--partitions N|auto` the state
 /// set is tiled into window-disjoint partitions, each owning its own AIG
 /// manager and clause database, and every iteration's image,
 /// quantification, and sweep runs in parallel across partitions —
@@ -78,13 +56,14 @@ pub struct CircuitUmc {
     /// Traversal direction.
     pub direction: Direction,
     /// Quantification engine configuration (merge/optimise/budget).
+    /// Variables a growth budget aborts ("it accepts effective
+    /// quantification and aborts the expensive ones", Section 4) are
+    /// finished by the naive cofactor disjunction.
     pub quant: QuantConfig,
-    /// What to do with variables partial quantification aborts.
-    pub residual: ResidualPolicy,
     /// Between-iterations state-set sweeping; `None` disables it.
     pub sweep: Option<StateSweepConfig>,
-    /// Partitioned state-set configuration (default: monolithic).
-    pub partition: PartitionConfig,
+    /// Initial partition count of the state set (default: monolithic).
+    pub partition: PartitionCount,
     /// Iteration bound (a safety net; reaching it yields `Unknown`).
     pub max_iterations: usize,
 }
@@ -95,21 +74,18 @@ impl Default for CircuitUmc {
         CircuitUmc {
             direction: Direction::Backward,
             quant: QuantConfig::full(),
-            residual: ResidualPolicy::Naive,
             sweep: Some(StateSweepConfig::default()),
-            partition: PartitionConfig::default(),
+            partition: PartitionCount::Fixed(1),
             max_iterations: 10_000,
         }
     }
 }
 
 impl CircuitUmc {
-    /// The forward traversal: reachability from the initial states, with
-    /// residual variables handed to all-solutions enumeration.
+    /// The forward traversal: reachability from the initial states.
     pub fn forward() -> CircuitUmc {
         CircuitUmc {
             direction: Direction::Forward,
-            residual: ResidualPolicy::Enumerate { max_rounds: 10_000 },
             ..CircuitUmc::default()
         }
     }
@@ -140,12 +116,13 @@ pub struct CircuitUmcStats {
     /// quantification (all partitions): strash probes, scratchpad walk
     /// nodes, cofactor-cache hits.
     pub quant_perf: AigPerfCounters,
-    /// Cofactors enumerated by the residual policy, total.
+    /// Cofactors enumerated by all-solutions residual completion. Always
+    /// 0: the traversal finishes residuals by naive disjunction. Kept
+    /// because `perfbench` reads it.
     pub ganai_cofactors: usize,
     /// State-set sweeping counters (all partitions).
     pub sweep: SweepStats,
-    /// Partition lifecycle counters (trajectory, max cone, prunes,
-    /// splits).
+    /// Partition lifecycle counters (trajectory, max cone, splits).
     pub partitions: PartitionStats,
     /// SAT-bridge counters (all partitions): encodings, checks, cone
     /// retirements, learnt clauses retained across GCs.
@@ -163,20 +140,18 @@ impl CircuitUmcStats {
     /// Adds one quantification's counters.
     fn absorb(&mut self, q: &PartQuant) {
         self.quant_aborts += q.aborts;
-        self.ganai_cofactors += q.cofactors;
         self.quant_perf.add(q.perf);
     }
 }
 
-/// Result of quantifying one partition's pre-image/image, with the
-/// residual policy applied. `complete == false` means a cooperative
-/// budget cancellation interrupted the quantification — the literal
-/// still carries un-eliminated variables and must not be used as a
-/// frontier (the worker reports [`Verdict::Bounded`] instead).
+/// Result of quantifying one partition's pre-image/image, residuals
+/// included. `complete == false` means a cooperative budget
+/// cancellation interrupted the quantification — the literal still
+/// carries un-eliminated variables and must not be used as a frontier
+/// (the worker reports [`Verdict::Bounded`] instead).
 struct PartQuant {
     lit: Lit,
     aborts: usize,
-    cofactors: usize,
     complete: bool,
     /// Hot-path counter deltas of this quantification's `exists_many`
     /// calls (residual passes included).
@@ -194,14 +169,14 @@ fn quant_perf(s: &cbq_core::QuantStats) -> AigPerfCounters {
 }
 
 /// Quantifies `vars` out of `f` inside partition `p`, honouring the
-/// partial-quantification growth budget, the partition's cooperative
-/// deadline/node budget, and the residual policy.
+/// partial-quantification growth budget and the partition's cooperative
+/// deadline/node budget. Growth-budget residuals are finished by the
+/// naive cofactor disjunction.
 fn quantify_in_partition(
     p: &mut Partition,
     f: Lit,
     vars: &[Var],
     quant: &QuantConfig,
-    residual: ResidualPolicy,
 ) -> PartQuant {
     let deadline = match (quant.deadline, p.deadline) {
         (Some(a), Some(b)) => Some(a.min(b)),
@@ -214,41 +189,24 @@ fn quantify_in_partition(
     let q = exists_many(&mut p.aig, f, vars, &mut p.cnf, &cfg);
     let mut out = PartQuant {
         lit: q.lit,
-        aborts: 0,
-        cofactors: 0,
+        aborts: q.remaining.len(),
         complete: true,
         perf: quant_perf(&q.stats),
     };
     if q.remaining.is_empty() {
         return out;
     }
-    out.aborts = q.remaining.len();
     if cfg.out_of_budget(&p.aig) {
         // Cooperative cancellation, not a growth abort: leave the
         // residual variables unprocessed and let the worker go Bounded.
         out.complete = false;
         return out;
     }
-    let enumerated = match residual {
-        ResidualPolicy::Naive => None,
-        ResidualPolicy::Enumerate { max_rounds } => {
-            all_solutions_exists(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, max_rounds)
-        }
-    };
-    match enumerated {
-        Some((lit, gstats)) => {
-            out.cofactors = gstats.cofactors;
-            out.lit = lit;
-        }
-        // The naive policy, or enumeration ran out of rounds.
-        None => {
-            let naive = QuantConfig::naive().with_deadline(deadline);
-            let q2 = exists_many(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, &naive);
-            out.perf.add(quant_perf(&q2.stats));
-            out.lit = q2.lit;
-            out.complete = q2.remaining.is_empty();
-        }
-    }
+    let naive = QuantConfig::naive().with_deadline(deadline);
+    let q2 = exists_many(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, &naive);
+    out.perf.add(quant_perf(&q2.stats));
+    out.lit = q2.lit;
+    out.complete = q2.remaining.is_empty();
     out
 }
 
@@ -317,7 +275,7 @@ impl CircuitUmc {
         let mut ss = StateSet::new(
             net,
             self.direction,
-            self.partition.clone(),
+            self.partition,
             self.sweep.clone(),
             meter.deadline(),
             meter.node_limit(),
@@ -378,7 +336,7 @@ impl CircuitUmc {
                 let trace = backward_trace(&mut ss, net, iter);
                 return self.seal(Verdict::Unsafe { trace }, stats, &ss);
             }
-            ss.prune_and_resplit();
+            ss.resplit();
             stats.peak_nodes = stats.peak_nodes.max(ss.total_nodes());
         }
         let verdict = Verdict::Unknown {
@@ -400,7 +358,7 @@ impl CircuitUmc {
     ) -> Option<Verdict> {
         let p = &mut ss.parts[0];
         let (bad, pis) = (p.bad, p.pis.clone());
-        let q = quantify_in_partition(p, bad, &pis, &self.quant, self.residual);
+        let q = quantify_in_partition(p, bad, &pis, &self.quant);
         stats.absorb(&q);
         if !q.complete {
             return Some(interrupted(
@@ -412,7 +370,6 @@ impl CircuitUmc {
         }
         let p = &mut ss.parts[0];
         p.frontier = q.lit;
-        p.frontier_parts = vec![q.lit];
         p.frontiers.push(q.lit);
         p.reached = q.lit;
         if p.cnf.solve_under(&p.aig, &[p.frontier, p.init]) == SatResult::Sat {
@@ -451,7 +408,7 @@ impl CircuitUmc {
                 (p.aig.and(p.trans, p.frontier), p.elim_vars())
             }
         };
-        let q = quantify_in_partition(p, f, &vars, &self.quant, self.residual);
+        let q = quantify_in_partition(p, f, &vars, &self.quant);
         if !q.complete {
             return PartStep {
                 bounded: Some(interrupted(meter, done, p.aig.num_nodes(), 0)),
@@ -581,7 +538,6 @@ fn forward_trace(ss: &mut StateSet, level: usize, t0: usize) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stateset::{PartitionCount, SplitPolicy};
     use crate::testsupport::{check_safe, check_unsafe};
     use cbq_ckt::generators;
 
@@ -677,41 +633,35 @@ mod tests {
     }
 
     #[test]
-    fn residual_policies_agree() {
+    fn tight_growth_budget_residuals_complete_naively() {
+        // 0.5 aborts variables in both directions on shift_ones(5), so the
+        // naive completion of the residuals is exercised.
         for direction in [Direction::Backward, Direction::Forward] {
-            let net = generators::shift_ones(5);
-            let tight = CircuitUmc {
-                direction,
-                quant: QuantConfig::full().with_budget(1.05),
-                residual: ResidualPolicy::Enumerate { max_rounds: 128 },
-                ..CircuitUmc::default()
-            };
-            let run = tight.check(&net, &Budget::unlimited());
-            match run.verdict {
-                Verdict::Unsafe { trace } => assert!(trace.validates(&net)),
-                other => panic!("{direction:?}: expected unsafe, got {other}"),
+            for factor in [1.05, 0.5] {
+                let tight = CircuitUmc {
+                    direction,
+                    quant: QuantConfig::full().with_budget(factor),
+                    ..CircuitUmc::default()
+                };
+                let net = generators::shift_ones(5);
+                let run = tight.check(&net, &Budget::unlimited());
+                let detail = run.detail::<CircuitUmcStats>().expect("typed stats");
+                assert!(
+                    factor > 1.0 || detail.quant_aborts > 0,
+                    "{direction:?} x{factor}: nothing aborted"
+                );
+                assert_eq!(detail.ganai_cofactors, 0);
+                match run.verdict {
+                    Verdict::Unsafe { trace } => assert!(trace.validates(&net)),
+                    other => panic!("{direction:?} x{factor}: expected unsafe, got {other}"),
+                }
+                let run = tight.check(&generators::token_ring(4), &Budget::unlimited());
+                assert!(
+                    run.verdict.is_safe(),
+                    "{direction:?} x{factor}: got {}",
+                    run.verdict
+                );
             }
-            let naive = CircuitUmc {
-                residual: ResidualPolicy::Naive,
-                ..tight
-            };
-            let run2 = naive.check(&net, &Budget::unlimited());
-            assert!(
-                run2.verdict.is_unsafe(),
-                "{direction:?}: got {}",
-                run2.verdict
-            );
-            let naive_default = CircuitUmc {
-                direction,
-                residual: ResidualPolicy::Naive,
-                ..CircuitUmc::default()
-            };
-            let run3 = naive_default.check(&generators::token_ring(4), &Budget::unlimited());
-            assert!(
-                run3.verdict.is_safe(),
-                "{direction:?}: got {}",
-                run3.verdict
-            );
         }
     }
 
@@ -824,8 +774,7 @@ mod tests {
     #[test]
     fn partitioned_traversals_agree_with_monolithic() {
         // Window-disjoint partitioning is exact: identical verdicts and
-        // fixpoint iterations / cex depths for any partition count, under
-        // both split policies.
+        // fixpoint iterations / cex depths for any partition count.
         for engine in engines() {
             for net in [
                 generators::bounded_counter(3, 5),
@@ -839,30 +788,25 @@ mod tests {
             ] {
                 let mono = engine.check(&net, &Budget::unlimited());
                 let key = verdict_key(&mono.verdict);
-                for policy in [SplitPolicy::LatchCofactor, SplitPolicy::FrontierOrigin] {
-                    let partitioned = CircuitUmc {
-                        partition: PartitionConfig {
-                            split: policy,
-                            ..PartitionConfig::with_count(PartitionCount::Fixed(3))
-                        },
-                        ..engine.clone()
-                    };
-                    let run = partitioned.check(&net, &Budget::unlimited());
-                    let what = format!("{} on {} ({policy:?})", engine.name(), net.name());
-                    assert_eq!(
-                        key,
-                        verdict_key(&run.verdict),
-                        "{what}: partitioning changed the verdict"
-                    );
-                    if let Verdict::Unsafe { trace } = &run.verdict {
-                        assert!(trace.validates(&net), "{what}: partitioned trace bogus");
-                    }
-                    let detail = run.detail::<CircuitUmcStats>().expect("stats");
-                    assert!(
-                        detail.partitions.trajectory.iter().any(|&n| n > 1),
-                        "{what}: never actually partitioned"
-                    );
+                let partitioned = CircuitUmc {
+                    partition: PartitionCount::Fixed(3),
+                    ..engine.clone()
+                };
+                let run = partitioned.check(&net, &Budget::unlimited());
+                let what = format!("{} on {}", engine.name(), net.name());
+                assert_eq!(
+                    key,
+                    verdict_key(&run.verdict),
+                    "{what}: partitioning changed the verdict"
+                );
+                if let Verdict::Unsafe { trace } = &run.verdict {
+                    assert!(trace.validates(&net), "{what}: partitioned trace bogus");
                 }
+                let detail = run.detail::<CircuitUmcStats>().expect("stats");
+                assert!(
+                    detail.partitions.trajectory.iter().any(|&n| n > 1),
+                    "{what}: never actually partitioned"
+                );
             }
         }
     }

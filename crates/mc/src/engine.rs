@@ -32,7 +32,7 @@ use crate::ic3::{GenMode, Ic3};
 use crate::induction::KInduction;
 use crate::itp::Itp;
 use crate::portfolio::Portfolio;
-use crate::stateset::{PartitionConfig, PartitionCount, SplitPolicy};
+use crate::stateset::PartitionCount;
 use crate::sweep::SweepConfig as StateSweepConfig;
 use crate::verdict::{McRun, Resource, Verdict};
 
@@ -380,9 +380,6 @@ pub struct EngineTuning {
     /// --partitions N|auto`); `None` keeps the engine default
     /// (monolithic).
     pub partitions: Option<PartitionCount>,
-    /// Partition split policy (`cbq check --split latch|origin`); `None`
-    /// keeps the engine default.
-    pub split: Option<SplitPolicy>,
     /// IC3 frame-count safety net (`cbq check --ic3-frames N`); `None`
     /// keeps the engine default.
     pub ic3_frames: Option<usize>,
@@ -416,10 +413,7 @@ impl EngineTuning {
             Some(true) => engine.sweep = Some(StateSweepConfig::default()),
         }
         if let Some(count) = self.partitions {
-            engine.partition = PartitionConfig::with_count(count);
-        }
-        if let Some(split) = self.split {
-            engine.partition.split = split;
+            engine.partition = count;
         }
         if let Some(order) = self.quant_order {
             engine.quant.order = order;
@@ -496,7 +490,6 @@ mod tests {
             sweep: Some(false),
             quant_order: Some(VarOrder::StaticCost),
             partitions: Some(PartitionCount::Fixed(2)),
-            split: Some(SplitPolicy::LatchCofactor),
             ..EngineTuning::default()
         };
         for name in ["circuit", "forward"] {

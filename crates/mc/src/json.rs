@@ -506,7 +506,6 @@ pub fn run_fields(run: &McRun) -> Vec<(String, Json)> {
             field("trajectory", p.trajectory.as_slice()),
             field("final", p.trajectory.last().copied().unwrap_or(1)),
             field("max_cone", p.max_cone),
-            field("prunes", p.prunes),
             field("splits", p.splits),
             field("worker_panics", p.worker_panics.as_slice()),
         ]);

@@ -42,17 +42,17 @@
 //! counters downcastable via [`McRun::detail`].
 //!
 //! The circuit-based traversal runs on the partitioned [`stateset`]
-//! subsystem in either direction: a [`StateSet`] is a disjunction of partitions, each owning
-//! its own AIG manager and clause database, tiled over the state space
-//! by latch-cofactor windows (or divided by frontier-of-origin), with
+//! subsystem in either direction: a [`StateSet`] is a disjunction of
+//! partitions, each owning its own AIG manager and clause database,
+//! tiled over the state space by latch-cofactor windows, with
 //! per-partition pre-image/image + quantification + sweep executed in
 //! parallel via `std::thread::scope` and re-joined by a deterministic
 //! index-ordered merge. Between iterations each partition runs the
 //! [`sweep`] subsystem — SAT-sweeping (fraiging) plus garbage collection
 //! of the frontier/reached cones — so state-set representations shrink
-//! instead of growing monotonically;
-//! `--sweep`/`--quant-order`/`--partitions`/`--split` style tuning is
-//! exposed through [`EngineTuning`] / [`by_name_tuned`].
+//! instead of growing monotonically; `--sweep`/`--quant-order`/
+//! `--partitions` style tuning is exposed through [`EngineTuning`] /
+//! [`by_name_tuned`].
 //!
 //! Engines are also constructible by name through the registry —
 //! [`by_name`] / [`registry`] — which is how the CLI, benches, and
@@ -108,7 +108,7 @@ pub mod sweep;
 pub use crate::bdd_umc::{BddUmc, BddUmcStats};
 pub use crate::bmc::{Bmc, BmcStats};
 pub use crate::bus::{BusClientStats, BusCounts, BusCursor, LatchCube, LemmaBus, LemmaValidator};
-pub use crate::circuit_umc::{CircuitUmc, CircuitUmcStats, ForwardCircuitUmcStats, ResidualPolicy};
+pub use crate::circuit_umc::{CircuitUmc, CircuitUmcStats, ForwardCircuitUmcStats};
 pub use crate::engine::{
     by_name, by_name_tuned, engine_names, registry, supports_tuning, Budget, Direction, Engine,
     EngineSpec, EngineTuning, Meter,
@@ -117,5 +117,5 @@ pub use crate::ic3::{GenMode, Ic3, Ic3Stats};
 pub use crate::induction::{KInduction, KInductionStats};
 pub use crate::itp::{Itp, ItpStats};
 pub use crate::portfolio::{Portfolio, PortfolioBusStats, PortfolioMode, PortfolioStats};
-pub use crate::stateset::{PartitionConfig, PartitionCount, PartitionStats, SplitPolicy, StateSet};
+pub use crate::stateset::{PartitionCount, PartitionStats, StateSet};
 pub use crate::verdict::{McRun, McStats, Resource, Verdict};

@@ -10,24 +10,19 @@
 //! per-iteration work (pre-image/image, `exists_many`, sweeping) runs
 //! **in parallel across partitions** with `std::thread::scope`.
 //!
-//! # Partition lifecycle: split → image → sweep → prune → merge
+//! # Partition lifecycle: split → image → sweep → merge
 //!
-//! * **split** — a partition is divided either *by latch cofactor*
-//!   ([`SplitPolicy::LatchCofactor`]): the window cube is extended by the
-//!   latch with the best balance score, producing two window-disjoint
-//!   partitions; or *by frontier-of-origin*
-//!   ([`SplitPolicy::FrontierOrigin`]): the frontier's disjuncts are
-//!   divided between two same-window siblings. Splitting triggers
-//!   eagerly at construction (up to `--partitions N|auto`) and again
-//!   whenever a partition's state cone outgrows
-//!   [`PartitionConfig::resplit_watermark`].
+//! * **split** — a partition's window cube is extended by the latch with
+//!   the best balance score, producing two window-disjoint partitions.
+//!   Splitting triggers eagerly at construction (up to
+//!   `--partitions N|auto`) and again whenever a partition's state cone
+//!   outgrows the resplit watermark (4096 AND gates; an explicit count
+//!   of 1 never re-splits).
 //! * **image** — each partition computes its pre-image (or image) and
 //!   quantification independently, in parallel, inside its own manager.
 //! * **sweep** — the per-partition [`StateSetSweeper`] fraigs and
 //!   garbage-collects each manager independently (still inside the
 //!   worker threads).
-//! * **prune** — same-window sibling frontiers that are SAT-provably
-//!   contained in the union of their siblings are dropped.
 //! * **merge** — deterministic, index-ordered: every quantified image is
 //!   cofactored onto every window, moved across managers by
 //!   ordinal-stable cone export/import, conjoined with the window cube,
@@ -35,14 +30,12 @@
 //!
 //! # Exactness
 //!
-//! With latch-cofactor windows the partitions tile the state space, so
-//! the union of partition frontiers/reached sets equals the monolithic
-//! sets **exactly** at every iteration: verdicts, fixpoint iteration
-//! counts, and minimal counterexample depths are identical for any
-//! partition count. Frontier-of-origin siblings replicate their window's
-//! reached set, which preserves the same invariant.
+//! The windows of a state set's partitions are pairwise disjoint and
+//! tile the state space, so the union of partition frontiers/reached
+//! sets equals the monolithic sets **exactly** at every iteration:
+//! verdicts, fixpoint iteration counts, and minimal counterexample
+//! depths are identical for any partition count.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use cbq_aig::{Aig, Lit, Node, Var};
@@ -52,6 +45,13 @@ use cbq_sat::{SatResult, SolverStats};
 
 use crate::engine::Direction;
 use crate::sweep::{StateSetSweeper, SweepConfig as StateSweepConfig, SweepStats};
+
+/// Hard cap on the total partition count.
+const MAX_PARTITIONS: usize = 64;
+
+/// A partition whose state cone (reached ∪ frontier AND gates) outgrows
+/// this many nodes is split again.
+const RESPLIT_WATERMARK: usize = 4096;
 
 /// How many partitions a traversal starts with.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -85,85 +85,6 @@ impl PartitionCount {
     }
 }
 
-/// How an oversized partition is divided.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SplitPolicy {
-    /// Extend the window cube by the latch whose cofactors have the best
-    /// balance score (smallest larger half), producing two
-    /// window-disjoint partitions.
-    LatchCofactor,
-    /// Divide the frontier's disjuncts-of-origin between two same-window
-    /// siblings (falls back to the latch split when the frontier has
-    /// fewer than two disjuncts).
-    FrontierOrigin,
-}
-
-impl SplitPolicy {
-    /// Parses a CLI-facing name (`latch`, `origin`).
-    pub fn from_name(name: &str) -> Option<SplitPolicy> {
-        match name {
-            "latch" => Some(SplitPolicy::LatchCofactor),
-            "origin" => Some(SplitPolicy::FrontierOrigin),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name of this policy.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SplitPolicy::LatchCofactor => "latch",
-            SplitPolicy::FrontierOrigin => "origin",
-        }
-    }
-}
-
-/// Configuration of the partitioned state-set representation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionConfig {
-    /// Initial partition count (`Fixed(1)` = monolithic).
-    pub count: PartitionCount,
-    /// Split policy for the initial split and watermark re-splits.
-    pub split: SplitPolicy,
-    /// Re-split a partition whose state cone (reached ∪ frontier AND
-    /// gates) outgrows this many nodes; `None` disables re-splitting.
-    pub resplit_watermark: Option<usize>,
-    /// Hard cap on the total partition count.
-    pub max_partitions: usize,
-    /// SAT-prune same-window sibling frontiers contained in the union of
-    /// their siblings.
-    pub prune: bool,
-}
-
-impl Default for PartitionConfig {
-    fn default() -> PartitionConfig {
-        PartitionConfig {
-            count: PartitionCount::Fixed(1),
-            split: SplitPolicy::LatchCofactor,
-            resplit_watermark: None,
-            max_partitions: 64,
-            prune: true,
-        }
-    }
-}
-
-impl PartitionConfig {
-    /// A configuration starting at `count` partitions, with watermark
-    /// re-splitting enabled (the `cbq check --partitions` behaviour).
-    /// An explicit count of 1 stays genuinely monolithic: no watermark,
-    /// never self-partitions.
-    pub fn with_count(count: PartitionCount) -> PartitionConfig {
-        let resplit_watermark = match count {
-            PartitionCount::Fixed(1) => None,
-            _ => Some(4096),
-        };
-        PartitionConfig {
-            count,
-            resplit_watermark,
-            ..PartitionConfig::default()
-        }
-    }
-}
-
 /// Per-run counters of a partitioned traversal.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartitionStats {
@@ -172,8 +93,6 @@ pub struct PartitionStats {
     /// Largest per-partition state cone (reached ∪ frontier AND gates)
     /// observed at any iteration boundary.
     pub max_cone: usize,
-    /// Sibling frontiers pruned as contained in their window's union.
-    pub prunes: usize,
     /// Splits performed (initial and watermark-triggered).
     pub splits: usize,
     /// Indices of partitions whose [`StateSet::par_map`] worker panicked.
@@ -207,7 +126,7 @@ pub struct Partition {
     /// The initial-state cube.
     pub init: Lit,
     /// The window cube as (latch ordinal, value) pairs; empty = the whole
-    /// state space.
+    /// state space. No two partitions of a [`StateSet`] share a window.
     pub window: Vec<(usize, bool)>,
     /// The window cube as a literal of this manager.
     pub window_lit: Lit,
@@ -215,9 +134,6 @@ pub struct Partition {
     pub reached: Lit,
     /// The active frontier (window-restricted).
     pub frontier: Lit,
-    /// The frontier's disjuncts of origin (one per merged image piece) —
-    /// the unit [`SplitPolicy::FrontierOrigin`] divides.
-    pub frontier_parts: Vec<Lit>,
     /// Every frontier in discovery order (trace extraction walks them).
     pub frontiers: Vec<Lit>,
     /// Cooperative wall-clock cancellation for quantification and sweeps.
@@ -251,10 +167,10 @@ impl Partition {
             (Vec::new(), Lit::TRUE)
         };
         let init = net.initial_cube().to_lit(&mut aig);
-        let (reached, frontier, frontiers, parts) = if forward {
-            (init, init, vec![init], vec![init])
+        let (reached, frontier, frontiers) = if forward {
+            (init, init, vec![init])
         } else {
-            (Lit::FALSE, Lit::FALSE, Vec::new(), Vec::new())
+            (Lit::FALSE, Lit::FALSE, Vec::new())
         };
         // The sweeper's GC decides what a retirement does to the clause
         // database, so the bridge is created with the sweeper's lifetime.
@@ -279,7 +195,6 @@ impl Partition {
             window_lit: Lit::TRUE,
             reached,
             frontier,
-            frontier_parts: parts,
             frontiers,
             deadline,
             node_limit,
@@ -305,7 +220,6 @@ impl Partition {
             window_lit: self.window_lit,
             reached: self.reached,
             frontier: self.frontier,
-            frontier_parts: self.frontier_parts.clone(),
             frontiers: self.frontiers.clone(),
             deadline: self.deadline,
             node_limit: self.node_limit,
@@ -330,11 +244,7 @@ impl Partition {
         };
         self.frontier = restrict_lit(&mut self.aig, self.frontier);
         self.reached = restrict_lit(&mut self.aig, self.reached);
-        for slot in self
-            .frontier_parts
-            .iter_mut()
-            .chain(self.frontiers.iter_mut())
-        {
+        for slot in self.frontiers.iter_mut() {
             *slot = restrict_lit(&mut self.aig, *slot);
         }
     }
@@ -389,7 +299,6 @@ impl Partition {
         ];
         lits.extend(self.deltas.iter_mut());
         lits.extend(self.frontiers.iter_mut());
-        lits.extend(self.frontier_parts.iter_mut());
         lits.extend(extra.iter_mut());
         let vars: Vec<&mut Var> = self
             .pis
@@ -435,27 +344,37 @@ pub struct StateSet {
     pub parts: Vec<Partition>,
     /// Lifecycle counters.
     pub stats: PartitionStats,
-    cfg: PartitionConfig,
+    count: PartitionCount,
+    /// Re-split a partition whose state cone outgrows this many nodes;
+    /// `None` (an explicit count of 1) never re-splits.
+    resplit_watermark: Option<usize>,
     direction: Direction,
 }
 
 impl StateSet {
-    /// A state set with one seed partition. Backward, its reached set and
+    /// A state set with one seed partition that [`StateSet::split_to_target`]
+    /// tiles into `count` partitions. Backward, its reached set and
     /// frontier start empty (the engine installs F₀ before splitting);
     /// forward, both start as the initial states, and the partition
     /// carries the transition relation and next-state variables.
     pub fn new(
         net: &Network,
         direction: Direction,
-        cfg: PartitionConfig,
+        count: PartitionCount,
         sweep: Option<StateSweepConfig>,
         deadline: Option<Instant>,
         node_limit: Option<usize>,
     ) -> StateSet {
+        // An explicit count of 1 stays genuinely monolithic.
+        let resplit_watermark = match count {
+            PartitionCount::Fixed(1) => None,
+            _ => Some(RESPLIT_WATERMARK),
+        };
         StateSet {
             parts: vec![Partition::seed(net, direction, sweep, deadline, node_limit)],
             stats: PartitionStats::default(),
-            cfg,
+            count,
+            resplit_watermark,
             direction,
         }
     }
@@ -463,7 +382,7 @@ impl StateSet {
     /// The configured initial partition count, resolved against the
     /// machine.
     pub fn target_count(&self) -> usize {
-        self.cfg.count.resolve().min(self.cfg.max_partitions)
+        self.count.resolve().min(MAX_PARTITIONS)
     }
 
     /// Splits the largest partitions until the configured initial count
@@ -486,41 +405,14 @@ impl StateSet {
         }
     }
 
-    /// Splits partition `idx` according to the configured policy; returns
-    /// whether a split happened.
+    /// Latch-cofactor split of partition `idx`: picks the unused latch
+    /// with the best balance score over the partition's state cone and
+    /// extends the window by it, leaving two window-disjoint partitions.
+    /// Returns whether a split happened.
     pub fn split_partition(&mut self, idx: usize) -> bool {
-        if self.parts.len() >= self.cfg.max_partitions {
+        if self.parts.len() >= MAX_PARTITIONS {
             return false;
         }
-        let done = match self.cfg.split {
-            SplitPolicy::FrontierOrigin if self.parts[idx].frontier_parts.len() >= 2 => {
-                self.split_by_origin(idx)
-            }
-            _ => {
-                // Latch-splitting one member of a same-window sibling
-                // group would leave the other siblings on the parent
-                // window — overlapping windows that duplicate every
-                // subsequent image step. Refuse instead.
-                let has_siblings = self
-                    .parts
-                    .iter()
-                    .enumerate()
-                    .any(|(j, q)| j != idx && q.window == self.parts[idx].window);
-                if has_siblings {
-                    return false;
-                }
-                self.split_by_latch(idx)
-            }
-        };
-        if done {
-            self.stats.splits += 1;
-        }
-        done
-    }
-
-    /// Latch-cofactor split: picks the unused latch with the best balance
-    /// score over the partition's state cone and extends the window.
-    fn split_by_latch(&mut self, idx: usize) -> bool {
         let ord = {
             let p = &mut self.parts[idx];
             let used: Vec<usize> = p.window.iter().map(|(o, _)| *o).collect();
@@ -554,32 +446,7 @@ impl StateSet {
         self.parts[idx].restrict(ord, false);
         child.restrict(ord, true);
         self.parts.push(child);
-        true
-    }
-
-    /// Frontier-of-origin split: divides the frontier disjuncts between
-    /// the partition and a new same-window sibling (which replicates the
-    /// window's reached set, preserving exact subtraction).
-    fn split_by_origin(&mut self, idx: usize) -> bool {
-        if self.parts[idx].frontier_parts.len() < 2 {
-            return false;
-        }
-        let mut child = self.parts[idx].clone_for_split();
-        let mid = self.parts[idx].frontier_parts.len().div_ceil(2);
-        let give = self.parts[idx].frontier_parts.split_off(mid);
-        {
-            let p = &mut self.parts[idx];
-            p.frontier = p.aig.or_many(&p.frontier_parts);
-            if let Some(last) = p.frontiers.last_mut() {
-                *last = p.frontier;
-            }
-        }
-        child.frontier_parts = give;
-        child.frontier = child.aig.or_many(&child.frontier_parts);
-        if let Some(last) = child.frontiers.last_mut() {
-            *last = child.frontier;
-        }
-        self.parts.push(child);
+        self.stats.splits += 1;
         true
     }
 
@@ -655,28 +522,17 @@ impl StateSet {
     pub fn merge_images(&mut self, images: &[Lit]) -> MergeOutcome {
         let n = self.parts.len();
         debug_assert_eq!(images.len(), n);
-        // Distinct windows in first-occurrence (index) order.
-        let mut windows: Vec<Vec<(usize, bool)>> = Vec::new();
-        let mut window_of: Vec<usize> = Vec::with_capacity(n);
-        for p in &self.parts {
-            let id = match windows.iter().position(|w| *w == p.window) {
-                Some(id) => id,
-                None => {
-                    windows.push(p.window.clone());
-                    windows.len() - 1
-                }
-            };
-            window_of.push(id);
-        }
         // Phase 1: cofactor every image onto every window and export the
-        // cones (ordinal-stable, so they import into any sibling).
-        let mut pieces: Vec<Vec<ConeExport>> = vec![Vec::new(); windows.len()];
+        // cones (ordinal-stable, so they import into any partition).
+        let windows: Vec<Vec<(usize, bool)>> =
+            self.parts.iter().map(|p| p.window.clone()).collect();
+        let mut pieces: Vec<Vec<ConeExport>> = vec![Vec::new(); n];
         for (s, &image) in images.iter().enumerate() {
             if image == Lit::FALSE {
                 continue;
             }
             let src = &mut self.parts[s];
-            for (w_id, w) in windows.iter().enumerate() {
+            for (t, w) in windows.iter().enumerate() {
                 let map: Vec<(Var, Lit)> = w
                     .iter()
                     .map(|(ord, val)| {
@@ -687,53 +543,35 @@ impl StateSet {
                 if cof == Lit::FALSE {
                     continue;
                 }
-                pieces[w_id].push(export_cone(&src.aig, cof));
+                pieces[t].push(export_cone(&src.aig, cof));
             }
         }
-        // Phase 2: per target (index order), import its window's pieces,
-        // restrict, subtract reached, and take its round-robin share of
-        // the active frontier (same-window siblings divide the pieces;
-        // the share assignment depends only on the piece index, so it is
-        // identical across runs).
-        let mut group_size = vec![0usize; windows.len()];
-        for &w in &window_of {
-            group_size[w] += 1;
-        }
-        let mut group_pos = vec![0usize; windows.len()];
+        // Phase 2: per target (index order), import its pieces, restrict
+        // to its window, and subtract its reached set; what is left is the
+        // new frontier.
         let mut any_new = false;
-        for (t, &w_id) in window_of.iter().enumerate() {
-            let pos = group_pos[w_id];
-            group_pos[w_id] += 1;
-            let m = group_size[w_id];
-            let p = &mut self.parts[t];
+        for (p, pieces) in self.parts.iter_mut().zip(&pieces) {
             let old_reached = p.reached;
-            let mut new_all: Vec<Lit> = Vec::new();
-            let mut share: Vec<Lit> = Vec::new();
-            for (j, exp) in pieces[w_id].iter().enumerate() {
+            let mut fresh: Vec<Lit> = Vec::new();
+            for exp in pieces {
                 let piece = import_cone(&mut p.aig, exp);
                 let piece = p.aig.and(piece, p.window_lit);
-                let fresh = p.aig.and(piece, !old_reached);
-                if fresh == Lit::FALSE {
-                    continue;
-                }
-                new_all.push(fresh);
-                if j % m == pos {
-                    share.push(fresh);
+                let new = p.aig.and(piece, !old_reached);
+                if new != Lit::FALSE {
+                    fresh.push(new);
                 }
             }
-            let mut front = p.aig.or_many(&share);
-            if front != Lit::FALSE && p.cnf.solve_under(&p.aig, &[front]) == SatResult::Unsat {
-                front = Lit::FALSE;
-            }
-            if front == Lit::FALSE {
-                share.clear();
-            }
+            let added = p.aig.or_many(&fresh);
+            let front =
+                if added != Lit::FALSE && p.cnf.solve_under(&p.aig, &[added]) == SatResult::Unsat {
+                    Lit::FALSE
+                } else {
+                    added
+                };
             p.frontier = front;
-            p.frontier_parts = share;
             p.frontiers.push(front);
-            if !new_all.is_empty() {
-                let add = p.aig.or_many(&new_all);
-                p.reached = p.aig.or(old_reached, add);
+            if added != Lit::FALSE {
+                p.reached = p.aig.or(old_reached, added);
             }
             any_new |= front != Lit::FALSE;
         }
@@ -757,19 +595,12 @@ impl StateSet {
         }
     }
 
-    /// The post-merge lifecycle step: prunes contained sibling frontiers,
-    /// re-splits partitions past the watermark, and records the
-    /// trajectory/max-cone statistics.
-    pub fn prune_and_resplit(&mut self) {
-        if self.cfg.prune {
-            self.prune_contained();
-        }
-        if let Some(watermark) = self.cfg.resplit_watermark {
+    /// The post-merge lifecycle step: re-splits partitions past the
+    /// watermark and records the trajectory/max-cone statistics.
+    pub fn resplit(&mut self) {
+        if let Some(watermark) = self.resplit_watermark {
             let mut idx = 0;
-            while idx < self.parts.len() {
-                if self.parts.len() >= self.cfg.max_partitions {
-                    break;
-                }
+            while idx < self.parts.len() && self.parts.len() < MAX_PARTITIONS {
                 if self.parts[idx].state_cone() > watermark {
                     self.split_partition(idx);
                 }
@@ -777,51 +608,6 @@ impl StateSet {
             }
         }
         self.record_iteration();
-    }
-
-    /// Prunes same-window sibling frontiers that are SAT-provably
-    /// contained in the union of their (still active) siblings. Later
-    /// siblings are checked first, so of two identical siblings exactly
-    /// one survives.
-    fn prune_contained(&mut self) {
-        let mut groups: HashMap<Vec<(usize, bool)>, Vec<usize>> = HashMap::new();
-        for (i, p) in self.parts.iter().enumerate() {
-            groups.entry(p.window.clone()).or_default().push(i);
-        }
-        let mut group_list: Vec<Vec<usize>> = groups.into_values().collect();
-        group_list.sort_unstable();
-        for group in group_list {
-            if group.len() < 2 {
-                continue;
-            }
-            for pos in (0..group.len()).rev() {
-                let t = group[pos];
-                if self.parts[t].frontier == Lit::FALSE {
-                    continue;
-                }
-                let exports: Vec<ConeExport> = group
-                    .iter()
-                    .filter(|&&q| q != t && self.parts[q].frontier != Lit::FALSE)
-                    .map(|&q| export_cone(&self.parts[q].aig, self.parts[q].frontier))
-                    .collect();
-                if exports.is_empty() {
-                    continue;
-                }
-                let p = &mut self.parts[t];
-                let lits: Vec<Lit> = exports.iter().map(|e| import_cone(&mut p.aig, e)).collect();
-                let union = p.aig.or_many(&lits);
-                let excess = p.aig.and(p.frontier, !union);
-                if excess == Lit::FALSE || p.cnf.solve_under(&p.aig, &[excess]) == SatResult::Unsat
-                {
-                    p.frontier = Lit::FALSE;
-                    p.frontier_parts.clear();
-                    if let Some(last) = p.frontiers.last_mut() {
-                        *last = Lit::FALSE;
-                    }
-                    self.stats.prunes += 1;
-                }
-            }
-        }
     }
 
     /// Records the per-iteration partition statistics.
@@ -997,7 +783,7 @@ mod tests {
         let mut ss = StateSet::new(
             &net,
             Direction::Backward,
-            PartitionConfig::with_count(PartitionCount::Fixed(4)),
+            PartitionCount::Fixed(4),
             None,
             None,
             None,
@@ -1007,13 +793,17 @@ mod tests {
         let bad = p.bad;
         let f0 = p.preimage(bad);
         p.frontier = f0;
-        p.frontier_parts = vec![f0];
         p.frontiers.push(f0);
         p.reached = f0;
         ss.split_to_target();
         assert_eq!(ss.parts.len(), 4);
-        // Window cubes must be pairwise disjoint: two distinct windows
-        // always disagree on some shared latch ordinal.
+        assert_windows_disjoint(&ss);
+        assert_eq!(ss.stats.splits, 3);
+    }
+
+    /// Window cubes must be pairwise disjoint: two distinct windows
+    /// always disagree on some shared latch ordinal.
+    fn assert_windows_disjoint(ss: &StateSet) {
         for i in 0..ss.parts.len() {
             for j in i + 1..ss.parts.len() {
                 let wi = &ss.parts[i].window;
@@ -1024,7 +814,69 @@ mod tests {
                 assert!(disjoint, "windows {wi:?} and {wj:?} overlap");
             }
         }
-        assert_eq!(ss.stats.splits, 3);
+    }
+
+    /// For every latch assignment of a model without primary inputs:
+    /// whether the state lies in the union of the partitions' reached
+    /// sets and frontiers, and how many windows contain it.
+    fn union_and_window_hits(ss: &StateSet) -> Vec<(bool, usize)> {
+        (0..1u32 << ss.parts[0].latches.len())
+            .map(|mask| {
+                let mut member = false;
+                let mut hits = 0;
+                for p in &ss.parts {
+                    let mut asg = vec![false; p.aig.num_inputs()];
+                    for (ord, v) in p.latches.iter().enumerate() {
+                        asg[p.aig.input_index(*v).expect("latch is an input")] =
+                            (mask >> ord) & 1 != 0;
+                    }
+                    member |= p.aig.eval(p.reached, &asg) || p.aig.eval(p.frontier, &asg);
+                    hits += usize::from(p.aig.eval(p.window_lit, &asg));
+                }
+                (member, hits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn watermark_resplits_keep_windows_disjoint_and_the_set_unchanged() {
+        // Eight latches and a watermark of 0: every partition whose state
+        // cone still holds an AND gate splits again, until the cap stops
+        // it (exactly-one over eight latches needs more than 64 windows).
+        let net = generators::token_ring(8);
+        let mut ss = StateSet::new(
+            &net,
+            Direction::Backward,
+            PartitionCount::Fixed(2),
+            None,
+            None,
+            None,
+        );
+        let p = &mut ss.parts[0];
+        let (l0, l3) = (p.latches[0].lit(), p.latches[3].lit());
+        p.reached = p.bad;
+        p.frontier = p.aig.xor(l0, l3);
+        p.frontiers.push(p.frontier);
+        let before = union_and_window_hits(&ss);
+        ss.split_to_target();
+        assert_eq!(ss.parts.len(), 2);
+        assert_eq!(ss.resplit_watermark, Some(RESPLIT_WATERMARK));
+        ss.resplit_watermark = Some(0);
+        // Passes after the one that reaches the cap must not pass it.
+        for _ in 0..3 {
+            ss.resplit();
+        }
+        assert!(ss.stats.splits > 1, "the lowered watermark never split");
+        assert_eq!(ss.parts.len(), MAX_PARTITIONS);
+        assert!(ss.stats.trajectory.iter().all(|&n| n <= MAX_PARTITIONS));
+        assert_windows_disjoint(&ss);
+        // The partitions still tile the state space, and their union is
+        // the set installed before any split.
+        let after = union_and_window_hits(&ss);
+        for (mask, (&(was, _), &(now, hits))) in before.iter().zip(&after).enumerate() {
+            assert_eq!(was, now, "state {mask:#010b} changed membership");
+            assert_eq!(hits, 1, "state {mask:#010b} lies in {hits} windows");
+        }
     }
 
     #[test]
@@ -1036,7 +888,7 @@ mod tests {
         let mut ss = StateSet::new(
             &net,
             Direction::Backward,
-            PartitionConfig::with_count(PartitionCount::Fixed(2)),
+            PartitionCount::Fixed(2),
             None,
             None,
             None,
@@ -1044,7 +896,6 @@ mod tests {
         let p = &mut ss.parts[0];
         let bad = p.bad;
         p.frontier = bad;
-        p.frontier_parts = vec![bad];
         p.frontiers.push(bad);
         p.reached = bad;
         ss.split_to_target();
@@ -1079,16 +930,5 @@ mod tests {
         assert_eq!(PartitionCount::from_name("many"), None);
         assert_eq!(PartitionCount::Fixed(3).resolve(), 3);
         assert!(PartitionCount::Auto.resolve() >= 1);
-        assert_eq!(
-            SplitPolicy::from_name("latch"),
-            Some(SplitPolicy::LatchCofactor)
-        );
-        assert_eq!(
-            SplitPolicy::from_name("origin"),
-            Some(SplitPolicy::FrontierOrigin)
-        );
-        assert_eq!(SplitPolicy::from_name("x"), None);
-        assert_eq!(SplitPolicy::LatchCofactor.name(), "latch");
-        assert_eq!(SplitPolicy::FrontierOrigin.name(), "origin");
     }
 }

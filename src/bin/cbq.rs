@@ -24,7 +24,7 @@ use std::time::Duration;
 use cbq::ckt::io::{read_network, write_network};
 use cbq::ckt::{generators, Network};
 use cbq::mc::json::{field, run_to_json};
-use cbq::mc::{by_name_tuned, engine_names, registry, EngineTuning, PartitionCount, SplitPolicy};
+use cbq::mc::{by_name_tuned, engine_names, registry, EngineTuning, PartitionCount};
 use cbq::prelude::*;
 use cbq::quant::{exists_bdd, exists_many, VarOrder};
 use cbq::sat::reference::ReferenceSolver;
@@ -260,7 +260,7 @@ fn cmd_engines(args: &[String]) -> ExitCode {
 fn check_help() -> String {
     format!(
         "usage: cbq check <file.aag> [--engine E] [--sweep on|off]
-                 [--quant-order O] [--partitions N|auto] [--split P]
+                 [--quant-order O] [--partitions N|auto]
                  [--ic3-frames N] [--ic3-gen core|drop|ternary|ctg|ctg-deep]
                  [--itp-frames N]
                  [--portfolio-par]
@@ -275,11 +275,9 @@ Model-checks the circuit's bad-state property.
   --quant-order O    quantification variable order: cheapest | static | given
                      (circuit/forward engines; default: cheapest)
   --partitions N     partitioned state set: start with N partitions
-                     (`auto` = one per CPU core), per-partition image
-                     computation in parallel (circuit/forward engines;
-                     default: 1 = monolithic)
-  --split P          partition split policy: latch | origin
-                     (default: latch = window cofactor by balance score)
+                     (`auto` = one per CPU core) tiled by latch-cofactor
+                     windows, per-partition image computation in parallel
+                     (circuit/forward engines; default: 1 = monolithic)
   --ic3-frames N     IC3 frame-count safety net (ic3 engine; default 10000)
   --ic3-gen M        IC3 generalization effort, a cumulative ladder:
                      core (unsat-core shrink only) | drop (+ literal
@@ -320,7 +318,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
             "sweep",
             "quant-order",
             "partitions",
-            "split",
             "ic3-frames",
             "ic3-gen",
             "itp-frames",
@@ -382,13 +379,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "split" => match SplitPolicy::from_name(value) {
-                Some(policy) => tuning.split = Some(policy),
-                None => {
-                    eprintln!("flag `--split` expects `latch` or `origin`, got `{value}`");
-                    return ExitCode::from(2);
-                }
-            },
             "ic3-frames" => match parse_count(flag, value) {
                 Ok(n) if n >= 1 => tuning.ic3_frames = Some(n as usize),
                 Ok(_) => {
@@ -443,14 +433,12 @@ fn cmd_check(args: &[String]) -> ExitCode {
     // Warn per flag *family*: an engine with a tune hook still ignores
     // the other family's flags (circuit ignores --ic3-*, ic3 ignores the
     // state-set flags), so `supports_tuning` alone is not enough.
-    let state_flags = tuning.sweep.is_some()
-        || tuning.quant_order.is_some()
-        || tuning.partitions.is_some()
-        || tuning.split.is_some();
+    let state_flags =
+        tuning.sweep.is_some() || tuning.quant_order.is_some() || tuning.partitions.is_some();
     let ic3_flags = tuning.ic3_frames.is_some() || tuning.ic3_gen.is_some();
     if state_flags && !matches!(engine_name, "circuit" | "forward") {
         eprintln!(
-            "note: engine `{engine_name}` ignores --sweep/--quant-order/--partitions/--split \
+            "note: engine `{engine_name}` ignores --sweep/--quant-order/--partitions \
              (only circuit and forward honour them)"
         );
     }
@@ -463,12 +451,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
     tuning.portfolio_parallel = switches.contains(&"portfolio-par");
     if tuning.portfolio_parallel && engine_name != "portfolio" {
         eprintln!("note: engine `{engine_name}` ignores --portfolio-par");
-    }
-    if tuning.split.is_some() && tuning.partitions.is_none() {
-        eprintln!(
-            "note: --split has no effect without --partitions \
-             (the default single partition never splits)"
-        );
     }
     let Some(engine) = by_name_tuned(engine_name, &tuning) else {
         eprintln!(

@@ -85,13 +85,13 @@ fn tight_timeouts_cancel_cooperatively_and_promptly() {
     // the sweep candidate loop, so even circuits whose single
     // quantification is expensive return Bounded quickly instead of
     // finishing the pass first. Partition workers report Bounded too.
-    use cbq::mc::{CircuitUmc, PartitionConfig, PartitionCount};
+    use cbq::mc::{CircuitUmc, PartitionCount};
     let net = generators::arbiter(7);
     for timeout_ms in [1u64, 20] {
         for parts in [1usize, 4] {
             let budget = Budget::unlimited().with_timeout(Duration::from_millis(timeout_ms));
             let circuit = CircuitUmc {
-                partition: PartitionConfig::with_count(PartitionCount::Fixed(parts)),
+                partition: PartitionCount::Fixed(parts),
                 ..CircuitUmc::default()
             };
             let start = Instant::now();
@@ -107,7 +107,7 @@ fn tight_timeouts_cancel_cooperatively_and_promptly() {
                 start.elapsed()
             );
             let forward = CircuitUmc {
-                partition: PartitionConfig::with_count(PartitionCount::Fixed(parts)),
+                partition: PartitionCount::Fixed(parts),
                 ..CircuitUmc::forward()
             };
             let start = Instant::now();

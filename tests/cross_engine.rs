@@ -141,11 +141,11 @@ fn by_name_resolves_every_registered_engine() {
 
 #[test]
 fn circuit_umc_with_tight_budget_and_enumeration_matches_oracle() {
-    use cbq::mc::ResidualPolicy;
+    // A tight growth budget aborts variables; the engine finishes the
+    // residuals by naive disjunction and must still match the oracle.
     for (net, expected) in suite_with_oracle() {
         let engine = CircuitUmc {
             quant: QuantConfig::full().with_budget(1.1),
-            residual: ResidualPolicy::Enumerate { max_rounds: 4096 },
             ..CircuitUmc::default()
         };
         let run = engine.check(&net, &Budget::unlimited());
@@ -164,10 +164,10 @@ fn circuit_umc_with_tight_budget_and_enumeration_matches_oracle() {
 fn partitioned_circuit_umc_matches_oracle() {
     // The partitioned state set against the explicit-state oracle:
     // verdicts and minimal cex depths must survive 4-way partitioning.
-    use cbq::mc::{PartitionConfig, PartitionCount};
+    use cbq::mc::PartitionCount;
     for (net, expected) in suite_with_oracle() {
         let engine = CircuitUmc {
-            partition: PartitionConfig::with_count(PartitionCount::Fixed(4)),
+            partition: PartitionCount::Fixed(4),
             ..CircuitUmc::default()
         };
         let run = engine.check(&net, &Budget::unlimited());

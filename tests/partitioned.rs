@@ -7,7 +7,7 @@
 
 use cbq::ckt::generators;
 use cbq::ckt::Network;
-use cbq::mc::{CircuitUmcStats, PartitionConfig, PartitionCount, SplitPolicy};
+use cbq::mc::{CircuitUmcStats, PartitionCount};
 use cbq::prelude::*;
 
 mod common;
@@ -39,46 +39,37 @@ fn verdict_key(v: &Verdict) -> String {
     }
 }
 
-fn partitioned(count: usize, split: SplitPolicy) -> PartitionConfig {
-    PartitionConfig {
-        split,
-        ..PartitionConfig::with_count(PartitionCount::Fixed(count))
-    }
-}
-
 #[test]
 fn backward_partitions_1_and_4_agree_on_the_suite() {
     for net in suite() {
         let mono = CircuitUmc {
-            partition: partitioned(1, SplitPolicy::LatchCofactor),
+            partition: PartitionCount::Fixed(1),
             ..CircuitUmc::default()
         }
         .check(&net, &Budget::unlimited());
         let key = verdict_key(&mono.verdict);
-        for split in [SplitPolicy::LatchCofactor, SplitPolicy::FrontierOrigin] {
-            let part = CircuitUmc {
-                partition: partitioned(4, split),
-                ..CircuitUmc::default()
-            }
-            .check(&net, &Budget::unlimited());
-            assert_eq!(
-                key,
-                verdict_key(&part.verdict),
-                "circuit on {} ({split:?}): partitions changed the verdict",
+        let part = CircuitUmc {
+            partition: PartitionCount::Fixed(4),
+            ..CircuitUmc::default()
+        }
+        .check(&net, &Budget::unlimited());
+        assert_eq!(
+            key,
+            verdict_key(&part.verdict),
+            "circuit on {}: partitions changed the verdict",
+            net.name()
+        );
+        if let Verdict::Unsafe { trace } = &part.verdict {
+            assert!(
+                trace.validates(&net),
+                "circuit on {}: partitioned trace does not replay",
                 net.name()
             );
-            if let Verdict::Unsafe { trace } = &part.verdict {
-                assert!(
-                    trace.validates(&net),
-                    "circuit on {}: partitioned trace does not replay",
-                    net.name()
-                );
-                assert!(
-                    replays_on_sim(&net, trace),
-                    "circuit on {}: partitioned trace rejected by BitSim",
-                    net.name()
-                );
-            }
+            assert!(
+                replays_on_sim(&net, trace),
+                "circuit on {}: partitioned trace rejected by BitSim",
+                net.name()
+            );
         }
     }
 }
@@ -87,13 +78,13 @@ fn backward_partitions_1_and_4_agree_on_the_suite() {
 fn forward_partitions_1_and_4_agree_on_the_suite() {
     for net in suite() {
         let mono = CircuitUmc {
-            partition: partitioned(1, SplitPolicy::LatchCofactor),
+            partition: PartitionCount::Fixed(1),
             ..CircuitUmc::forward()
         }
         .check(&net, &Budget::unlimited());
         let key = verdict_key(&mono.verdict);
         let part = CircuitUmc {
-            partition: partitioned(4, SplitPolicy::LatchCofactor),
+            partition: PartitionCount::Fixed(4),
             ..CircuitUmc::forward()
         }
         .check(&net, &Budget::unlimited());
@@ -129,7 +120,7 @@ fn partitioned_runs_are_deterministic() {
         generators::token_ring_bug(5),
     ] {
         let engine = CircuitUmc {
-            partition: partitioned(4, SplitPolicy::LatchCofactor),
+            partition: PartitionCount::Fixed(4),
             ..CircuitUmc::default()
         };
         let a = engine.check(&net, &Budget::unlimited());
@@ -156,7 +147,7 @@ fn partitioned_runs_are_deterministic() {
         );
 
         let fwd = CircuitUmc {
-            partition: partitioned(4, SplitPolicy::LatchCofactor),
+            partition: PartitionCount::Fixed(4),
             ..CircuitUmc::forward()
         };
         let fa = fwd.check(&net, &Budget::unlimited());
@@ -187,7 +178,7 @@ fn partition_cones_stay_below_the_monolithic_reached_set() {
         .check(&net, &Budget::unlimited());
         let part = CircuitUmc {
             sweep: None,
-            partition: partitioned(4, SplitPolicy::LatchCofactor),
+            partition: PartitionCount::Fixed(4),
             ..CircuitUmc::default()
         }
         .check(&net, &Budget::unlimited());

@@ -1,9 +1,9 @@
 //! Differential quantification oracle: on random AIGs small enough to
 //! enumerate (≤ 10 inputs), `exists_many` must agree with truth-table
 //! cofactor expansion for **every** configuration — each preset, each
-//! variable order, both residual-completion policies, the interleaved
-//! resweep, and the BDD baseline. The same oracle is applied to the
-//! state-set sweeper: swept AIGs must be equivalent on all assignments.
+//! variable order, both residual-completion policies, and the BDD
+//! baseline. The same oracle is applied to the state-set sweeper: swept
+//! AIGs must be equivalent on all assignments.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -89,7 +89,7 @@ fn assert_matches_oracle(
     }
 }
 
-/// Every preset × every variable order, plus the interleaved resweep.
+/// Every preset × every variable order.
 fn configurations() -> Vec<(String, QuantConfig)> {
     let mut cfgs = Vec::new();
     let presets = [
@@ -110,10 +110,6 @@ fn configurations() -> Vec<(String, QuantConfig)> {
             ));
         }
     }
-    cfgs.push((
-        "full/resweep".to_string(),
-        QuantConfig::full().with_resweep(1.0),
-    ));
     cfgs
 }
 
@@ -148,9 +144,8 @@ fn every_configuration_matches_the_truth_table_oracle() {
 #[test]
 fn budgeted_runs_complete_correctly_under_both_residual_policies() {
     // Partial quantification (tight growth budget) leaves residuals;
-    // both residual policies — naive completion (`ResidualPolicy::Naive`)
-    // and all-solutions enumeration (`ResidualPolicy::Enumerate`) — must
-    // finish to the exact result.
+    // both ways of finishing them — naive completion (what `CircuitUmc`
+    // does) and all-solutions enumeration — must reach the exact result.
     let mut saw_residuals = false;
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(1000 + seed);
