@@ -6,8 +6,12 @@
 //!
 //! 1. **BDD sweeping** (merge-phase tier 2): candidate equivalences between
 //!    cofactor sub-circuits are confirmed by building *size-bounded* BDDs
-//!    bottom-up from the AIG ([`BddManager::from_aig`] with a node limit) —
-//!    two nodes with the same BDD are equivalent, canonically.
+//!    bottom-up from the AIG — two nodes with the same BDD are equivalent,
+//!    canonically. A sweep keeps one manager and one [`AigBdds`] memo
+//!    (AIG node → BDD) for all its candidate classes, so each cone node's
+//!    BDD is built once, from its fanins' BDDs, under a per-node and a
+//!    total node cap. [`BddManager::from_aig`] runs the same walk with a
+//!    fresh memo and a caller-given variable order.
 //! 2. **Baseline model checker**: the canonical state-set representation
 //!    the paper argues against; backward reachability over BDDs uses
 //!    [`BddManager::vector_compose`] (functional pre-image) and
@@ -39,8 +43,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cbq_aig::{Aig, Lit, Node, Var};
 
@@ -83,6 +89,43 @@ struct BddNode {
     lo: BddRef,
 }
 
+/// Multiplicative (Fibonacci) hasher for the manager's own tables, whose
+/// keys are small integers the manager itself creates: the SipHash
+/// default spends most of a lookup on collision resistance these keys do
+/// not need.
+#[derive(Copy, Clone, Default)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    fn mix(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.mix(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.mix(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The high product bits are the well-mixed ones; fold them into
+        // the low bits the table masks to its size.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
 #[derive(Copy, Clone, PartialEq, Eq, Hash)]
 enum Op {
     And,
@@ -99,9 +142,9 @@ enum Op {
 #[derive(Clone)]
 pub struct BddManager {
     nodes: Vec<BddNode>,
-    unique: HashMap<(u32, BddRef, BddRef), BddRef>,
-    apply_cache: HashMap<(Op, BddRef, BddRef), BddRef>,
-    not_cache: HashMap<BddRef, BddRef>,
+    unique: FastMap<(u32, BddRef, BddRef), BddRef>,
+    apply_cache: FastMap<(Op, BddRef, BddRef), BddRef>,
+    not_cache: FastMap<BddRef, BddRef>,
     num_vars: usize,
 }
 
@@ -123,9 +166,9 @@ impl BddManager {
                     lo: BddRef::ONE,
                 },
             ],
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            unique: FastMap::default(),
+            apply_cache: FastMap::default(),
+            not_cache: FastMap::default(),
             num_vars,
         }
     }
@@ -582,6 +625,9 @@ impl BddManager {
     /// the manager grows beyond `cap` nodes (pass `usize::MAX` for
     /// unlimited).
     ///
+    /// This is [`AigBdds::build`]'s walk with a fresh memo and a level
+    /// map in place of input ordinals.
+    ///
     /// # Panics
     ///
     /// Panics if the cone references an input missing from `var_level`.
@@ -592,39 +638,11 @@ impl BddManager {
         var_level: &HashMap<Var, u32>,
         cap: usize,
     ) -> Option<BddRef> {
-        let mut memo: HashMap<Var, BddRef> = HashMap::new();
-        for v in aig.collect_cone(&[root]) {
-            let b = match aig.node(v) {
-                Node::Const => BddRef::ZERO,
-                Node::Input { .. } => {
-                    let lvl = *var_level
-                        .get(&v)
-                        .expect("AIG input missing from the level map");
-                    self.var(lvl)
-                }
-                Node::And { f0, f1 } => {
-                    let a = Self::edge(&memo, self, f0);
-                    let b = Self::edge(&memo, self, f1);
-                    self.apply(Op::And, a, b, Some(cap))?
-                }
-            };
-            memo.insert(v, b);
-        }
-        let r = memo[&root.var()];
-        Some(if root.is_complemented() {
-            self.not(r)
-        } else {
-            r
+        AigBdds::new().build_with(self, aig, root, usize::MAX, cap, |v, _| {
+            *var_level
+                .get(&v)
+                .expect("AIG input missing from the level map")
         })
-    }
-
-    fn edge(memo: &HashMap<Var, BddRef>, me: &mut BddManager, l: Lit) -> BddRef {
-        let b = memo[&l.var()];
-        if l.is_complemented() {
-            me.not(b)
-        } else {
-            b
-        }
     }
 
     /// Dumps `f` into an AIG as a multiplexer tree over `level_lit`
@@ -667,6 +685,144 @@ impl fmt::Debug for BddManager {
             self.num_vars,
             self.nodes.len()
         )
+    }
+}
+
+/// What the memo knows about one AIG node.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Slot {
+    /// In the cone being built, not built yet.
+    Queued,
+    Built(BddRef),
+    /// Its AND exceeded the caps, or a fanin aborted.
+    Aborted,
+}
+
+/// AIG node → BDD memo for building many cones in one [`BddManager`]:
+/// each node's BDD is built once, from its fanins' memoised BDDs, and
+/// every later cone that reaches the node reuses it.
+///
+/// [`AigBdds::build`] puts each AIG input at the level of its input
+/// ordinal ([`Node::Input`]'s `index`), so every function's BDD has the
+/// size it would have over its own support in ordinal order. Two caps
+/// bound a build: `node_cap` limits the nodes one AND may add to the
+/// manager, and `total_cap` the manager's size. A node whose AND exceeds
+/// either, or whose fanin aborted, is memoised as aborted, so every node
+/// above it aborts too, while cones that avoid it still resolve. The
+/// memo is sparse (keyed by [`Var`]), so its cost follows the cones
+/// built, not the manager's size. It holds one manager's `BddRef`s for
+/// one AIG's nodes: keep each memo to one manager and one AIG.
+///
+/// ```
+/// use cbq_aig::Aig;
+/// use cbq_bdd::{AigBdds, BddManager};
+///
+/// let mut aig = Aig::new();
+/// let a = aig.add_input().lit();
+/// let b = aig.add_input().lit();
+/// let x1 = aig.xor(a, b);
+/// let or = aig.or(a, b);
+/// let nand = !aig.and(a, b);
+/// let x2 = aig.and(or, nand);
+///
+/// let mut mgr = BddManager::new(aig.num_inputs());
+/// let mut memo = AigBdds::new();
+/// let b1 = memo.build(&mut mgr, &aig, x1, 100, 10_000);
+/// let b2 = memo.build(&mut mgr, &aig, x2, 100, 10_000); // reuses a, b
+/// assert!(b1.is_some());
+/// assert_eq!(b1, b2); // canonical: equal functions, equal BDDs
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct AigBdds {
+    memo: FastMap<Var, Slot>,
+    /// Scratch: the unbuilt part of the cone being built.
+    todo: Vec<Var>,
+    stack: Vec<Var>,
+}
+
+impl AigBdds {
+    /// An empty memo.
+    pub fn new() -> AigBdds {
+        AigBdds::default()
+    }
+
+    /// The BDD of `root` in `mgr`, over input ordinals as levels, or
+    /// `None` if it or a node below it aborted on the caps (see the type
+    /// doc).
+    pub fn build(
+        &mut self,
+        mgr: &mut BddManager,
+        aig: &Aig,
+        root: Lit,
+        node_cap: usize,
+        total_cap: usize,
+    ) -> Option<BddRef> {
+        self.build_with(mgr, aig, root, node_cap, total_cap, |_, ordinal| ordinal)
+    }
+
+    /// The one AIG→BDD walk: queues the part of `root`'s cone the memo
+    /// lacks, then builds it in ascending variable order (a topological
+    /// order), stopping at the first abort.
+    fn build_with(
+        &mut self,
+        mgr: &mut BddManager,
+        aig: &Aig,
+        root: Lit,
+        node_cap: usize,
+        total_cap: usize,
+        level: impl Fn(Var, u32) -> u32,
+    ) -> Option<BddRef> {
+        let top = root.var();
+        if let Entry::Vacant(e) = self.memo.entry(top) {
+            e.insert(Slot::Queued);
+            self.stack.push(top);
+        }
+        while let Some(v) = self.stack.pop() {
+            self.todo.push(v);
+            if let Node::And { f0, f1 } = aig.node(v) {
+                for w in [f0.var(), f1.var()] {
+                    if let Entry::Vacant(e) = self.memo.entry(w) {
+                        e.insert(Slot::Queued);
+                        self.stack.push(w);
+                    }
+                }
+            }
+        }
+        self.todo.sort_unstable();
+        for i in 0..self.todo.len() {
+            let v = self.todo[i];
+            let slot = match aig.node(v) {
+                Node::Const => Slot::Built(BddRef::ZERO),
+                Node::Input { index } => Slot::Built(mgr.var(level(v, index))),
+                Node::And { f0, f1 } => match (self.edge(mgr, f0), self.edge(mgr, f1)) {
+                    (Some(a), Some(b)) => {
+                        let limit = mgr.num_nodes().saturating_add(node_cap).min(total_cap);
+                        mgr.apply(Op::And, a, b, Some(limit))
+                            .map_or(Slot::Aborted, Slot::Built)
+                    }
+                    _ => Slot::Aborted,
+                },
+            };
+            self.memo.insert(v, slot);
+            if slot == Slot::Aborted {
+                // Unqueue the rest: later cones may still build them.
+                for w in &self.todo[i + 1..] {
+                    self.memo.remove(w);
+                }
+                break;
+            }
+        }
+        self.todo.clear();
+        self.edge(mgr, root)
+    }
+
+    /// The memoised BDD of edge `l`, complement applied.
+    fn edge(&self, mgr: &mut BddManager, l: Lit) -> Option<BddRef> {
+        match self.memo.get(&l.var()) {
+            Some(&Slot::Built(b)) if l.is_complemented() => Some(mgr.not(b)),
+            Some(&Slot::Built(b)) => Some(b),
+            _ => None,
+        }
     }
 }
 

@@ -1,12 +1,13 @@
 //! Property-based tests of the BDD package: canonicity, Boolean algebra,
-//! quantification semantics and AIG conversion agreement.
+//! quantification semantics, AIG conversion agreement and the shared
+//! AIG→BDD memo.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use cbq_aig::{Aig, Lit};
-use cbq_bdd::{BddManager, BddRef};
+use cbq_aig::{Aig, Lit, Var};
+use cbq_bdd::{AigBdds, BddManager, BddRef};
 
 const N: usize = 5;
 
@@ -61,6 +62,38 @@ fn build(mgr: &mut BddManager, ops: &[Op]) -> BddRef {
         pool.push(r);
     }
     *pool.last().expect("non-empty")
+}
+
+/// The same structure as [`build`], as an AIG over `n` inputs; returns
+/// the AIG and its last literal.
+fn aig_from_ops(n: usize, ops: &[Op]) -> (Aig, Lit) {
+    let mut aig = Aig::new();
+    let mut pool: Vec<Lit> = (0..n).map(|_| aig.add_input().lit()).collect();
+    for op in ops {
+        let pick = |i: usize| pool[i % pool.len()];
+        let l = match *op {
+            Op::And(a, b) => {
+                let (x, y) = (pick(a), pick(b));
+                aig.and(x, y)
+            }
+            Op::Or(a, b) => {
+                let (x, y) = (pick(a), pick(b));
+                aig.or(x, y)
+            }
+            Op::Xor(a, b) => {
+                let (x, y) = (pick(a), pick(b));
+                aig.xor(x, y)
+            }
+            Op::Not(a) => !pick(a),
+            Op::Ite(a, b, c) => {
+                let (x, y, z) = (pick(a), pick(b), pick(c));
+                aig.ite(x, y, z)
+            }
+        };
+        pool.push(l);
+    }
+    let root = *pool.last().expect("non-empty");
+    (aig, root)
 }
 
 fn truth_table(mgr: &BddManager, f: BddRef) -> u64 {
@@ -146,21 +179,7 @@ proptest! {
     /// AIG → BDD → AIG round-trips preserve the function.
     #[test]
     fn aig_bdd_roundtrip(ops in ops_strategy(16)) {
-        // Build the same structure as an AIG first.
-        let mut aig = Aig::new();
-        let mut pool: Vec<Lit> = (0..N).map(|_| aig.add_input().lit()).collect();
-        for op in &ops {
-            let pick = |i: usize| pool[i % pool.len()];
-            let l = match *op {
-                Op::And(a, b) => { let (x, y) = (pick(a), pick(b)); aig.and(x, y) }
-                Op::Or(a, b) => { let (x, y) = (pick(a), pick(b)); aig.or(x, y) }
-                Op::Xor(a, b) => { let (x, y) = (pick(a), pick(b)); aig.xor(x, y) }
-                Op::Not(a) => !pick(a),
-                Op::Ite(a, b, c) => { let (x, y, z) = (pick(a), pick(b), pick(c)); aig.ite(x, y, z) }
-            };
-            pool.push(l);
-        }
-        let root = *pool.last().expect("non-empty");
+        let (mut aig, root) = aig_from_ops(N, &ops);
         let var_level: HashMap<_, _> = (0..N)
             .map(|i| (aig.input_var(i), i as u32))
             .collect();
@@ -174,4 +193,109 @@ proptest! {
             prop_assert_eq!(aig.eval(root, &asg), mgr.eval(b, &asg));
         }
     }
+
+    /// One memo shared by every node of a random AIG, visited in a
+    /// scrambled order so cones meet half-built memos, gives each node
+    /// the `BddRef` that `from_aig` builds in the same manager, and that
+    /// BDD agrees with `Aig::eval` on every assignment.
+    #[test]
+    fn shared_memo_matches_from_aig_and_eval(
+        n in 1..=10usize,
+        ops in ops_strategy(16),
+        scramble in any::<u64>(),
+    ) {
+        let (aig, _) = aig_from_ops(n, &ops);
+        let ordinal: HashMap<Var, u32> =
+            (0..n).map(|i| (aig.input_var(i), i as u32)).collect();
+        let mut vars: Vec<Var> = (0..aig.num_nodes()).map(Var::from_index).collect();
+        vars.sort_by_key(|v| (v.index() as u64 ^ scramble).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut mgr = BddManager::new(n);
+        let mut memo = AigBdds::new();
+        for v in vars {
+            for l in [v.lit(), !v.lit()] {
+                let b = memo.build(&mut mgr, &aig, l, usize::MAX, usize::MAX);
+                prop_assert_eq!(b, mgr.from_aig(&aig, l, &ordinal, usize::MAX));
+                let b = b.expect("uncapped builds resolve");
+                if l.is_complemented() || !aig.node(v).is_and() {
+                    continue;
+                }
+                for mask in 0..1u32 << n {
+                    let asg: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 != 0).collect();
+                    prop_assert_eq!(mgr.eval(b, &asg), aig.eval(l, &asg));
+                }
+            }
+        }
+    }
+}
+
+/// `(x0 ∧ y0) ∨ … ∨ (x{k-1} ∧ y{k-1})` with every `x` ordered before
+/// every `y`: the classic exponential BDD. Returns the AIG and the
+/// partial disjunctions, one per pair.
+fn interleaved_or(k: usize) -> (Aig, Vec<Lit>) {
+    let mut aig = Aig::new();
+    let xs: Vec<Lit> = (0..k).map(|_| aig.add_input().lit()).collect();
+    let ys: Vec<Lit> = (0..k).map(|_| aig.add_input().lit()).collect();
+    let mut acc = Lit::FALSE;
+    let mut partial = Vec::new();
+    for (x, y) in xs.into_iter().zip(ys) {
+        let t = aig.and(x, y);
+        acc = aig.or(acc, t);
+        partial.push(acc);
+    }
+    (aig, partial)
+}
+
+#[test]
+fn node_cap_aborts_the_node_past_it_and_everything_above() {
+    let (mut aig, partial) = interleaved_or(8);
+    let z = aig.add_input().lit();
+    let w = aig.add_input().lit();
+    let full = *partial.last().expect("eight pairs");
+    let above = aig.and(full, z);
+    let top = aig.and(!above, w);
+    let sibling = aig.and(partial[1], z); // shares inputs, not the big node
+
+    // Uncapped, the last disjunction adds far more than 40 nodes.
+    let mut free = BddManager::new(aig.num_inputs());
+    let mut free_memo = AigBdds::new();
+    free_memo.build(&mut free, &aig, partial[6], usize::MAX, usize::MAX);
+    let before = free.num_nodes();
+    free_memo.build(&mut free, &aig, full, usize::MAX, usize::MAX);
+    let added = free.num_nodes() - before;
+    assert!(added > 40, "{added} nodes");
+
+    let mut mgr = BddManager::new(aig.num_inputs());
+    let mut memo = AigBdds::new();
+    assert_eq!(memo.build(&mut mgr, &aig, top, 40, usize::MAX), None);
+    for aborted in [full, above, top, !top] {
+        assert_eq!(memo.build(&mut mgr, &aig, aborted, 40, usize::MAX), None);
+    }
+    let ordinal: HashMap<Var, u32> = (0..aig.num_inputs())
+        .map(|i| (aig.input_var(i), i as u32))
+        .collect();
+    for resolved in [sibling, partial[1], partial[0]] {
+        let b = memo.build(&mut mgr, &aig, resolved, 40, usize::MAX);
+        assert!(b.is_some());
+        assert_eq!(b, mgr.from_aig(&aig, resolved, &ordinal, usize::MAX));
+    }
+}
+
+#[test]
+fn total_cap_stops_further_builds() {
+    let mut aig = Aig::new();
+    let ins: Vec<Lit> = (0..5).map(|_| aig.add_input().lit()).collect();
+    let first = {
+        let t = aig.xor(ins[0], ins[1]);
+        aig.xor(t, ins[2])
+    };
+    let second = aig.and(ins[3], ins[4]);
+    let mut mgr = BddManager::new(aig.num_inputs());
+    let mut memo = AigBdds::new();
+    let b = memo.build(&mut mgr, &aig, first, usize::MAX, usize::MAX);
+    assert!(b.is_some());
+    let full = mgr.num_nodes();
+    // Past the total cap, a cone that needs new nodes aborts...
+    assert_eq!(memo.build(&mut mgr, &aig, second, usize::MAX, full), None);
+    // ...while memoised cones still answer.
+    assert_eq!(memo.build(&mut mgr, &aig, first, usize::MAX, full), b);
 }

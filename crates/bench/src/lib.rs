@@ -362,23 +362,15 @@ pub fn e3_table() -> Table {
 // E4 / Fig. 2 — merge-tier effectiveness
 // ---------------------------------------------------------------------
 
-/// E4: which tier (structural sharing / BDD sweeping / SAT) discovers the
-/// merge points, and how the load shifts when the BDD cap shrinks.
-pub fn e4_table() -> Table {
-    let mut t = Table::new(
-        "E4 / Fig. 2 — merge tiers (structural / BDD sweep / SAT)",
-        &[
-            "workload",
-            "bdd cap",
-            "shared(strash)",
-            "classes",
-            "bdd",
-            "sat",
-            "cex",
-        ],
-    );
-    // Cofactor pairs from real pre-images plus two synthetic pairs with
-    // plentiful compare points.
+/// The E4 sweep configurations: label, whether the BDD tier runs, and
+/// its per-node cap.
+pub const E4_CAPS: [(&str, bool, usize); 3] =
+    [("2000", true, 2000), ("40", true, 40), ("off", false, 0)];
+
+/// The E4 workloads: (name, AIG, f1, f0), where `f1`/`f0` are the two
+/// cofactors the merge phase sweeps together. Cofactor pairs from real
+/// pre-images plus two synthetic pairs with plentiful compare points.
+pub fn e4_workloads() -> Vec<(String, Aig, Lit, Lit)> {
     let mut workloads: Vec<(String, Aig, Lit, Lit)> = Vec::new();
     for net in quant_workloads() {
         let (mut aig, pre, pis) = preimage_workload(&net, 1);
@@ -394,7 +386,25 @@ pub fn e4_table() -> Table {
         let (f, g) = similar_pair(&mut aig, &ins, ops, rate, seed);
         workloads.push((format!("pair{ops}@{rate}"), aig, f, g));
     }
-    for (name, aig0, f1, f0) in workloads {
+    workloads
+}
+
+/// E4: which tier (structural sharing / BDD sweeping / SAT) discovers the
+/// merge points, and how the load shifts when the BDD cap shrinks.
+pub fn e4_table() -> Table {
+    let mut t = Table::new(
+        "E4 / Fig. 2 — merge tiers (structural / BDD sweep / SAT)",
+        &[
+            "workload",
+            "bdd cap",
+            "shared(strash)",
+            "classes",
+            "bdd",
+            "sat",
+            "cex",
+        ],
+    );
+    for (name, aig0, f1, f0) in e4_workloads() {
         let shared = {
             let c1: std::collections::HashSet<Var> = aig0.collect_cone(&[f1]).into_iter().collect();
             aig0.collect_cone(&[f0])
@@ -402,11 +412,7 @@ pub fn e4_table() -> Table {
                 .filter(|x| c1.contains(x))
                 .count()
         };
-        for (cap_label, use_bdd, cap) in [
-            ("2000", true, 2000usize),
-            ("40", true, 40),
-            ("off", false, 0),
-        ] {
+        for (cap_label, use_bdd, cap) in E4_CAPS {
             let mut aig = aig0.clone();
             let mut cnf = AigCnf::new();
             let cfg = SweepConfig {

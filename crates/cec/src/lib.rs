@@ -10,7 +10,13 @@
 //!    scheme to early detect functionally equivalent map points").
 //! 2. **BDD sweeping** — size-bounded BDDs built bottom-up confirm or
 //!    refute candidate equivalences canonically (Kuehlmann & Krohm,
-//!    DAC 1997).
+//!    DAC 1997). One sweep keeps one [`BddManager`] and one
+//!    [`cbq_bdd::AigBdds`] memo for all its candidate classes, with each
+//!    input at the level of its input ordinal, so every cone node's BDD
+//!    is built once, from its fanins'. [`SweepConfig::bdd_cap`] bounds the
+//!    nodes one AND may add; a node past it, and every node above it,
+//!    stays unresolved and goes to SAT. A backstop of 64 × `bdd_cap`
+//!    manager nodes ends BDD building for the rest of the sweep.
 //! 3. **SAT checks** — remaining compare points go to the shared-database
 //!    incremental solver ([`cbq_cnf::AigCnf`]) as assumption queries on
 //!    one persistent arena solver; counterexamples are fed back into
@@ -54,7 +60,7 @@ use std::time::Instant;
 
 use cbq_aig::sim::BitSim;
 use cbq_aig::{Aig, Lit, Node, Var};
-use cbq_bdd::BddManager;
+use cbq_bdd::{AigBdds, BddManager, BddRef};
 use cbq_cnf::{AigCnf, EquivResult};
 
 /// Processing order for SAT-based merge-point checking (Section 2.1).
@@ -79,7 +85,9 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Enable the BDD sweeping tier.
     pub use_bdd_sweep: bool,
-    /// Node cap for each per-class BDD construction.
+    /// Node cap per AIG node in the BDD tier: one node's AND may add at
+    /// most this many nodes to the sweep's BDD manager, and the manager
+    /// stops building once it holds 64 × `bdd_cap` nodes.
     pub bdd_cap: usize,
     /// Enable the SAT tier.
     pub use_sat: bool,
@@ -155,6 +163,11 @@ pub struct SweepResult {
 /// literals on the original graph).
 type Merges = HashMap<Var, Lit>;
 
+/// The sweep's BDD manager stops building once it holds this many times
+/// [`SweepConfig::bdd_cap`] nodes: under the per-node cap alone, the
+/// manager would grow with the size of the swept cone.
+const BDD_BACKSTOP_FACTOR: usize = 64;
+
 /// Builds the miter `a ⊕ b` (satisfiable iff the functions differ).
 pub fn miter(aig: &mut Aig, a: Lit, b: Lit) -> Lit {
     aig.xor(a, b)
@@ -192,6 +205,8 @@ struct Sweeper<'a> {
     cnf: &'a mut AigCnf,
     cfg: &'a SweepConfig,
     sim: BitSim,
+    bdds: BddManager,
+    bdd_memo: AigBdds,
     merges: Merges,
     refuted: HashSet<(Var, Var)>,
     stats: SweepStats,
@@ -201,12 +216,15 @@ struct Sweeper<'a> {
 impl<'a> Sweeper<'a> {
     fn new(aig: &'a mut Aig, roots: &[Lit], cnf: &'a mut AigCnf, cfg: &'a SweepConfig) -> Self {
         let sim = BitSim::random(aig, cfg.sim_words.max(1), cfg.seed);
+        let bdds = BddManager::new(aig.num_inputs());
         Sweeper {
             aig,
             roots: roots.to_vec(),
             cnf,
             cfg,
             sim,
+            bdds,
+            bdd_memo: AigBdds::new(),
             merges: HashMap::new(),
             refuted: HashSet::new(),
             stats: SweepStats::default(),
@@ -283,23 +301,20 @@ impl<'a> Sweeper<'a> {
         }
     }
 
-    /// Tier 2: BDD sweeping inside one candidate class. Returns the
-    /// members that remain unresolved (BDD construction aborted).
+    /// Tier 2: BDD sweeping inside one candidate class, on the sweep's
+    /// shared manager and memo. Returns the members that remain
+    /// unresolved (BDD construction aborted).
     fn bdd_tier(&mut self, members: &[Lit]) -> Vec<Lit> {
-        // The representative's BDD is required; per-class manager keeps
-        // caps local (sweeping keeps BDDs small).
-        let support = self.aig.support_many(members);
-        let var_level: HashMap<Var, u32> = support
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (*v, i as u32))
-            .collect();
-        let mut mgr = BddManager::new(support.len());
-        let mut by_bdd: HashMap<cbq_bdd::BddRef, Lit> = HashMap::new();
+        let cap = self.cfg.bdd_cap;
+        let backstop = cap.saturating_mul(BDD_BACKSTOP_FACTOR);
+        let mut by_bdd: HashMap<BddRef, Lit> = HashMap::new();
         let mut unresolved = Vec::new();
         for &m in members {
             let resolved = self.find(m);
-            match mgr.from_aig(self.aig, resolved, &var_level, self.cfg.bdd_cap) {
+            match self
+                .bdd_memo
+                .build(&mut self.bdds, self.aig, resolved, cap, backstop)
+            {
                 None => unresolved.push(m),
                 Some(b) => {
                     if let Some(&repr) = by_bdd.get(&b) {
@@ -357,12 +372,14 @@ impl<'a> Sweeper<'a> {
     }
 
     fn run(mut self) -> SweepResult {
-        let mut first = true;
         for round in 0..self.cfg.max_rounds.max(1) {
             self.stats.rounds = round + 1;
-            self.sim.run(self.aig);
+            // `BitSim::random` already simulated round 0's patterns.
+            if round > 0 {
+                self.sim.run(self.aig);
+            }
             let mut classes = self.candidate_classes();
-            if first {
+            if round == 0 {
                 self.stats.classes_initial = classes.len();
             }
             match self.cfg.order {
@@ -377,8 +394,7 @@ impl<'a> Sweeper<'a> {
             }
             // BDD sweeping only in the first round: later rounds only see
             // classes the BDDs already failed on or that SAT refined.
-            let use_bdd = self.cfg.use_bdd_sweep && first;
-            first = false;
+            let use_bdd = self.cfg.use_bdd_sweep && round == 0;
             let mut progress = false;
             let mut pending_pairs = 0usize;
             let mut cancelled = false;

@@ -19,7 +19,7 @@ pub fn replays_on_sim(net: &Network, trace: &Trace) -> bool {
     let mut state = net.initial_state();
     let mut fired = false;
     for step_inputs in trace.inputs() {
-        let asg = net.assignment(&state, step_inputs);
+        let asg = net.assignment(&state, &step_inputs);
         sim.set_pattern(aig, 0, &asg);
         sim.run(aig);
         fired |= bit(&sim, net.bad());
