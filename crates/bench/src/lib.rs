@@ -17,7 +17,7 @@ use cbq_cec::{sweep, MergeOrder, SweepConfig};
 use cbq_ckt::generators;
 use cbq_ckt::random::similar_pair;
 use cbq_ckt::Network;
-use cbq_cnf::{AigCnf, CnfLifetime, ProofMode};
+use cbq_cnf::{AigCnf, ProofMode};
 use cbq_core::{exists_bdd, exists_many, QuantConfig};
 use cbq_mc::ganai::all_solutions_exists;
 use cbq_mc::preimage::preimage_formula;
@@ -640,84 +640,6 @@ pub fn e6s_table() -> Table {
 }
 
 // ---------------------------------------------------------------------
-// E6a — solver-lifetime ablation (arena + activation vs rebuild)
-// ---------------------------------------------------------------------
-
-/// E6a kernel: one circuit-engine run with eager sweeping and the given
-/// clause-database lifetime. Returns (verdict, SAT checks, solver
-/// conflicts, learnts retained across GCs, ms).
-pub fn lifetime_run(
-    net: &Network,
-    lifetime: CnfLifetime,
-    budget: &Budget,
-) -> (Verdict, u64, u64, u64, f64) {
-    let engine = CircuitUmc {
-        sweep: Some(StateSweepConfig {
-            lifetime,
-            ..StateSweepConfig::eager()
-        }),
-        ..CircuitUmc::default()
-    };
-    let start = Instant::now();
-    let run = engine.check(net, budget);
-    let detail = run.detail::<CircuitUmcStats>().expect("circuit stats");
-    (
-        run.verdict.clone(),
-        detail.cnf.checks,
-        detail.solver.conflicts,
-        detail.cnf.learnts_retained,
-        start.elapsed().as_secs_f64() * 1e3,
-    )
-}
-
-/// E6a: the solver ablation of the arena/activation PR — the circuit
-/// engine with eager sweeping, comparing the persistent
-/// activation-literal clause database (`act`, learnt clauses survive
-/// every GC) against the old throw-the-solver-away rebuild (`rb`). The
-/// claims: identical verdicts, and on the deep traversals the retained
-/// learnt clauses pay for themselves in conflicts and wall clock.
-pub fn e6a_table() -> Table {
-    let mut t = Table::new(
-        "E6a — solver lifetime ablation (circuit engine, eager sweep)",
-        &[
-            "circuit",
-            "verdict",
-            "checks act",
-            "checks rb",
-            "conflicts act",
-            "conflicts rb",
-            "retained",
-            "ms act",
-            "ms rb",
-        ],
-    );
-    let budget = e6_budget();
-    for net in umc_suite() {
-        let (v_act, checks_act, confl_act, retained, ms_act) =
-            lifetime_run(&net, CnfLifetime::Activation, &budget);
-        let (v_rb, checks_rb, confl_rb, _, ms_rb) =
-            lifetime_run(&net, CnfLifetime::Rebuild, &budget);
-        let verdict = if verdict_cell(&v_act) == verdict_cell(&v_rb) {
-            verdict_cell(&v_act)
-        } else {
-            format!("{} != {}", verdict_cell(&v_act), verdict_cell(&v_rb))
-        };
-        t.push(vec![
-            net.name().to_string(),
-            verdict,
-            checks_act.to_string(),
-            checks_rb.to_string(),
-            confl_act.to_string(),
-            confl_rb.to_string(),
-            retained.to_string(),
-            format!("{ms_act:.1}"),
-            format!("{ms_rb:.1}"),
-        ]);
-    }
-    t
-}
-
-// ---------------------------------------------------------------------
 // E6p — partitioned vs monolithic state sets (circuit engine)
 // ---------------------------------------------------------------------
 
@@ -1042,7 +964,7 @@ pub fn proof_overhead_run(net: &Network, depth: usize) -> (f64, f64) {
     let mut times = [0.0f64; 2];
     let mut results = Vec::new();
     for (i, mode) in [ProofMode::Off, ProofMode::Trace].into_iter().enumerate() {
-        let mut cnf = AigCnf::with_lifetime(CnfLifetime::Rebuild);
+        let mut cnf = AigCnf::new();
         cnf.set_proof_mode(mode);
         let start = Instant::now();
         cnf.assert_lit(&aig, any_bad);
@@ -1456,7 +1378,6 @@ pub fn run_experiment(id: &str) -> Option<Table> {
         "e6" => Some(e6_table()),
         "e6s" => Some(e6s_table()),
         "e6p" => Some(e6p_table()),
-        "e6a" => Some(e6a_table()),
         "e6pdr" => Some(e6pdr_table()),
         "e6g" => Some(e6g_table()),
         "e6i" => Some(e6i_table()),
@@ -1470,9 +1391,9 @@ pub fn run_experiment(id: &str) -> Option<Table> {
 }
 
 /// All experiment ids in report order (`smoke` is CI-only and excluded).
-pub const EXPERIMENTS: [&str; 16] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e6s", "e6p", "e6a", "e6pdr", "e6g", "e6i", "e6c", "e6pp",
-    "e7", "e8",
+pub const EXPERIMENTS: [&str; 15] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e6s", "e6p", "e6pdr", "e6g", "e6i", "e6c", "e6pp", "e7",
+    "e8",
 ];
 
 #[cfg(test)]

@@ -19,9 +19,7 @@
 //!   manager the bridge **retires** the dead cones by asserting the
 //!   negated activator ([`AigCnf::retire_cones`]) instead of discarding
 //!   the solver — learnt clauses, variable activities, and phases survive
-//!   across GCs, reachability iterations, and partition re-splits. The
-//!   pre-activation behaviour (throw the solver away) is kept as
-//!   [`CnfLifetime::Rebuild`] for ablation.
+//!   across GCs, reachability iterations, and partition re-splits.
 //!
 //! ## Example
 //!
@@ -75,8 +73,8 @@ impl EquivResult {
 
 /// Counters for the bridge, exposed by [`AigCnf::stats`].
 ///
-/// All counters are monotone across [`AigCnf::retire_cones`], whichever
-/// [`CnfLifetime`] is configured, so engine totals never go backwards.
+/// All counters are monotone across [`AigCnf::retire_cones`], so engine
+/// totals never go backwards.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AigCnfStats {
     /// AND gates encoded into CNF so far (all generations).
@@ -92,8 +90,7 @@ pub struct AigCnfStats {
     /// calls that kept the encoding alive).
     pub migrations: u64,
     /// Learnt clauses alive in the solver at migration instants, summed —
-    /// i.e. how much derived work *survived* garbage collections (always 0
-    /// under [`CnfLifetime::Rebuild`], which destroys it instead).
+    /// i.e. how much derived work *survived* garbage collections.
     pub learnts_retained: u64,
 }
 
@@ -110,26 +107,14 @@ impl AigCnfStats {
     }
 }
 
-/// What [`AigCnf::retire_cones`] does with the solver state.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum CnfLifetime {
-    /// Tag each cone generation with an activation literal and retire it
-    /// by asserting the negated activator: learnt clauses survive.
-    #[default]
-    Activation,
-    /// Replace the solver wholesale (the pre-activation behaviour, kept
-    /// as the ablation baseline): all learnt clauses are lost.
-    Rebuild,
-}
-
 /// An incremental AIG-to-CNF bridge over one persistent [`Solver`].
 ///
 /// The bridge is tied to a single growing [`Aig`]: because the manager is
 /// append-only and nodes are immutable, the mapping from AIG variables to
 /// SAT variables never invalidates. When the manager *is* replaced (sweep
 /// garbage collection), [`AigCnf::retire_cones`] ends the current cone
-/// generation — under the default [`CnfLifetime::Activation`] the solver
-/// and everything it has learnt persist.
+/// generation by negating its activation literal — the solver and
+/// everything it has learnt persist.
 #[derive(Debug, Default)]
 pub struct AigCnf {
     solver: Solver,
@@ -138,13 +123,8 @@ pub struct AigCnf {
     /// compaction can absorb complemented translations).
     map: Vec<Option<SatLit>>,
     stats: AigCnfStats,
-    /// Solver counters rolled up from solvers discarded by
-    /// [`CnfLifetime::Rebuild`] retirements, so
-    /// [`AigCnf::solver_stats`] stays monotone in both modes.
-    retired_solver: SolverStats,
-    lifetime: CnfLifetime,
     /// The current generation's activation literal (lazily created with
-    /// the generation's first guarded clause; `Activation` mode only).
+    /// the generation's first guarded clause).
     act: Option<SatLit>,
     /// Guarded clauses added in the current generation.
     gen_clauses: u64,
@@ -158,62 +138,42 @@ pub struct AigCnf {
 }
 
 impl AigCnf {
-    /// Creates an empty bridge with the default
-    /// [`CnfLifetime::Activation`].
+    /// Creates an empty bridge.
     pub fn new() -> AigCnf {
         AigCnf::default()
     }
 
-    /// Creates an empty bridge with the given lifetime policy.
-    pub fn with_lifetime(lifetime: CnfLifetime) -> AigCnf {
-        AigCnf {
-            lifetime,
-            ..AigCnf::default()
-        }
-    }
-
-    /// The configured lifetime policy.
-    pub fn lifetime(&self) -> CnfLifetime {
-        self.lifetime
-    }
-
     /// The current generation's activation literal, created on first use.
-    /// In [`CnfLifetime::Rebuild`] mode clauses are unguarded and no
-    /// activator exists.
-    fn activator(&mut self) -> Option<SatLit> {
-        if self.lifetime == CnfLifetime::Rebuild {
-            return None;
-        }
-        if self.act.is_none() {
-            self.act = Some(self.solver.new_var().pos());
-        }
+    fn activator(&mut self) -> SatLit {
+        *self.act.get_or_insert_with(|| self.solver.new_var().pos())
+    }
+
+    /// The current generation's activation literal, once a guarded clause
+    /// has created it. Every cone clause carries its negation and every
+    /// solve assumes it, so a proof-log reader (interpolation) reads it
+    /// as true.
+    pub fn activation(&self) -> Option<SatLit> {
         self.act
     }
 
-    /// Adds `clause` guarded by the current activation literal (or
-    /// unguarded in `Rebuild` mode) and counts it against the generation.
+    /// Adds `clause` guarded by the current activation literal and counts
+    /// it against the generation.
     fn add_guarded(&mut self, clause: &[SatLit]) -> bool {
         self.gen_clauses += 1;
-        match self.activator() {
-            Some(act) => {
-                let mut guarded = Vec::with_capacity(clause.len() + 1);
-                guarded.push(!act);
-                guarded.extend_from_slice(clause);
-                self.solver.add_clause(&guarded)
-            }
-            None => self.solver.add_clause(clause),
-        }
+        let act = self.activator();
+        let mut guarded = Vec::with_capacity(clause.len() + 1);
+        guarded.push(!act);
+        guarded.extend_from_slice(clause);
+        self.solver.add_clause(&guarded)
     }
 
     /// Ends the current cone generation: the node↔variable map is cleared
     /// (the caller's AIG manager was replaced wholesale) and the cone
-    /// clauses are disabled. Under [`CnfLifetime::Activation`] this
-    /// asserts the negated activation literal on the *persistent* solver —
-    /// the retired variables are released from branching and the now-
-    /// satisfied clauses purged from the arena, while every
-    /// generation-independent learnt clause, activity, and phase survives.
-    /// Under [`CnfLifetime::Rebuild`] the solver is replaced (stats carry
-    /// over either way).
+    /// clauses are disabled by asserting the negated activation literal on
+    /// the *persistent* solver — the retired variables are released from
+    /// branching and the now-satisfied clauses purged from the arena,
+    /// while every generation-independent learnt clause, activity, and
+    /// phase survives.
     ///
     /// For a *compaction* of the same manager (sweep GC), prefer
     /// [`AigCnf::migrate`], which keeps the encoding itself alive.
@@ -221,57 +181,37 @@ impl AigCnf {
         self.stats.retirements += 1;
         self.stats.clauses_retired += self.gen_clauses;
         self.gen_clauses = 0;
-        match self.lifetime {
-            CnfLifetime::Activation => {
-                if let Some(act) = self.act.take() {
-                    self.solver.add_clause(&[!act]);
-                    // Dead-generation variables must never be branched on
-                    // again (their clauses are satisfied, so any value
-                    // works — but walking them costs every later solve).
-                    // With live caller-managed guard groups outstanding
-                    // they are *not* recycled — those groups may
-                    // reference them — merely released from branching.
-                    // With none outstanding, every clause naming a map
-                    // variable carries `!act` (Tseitin and learnt alike:
-                    // `act` occurs positively in no clause, so resolution
-                    // preserves the `!act` tag), so after the purge their
-                    // slots can be recycled together with the activator.
-                    if self.live_guards == 0 {
-                        let mut dead: Vec<SatLit> = self.map.iter().flatten().copied().collect();
-                        dead.sort_unstable_by_key(|sl| sl.var().index());
-                        dead.dedup_by_key(|sl| sl.var().index());
-                        self.retired_guards.extend(dead);
-                    } else {
-                        for sl in self.map.iter().flatten() {
-                            self.solver.set_decision(sl.var(), false);
-                        }
-                    }
-                    self.retired_guards.push(act);
-                    self.reclaim_guards();
+        if let Some(act) = self.act.take() {
+            self.solver.add_clause(&[!act]);
+            // Dead-generation variables must never be branched on again
+            // (their clauses are satisfied, so any value works — but
+            // walking them costs every later solve). With live
+            // caller-managed guard groups outstanding they are *not*
+            // recycled — those groups may reference them — merely
+            // released from branching. With none outstanding, every
+            // clause naming a map variable carries `!act` (Tseitin and
+            // learnt alike: `act` occurs positively in no clause, so
+            // resolution preserves the `!act` tag), so after the purge
+            // their slots can be recycled together with the activator.
+            if self.live_guards == 0 {
+                let mut dead: Vec<SatLit> = self.map.iter().flatten().copied().collect();
+                dead.sort_unstable_by_key(|sl| sl.var().index());
+                dead.dedup_by_key(|sl| sl.var().index());
+                self.retired_guards.extend(dead);
+            } else {
+                for sl in self.map.iter().flatten() {
+                    self.solver.set_decision(sl.var(), false);
                 }
             }
-            CnfLifetime::Rebuild => {
-                // Keep the discarded solver's effort on the books (its
-                // arena is gone, so that gauge resets).
-                let mut snap = self.solver.stats();
-                snap.arena_words = 0;
-                self.retired_solver.absorb(&snap);
-                self.solver = Solver::new();
-                self.act = None;
-                // Guard bookkeeping named the discarded solver's vars.
-                self.retired_guards.clear();
-                self.live_guards = 0;
-            }
+            self.retired_guards.push(act);
+            self.reclaim_guards();
         }
         self.map.clear();
     }
 
-    /// Solver-core counters, monotone across retirements in both lifetime
-    /// modes (a rebuild's discarded solver stays on the books).
+    /// Solver-core counters (monotone: retirement keeps the solver).
     pub fn solver_stats(&self) -> SolverStats {
-        let mut s = self.retired_solver;
-        s.absorb(&self.solver.stats());
-        s
+        self.solver.stats()
     }
 
     /// Carries the encoding across a **compaction** of the same manager:
@@ -286,13 +226,8 @@ impl AigCnf {
     /// memory-pressure valve trips: once the solver carries more than
     /// ~4× the live variables, the whole generation is retired via
     /// [`AigCnf::retire_cones`] (re-encoding from scratch, bounded
-    /// memory). Under [`CnfLifetime::Rebuild`] every migration degrades
-    /// to a retirement — that is exactly the ablation baseline.
+    /// memory).
     pub fn migrate(&mut self, old_to_new: &[Option<Lit>], new_num_nodes: usize) {
-        if self.lifetime == CnfLifetime::Rebuild {
-            self.retire_cones();
-            return;
-        }
         let mut new_map: Vec<Option<SatLit>> = vec![None; new_num_nodes];
         let mut live = 0usize;
         // Variables whose old node has NO image in the new manager — a
@@ -360,7 +295,7 @@ impl AigCnf {
     /// Selects the solver's proof mode. Must be called before any clause
     /// is encoded (the proof plane covers the whole database or nothing),
     /// which in practice means right after construction — the
-    /// interpolation engine does this on its per-query `Rebuild` bridges.
+    /// interpolation engine does this on its one bridge per run.
     pub fn set_proof_mode(&mut self, mode: ProofMode) {
         self.solver.set_proof_mode(mode);
     }
@@ -566,9 +501,8 @@ impl AigCnf {
     }
 
     /// Asserts `l` for the lifetime of the current cone generation (a unit
-    /// clause under the generation's activation guard; plain unit in
-    /// `Rebuild` mode — either way it dies with [`AigCnf::retire_cones`],
-    /// exactly like the cones it constrains).
+    /// clause under the generation's activation guard, so it dies with
+    /// [`AigCnf::retire_cones`], exactly like the cones it constrains).
     ///
     /// Used by engines that constrain the whole enumeration, e.g. blocking
     /// already-covered state cubes.
@@ -580,13 +514,9 @@ impl AigCnf {
             // The *generation* is unsatisfiable: guard the empty clause so
             // a later retirement can recover the solver.
             self.gen_clauses += 1;
-            return match self.activator() {
-                Some(act) => {
-                    self.solver.add_clause(&[!act]);
-                    false
-                }
-                None => self.solver.add_clause(&[]),
-            };
+            let act = self.activator();
+            self.solver.add_clause(&[!act]);
+            return false;
         }
         let sl = self.ensure(aig, l);
         self.add_guarded(&[sl])
@@ -797,7 +727,6 @@ mod tests {
         // every SAT variable — and every learnt clause — stays live.
         let (aig, fwd, rev) = parity_pair(10);
         let mut cnf = AigCnf::new();
-        assert_eq!(cnf.lifetime(), CnfLifetime::Activation);
         assert_eq!(cnf.prove_equiv(&aig, fwd, rev, None), EquivResult::Equiv);
         let learnts_before = cnf.solver().stats().learnts;
         assert!(learnts_before > 0, "equivalence proof learnt nothing");
@@ -855,21 +784,6 @@ mod tests {
         assert_eq!(cnf.solve_under(&aig2, &[fwd2]), SatResult::Sat);
         let m = cnf.model_inputs(&aig2);
         assert!(aig2.eval(fwd2, &m));
-    }
-
-    #[test]
-    fn rebuild_lifetime_discards_learnts() {
-        let (aig, fwd, rev) = parity_pair(8);
-        let mut cnf = AigCnf::with_lifetime(CnfLifetime::Rebuild);
-        assert_eq!(cnf.prove_equiv(&aig, fwd, rev, None), EquivResult::Equiv);
-        let checks_before = cnf.stats().checks;
-        cnf.retire_cones();
-        assert_eq!(cnf.stats().retirements, 1);
-        assert_eq!(cnf.stats().learnts_retained, 0);
-        assert_eq!(cnf.solver().stats().learnts, 0, "rebuild keeps no learnts");
-        assert_eq!(cnf.stats().checks, checks_before, "stats stay monotone");
-        let (aig2, fwd2, rev2) = parity_pair(8);
-        assert_eq!(cnf.prove_equiv(&aig2, fwd2, rev2, None), EquivResult::Equiv);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property-based differential tests of the activation-literal cone
 //! lifetimes: a persistent [`AigCnf`] driven through add/solve/retire
-//! cycles must answer exactly like a fresh bridge at every step, in both
-//! lifetime modes, across manager compactions.
+//! cycles must answer exactly like a fresh bridge at every step, across
+//! manager compactions.
 
 use proptest::prelude::*;
 
 use cbq_aig::{Aig, Lit};
-use cbq_cnf::{AigCnf, CnfLifetime, EquivResult};
+use cbq_cnf::{AigCnf, EquivResult};
 use cbq_sat::SatResult;
 
 /// A recipe for building a random combinational cone over `N` inputs.
@@ -86,9 +86,9 @@ enum GcHandoff {
 /// compared to the exhaustive oracle, then the manager is compacted and
 /// the bridge handed across (retired or migrated), and the next round
 /// continues on the new manager.
-fn drive(mut aig: Aig, mut roots: Vec<Lit>, lifetime: CnfLifetime, handoff: GcHandoff) {
+fn drive(mut aig: Aig, mut roots: Vec<Lit>, handoff: GcHandoff) {
     let rounds = 3;
-    let mut cnf = AigCnf::with_lifetime(lifetime);
+    let mut cnf = AigCnf::new();
     for round in 0..rounds {
         for &r in &roots {
             let expect = oracle_sat(&aig, r);
@@ -96,7 +96,7 @@ fn drive(mut aig: Aig, mut roots: Vec<Lit>, lifetime: CnfLifetime, handoff: GcHa
             assert_eq!(
                 got.is_sat(),
                 expect,
-                "round {round} ({lifetime:?}): solve_under disagrees with the oracle on {r:?}"
+                "round {round} ({handoff:?}): solve_under disagrees with the oracle on {r:?}"
             );
             if got == SatResult::Sat {
                 let m = cnf.model_inputs(&aig);
@@ -139,9 +139,6 @@ fn drive(mut aig: Aig, mut roots: Vec<Lit>, lifetime: CnfLifetime, handoff: GcHa
         aig = packed;
         roots = packed_roots;
     }
-    if lifetime == CnfLifetime::Rebuild {
-        assert_eq!(cnf.stats().learnts_retained, 0);
-    }
 }
 
 proptest! {
@@ -153,7 +150,7 @@ proptest! {
     #[test]
     fn activation_retire_cycles_agree_with_oracle(ops in ops_strategy(20)) {
         let (aig, roots) = build(&ops);
-        drive(aig, roots, CnfLifetime::Activation, GcHandoff::Retire);
+        drive(aig, roots, GcHandoff::Retire);
     }
 
     /// The sweep-GC path: add/solve/*migrate* cycles — surviving cones
@@ -163,17 +160,7 @@ proptest! {
     #[test]
     fn activation_migrate_cycles_agree_with_oracle(ops in ops_strategy(20)) {
         let (aig, roots) = build(&ops);
-        drive(aig, roots, CnfLifetime::Activation, GcHandoff::Migrate);
-    }
-
-    /// The rebuild ablation mode answers identically (it is the old
-    /// fresh-bridge-after-GC behaviour), whichever hand-off the sweep
-    /// asks for.
-    #[test]
-    fn rebuild_cycles_agree_with_oracle(ops in ops_strategy(20)) {
-        let (aig, roots) = build(&ops);
-        drive(aig.clone(), roots.clone(), CnfLifetime::Rebuild, GcHandoff::Retire);
-        drive(aig, roots, CnfLifetime::Rebuild, GcHandoff::Migrate);
+        drive(aig, roots, GcHandoff::Migrate);
     }
 
     /// Interleaved generation checks: queries answered *after* a retire

@@ -24,17 +24,32 @@
 //! depth ≤ `k`, delegated to [`Bmc`] for a minimal trace; with `R`
 //! widened it is abstract — the unrolling deepens and `R` resets.
 //!
-//! The per-query solver is a fresh [`CnfLifetime::Rebuild`] bridge, so
-//! every solve is assumption-free and the UNSAT answer derives a real
-//! empty clause — exactly what the proof plane certifies.
+//! One proof-logging bridge serves the whole run, and nothing but Tseitin
+//! definitions is ever asserted on it, so no learnt clause ever needs to
+//! be retracted. Each query encodes only the AIG nodes added since the
+//! previous one — `A` cones labelled `A` (the transition link first, so a
+//! node it shares with the unrolling stays on the `A` side), new `B`
+//! frames labelled `B` — and poses the `A` root `R ∧ a_eq` and the `B`
+//! root `b_any` as assumptions. An UNSAT answer ends in the proof log's
+//! *final clause* ([`ProofLog::final_id`]), the negated failed
+//! assumptions; resolving it with the assumption units gives the empty
+//! clause and leaves its McMillan label unchanged, so that label is the
+//! interpolant. The bridge's activation literal guards every clause and
+//! is assumed by every solve, so it occurs on both sides: read as ⊤, the
+//! interpolant separates the `act = 1` cofactors, which are the real `A`
+//! and `B`. The global variables are read from the log's `B` roots at
+//! query time, because a new frame can reach latches the previous ones
+//! did not. The depth-0 check, the fixpoint test and the stuck-latch
+//! probes run on the same bridge: it holds only definitions and what
+//! they imply.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use cbq_aig::{Aig, Lit, Var};
 use cbq_ckt::{Network, Trace};
-use cbq_cnf::{AigCnf, CnfLifetime};
-use cbq_sat::{ClauseId, ProofLog, ProofMode, SatResult, SatVar};
+use cbq_cnf::{AigCnf, AigCnfStats};
+use cbq_sat::{ClauseId, ProofLog, ProofMode, SatResult, SatVar, SolverStats};
 
 use crate::bmc::Bmc;
 use crate::bus::LemmaBus;
@@ -79,14 +94,19 @@ pub struct ItpStats {
     pub restarts: u64,
     /// Interpolants derived from resolution traces.
     pub interpolants: u64,
-    /// Resolution-trace clauses walked by the labelling passes, total.
+    /// Resolution-trace clauses labelled, total (labels are memoised until
+    /// a new frame grows the global set).
     pub trace_clauses: u64,
     /// AIG cone size of the last interpolant (over the cut variables).
     pub itp_nodes: usize,
     /// Singleton invariants published on the lemma bus.
     pub published: u64,
-    /// SAT checks across all per-query bridges (including delegation).
+    /// SAT checks on the run's bridge plus BMC delegation's.
     pub checks: u64,
+    /// Solver-core counters of the run's bridge (not of BMC delegation).
+    pub solver: SolverStats,
+    /// Counters of the run's bridge.
+    pub cnf: AigCnfStats,
 }
 
 /// Bundles the typed stats into the uniform run record.
@@ -113,7 +133,12 @@ impl Engine for Itp {
         let mut run = ItpRun::new(self, net);
         let verdict = run.solve(&meter, net, budget);
         let peak = run.aig.num_nodes();
-        finish(verdict, run.stats, peak, &meter)
+        let checks = run.checks();
+        let mut stats = run.stats;
+        stats.checks = checks;
+        stats.solver = run.cnf.solver_stats();
+        stats.cnf = run.cnf.stats();
+        finish(verdict, stats, peak, &meter)
     }
 }
 
@@ -135,8 +160,15 @@ struct ItpRun<'a> {
     state: Vec<Lit>,
     /// `bad(s₁) ∨ … ∨ bad(s_k)` for the frames built so far.
     b_any: Lit,
-    frames_built: usize,
+    /// The run's one proof-logging bridge; every query is posed on it as
+    /// assumptions.
+    cnf: AigCnf,
+    labeller: Labeller,
+    /// SAT checks of BMC delegation (the bridge counts its own).
+    delegated_checks: u64,
     stats: ItpStats,
+    #[cfg(test)]
+    audit: tests::Audit,
 }
 
 impl<'a> ItpRun<'a> {
@@ -156,6 +188,10 @@ impl<'a> ItpRun<'a> {
             .collect();
         let a_eq = aig.and_many(&eqs);
         let state: Vec<Lit> = ys.iter().map(|y| y.lit()).collect();
+        // Everything but the `B` frames is labelled `A`.
+        let mut cnf = AigCnf::new();
+        cnf.set_proof_mode(ProofMode::Trace);
+        cnf.set_clause_label(LABEL_A);
         ItpRun {
             cfg,
             aig,
@@ -169,9 +205,18 @@ impl<'a> ItpRun<'a> {
             a_eq,
             state,
             b_any: Lit::FALSE,
-            frames_built: 0,
+            cnf,
+            labeller: Labeller::default(),
+            delegated_checks: 0,
             stats: ItpStats::default(),
+            #[cfg(test)]
+            audit: tests::Audit::default(),
         }
+    }
+
+    /// SAT checks so far: the bridge's plus BMC delegation's.
+    fn checks(&self) -> u64 {
+        self.cnf.stats().checks + self.delegated_checks
     }
 
     /// Unrolls one more `B` frame: `bad` at the new time step under a
@@ -193,12 +238,11 @@ impl<'a> ItpRun<'a> {
         let bad_j = *out.last().expect("bad root composed");
         self.state = out[..out.len() - 1].to_vec();
         self.b_any = self.aig.or(self.b_any, bad_j);
-        self.frames_built += 1;
     }
 
-    /// Model values of `vars` (AIG inputs) after a SAT answer on `cnf`.
-    fn read(&self, cnf: &AigCnf, vars: &[Var]) -> Vec<bool> {
-        let model = cnf.model_inputs(&self.aig);
+    /// Model values of `vars` (AIG inputs) after a SAT answer.
+    fn read(&self, vars: &[Var]) -> Vec<bool> {
+        let model = self.cnf.model_inputs(&self.aig);
         vars.iter()
             .map(|v| model[self.aig.input_index(*v).expect("primary input")])
             .collect()
@@ -207,21 +251,17 @@ impl<'a> ItpRun<'a> {
     fn solve(&mut self, meter: &Meter, net: &Network, budget: &Budget) -> Verdict {
         // Depth 0: `bad` inside the initial states needs no unrolling
         // (and the safety argument below assumes it has been excluded).
-        let mut cnf = AigCnf::with_lifetime(CnfLifetime::Rebuild);
-        let depth0 = cnf.solve_under(&self.aig, &[self.init_lit, self.bad]);
-        self.stats.checks += cnf.stats().checks;
-        if depth0 == SatResult::Sat {
-            let trace = Trace::new(vec![self.read(&cnf, &self.pis)]);
+        if self.cnf.solve_under(&self.aig, &[self.init_lit, self.bad]) == SatResult::Sat {
+            let trace = Trace::new(vec![self.read(&self.pis)]);
             return Verdict::Unsafe { trace };
         }
-        drop(cnf);
 
         let mut k = 1;
         self.extend_frames();
         let mut r_lit = self.init_lit;
         loop {
             self.stats.frames = k;
-            if let Some(bounded) = meter.exceeded(k - 1, self.aig.num_nodes(), self.stats.checks) {
+            if let Some(bounded) = meter.exceeded(k - 1, self.aig.num_nodes(), self.checks()) {
                 return bounded;
             }
             if self.b_any == Lit::FALSE {
@@ -261,10 +301,11 @@ impl<'a> ItpRun<'a> {
                     let itp_l = self.aig.compose_many(&[itp_y], &sub)[0];
                     // Fixpoint test: I ⊆ R closes the approximation
                     // sequence — R is inductive and excludes `bad`.
-                    let mut c = AigCnf::with_lifetime(CnfLifetime::Rebuild);
-                    let contained = c.solve_under(&self.aig, &[itp_l, !r_lit]);
-                    self.stats.checks += c.stats().checks;
-                    if contained == SatResult::Unsat {
+                    let contained =
+                        self.cnf.solve_under(&self.aig, &[itp_l, !r_lit]) == SatResult::Unsat;
+                    #[cfg(test)]
+                    self.audit.fixpoints.push((itp_l, r_lit, contained));
+                    if contained {
                         return self.conclude_safe(k);
                     }
                     r_lit = self.aig.or(r_lit, itp_l);
@@ -275,48 +316,57 @@ impl<'a> ItpRun<'a> {
         }
     }
 
-    /// One bounded query `A(R) ∧ B` on a fresh proof-logging bridge.
-    /// UNSAT answers return the Craig interpolant over the cut.
+    /// One bounded query `A(R) ∧ B` on the run's bridge: encodes what
+    /// earlier queries left unencoded (`A` cones labelled `A`, new frames
+    /// `B`), then assumes both roots. UNSAT answers return the Craig
+    /// interpolant over the cut.
     fn bounded_query(&mut self, a_lit: Lit) -> QueryResult {
-        let mut cnf = AigCnf::with_lifetime(CnfLifetime::Rebuild);
-        cnf.set_proof_mode(ProofMode::Trace);
-        cnf.set_clause_label(LABEL_A);
-        cnf.assert_lit(&self.aig, a_lit);
-        cnf.set_clause_label(LABEL_B);
-        cnf.assert_lit(&self.aig, self.b_any);
-        let res = cnf.solve_under(&self.aig, &[]);
-        self.stats.checks += cnf.stats().checks;
-        match res {
+        self.cnf.ensure(&self.aig, a_lit);
+        self.cnf.set_clause_label(LABEL_B);
+        self.cnf.ensure(&self.aig, self.b_any);
+        self.cnf.set_clause_label(LABEL_A);
+        match self.cnf.solve_under(&self.aig, &[a_lit, self.b_any]) {
             SatResult::Sat => QueryResult::Sat,
             SatResult::Unknown => QueryResult::Broken("solver returned unknown".into()),
             SatResult::Unsat => {
-                // Map the cut (and the constant node, if encoded) back to
-                // AIG literals; the interpolant mentions nothing else.
-                let mut rev: HashMap<SatVar, Lit> = HashMap::new();
-                for y in &self.ys {
-                    if let Some(sl) = cnf.sat_lit(y.lit()) {
-                        rev.insert(sl.var(), y.lit().xor_sign(sl.is_negative()));
-                    }
+                let result = self.interpolate();
+                #[cfg(test)]
+                if let QueryResult::Unsat(itp) = result {
+                    self.audit.interpolants.push((a_lit, self.b_any, itp));
                 }
-                if let Some(sl) = cnf.sat_lit(Lit::FALSE) {
-                    rev.insert(sl.var(), Lit::FALSE.xor_sign(sl.is_negative()));
-                }
-                let proof = match cnf.solver().proof() {
-                    Some(p) => p,
-                    None => return QueryResult::Broken("proof plane disabled".into()),
-                };
-                let num_vars = cnf.solver().num_vars();
-                match mcmillan(
-                    &mut self.aig,
-                    proof,
-                    num_vars,
-                    &rev,
-                    &mut self.stats.trace_clauses,
-                ) {
-                    Ok(itp) => QueryResult::Unsat(itp),
-                    Err(e) => QueryResult::Broken(e),
-                }
+                result
             }
+        }
+    }
+
+    /// Labels the refutation the last UNSAT answer logged.
+    fn interpolate(&mut self) -> QueryResult {
+        let proof = self.cnf.solver().proof().expect("the bridge logs proofs");
+        let Some(root) = proof.final_id().or(proof.empty_id()) else {
+            return QueryResult::Broken("UNSAT answer without a logged refutation".into());
+        };
+        // Map the cut, the constant node and the activation literal (read
+        // as ⊤) back to AIG literals; the interpolant mentions nothing else.
+        let fixed = [
+            (self.cnf.sat_lit(Lit::FALSE), Lit::FALSE),
+            (self.cnf.activation(), Lit::TRUE),
+        ];
+        let cut = self.ys.iter().map(|y| (self.cnf.sat_lit(y.lit()), y.lit()));
+        let rev: HashMap<SatVar, Lit> = cut
+            .chain(fixed)
+            .filter_map(|(sl, l)| sl.map(|sl| (sl.var(), l.xor_sign(sl.is_negative()))))
+            .collect();
+        self.labeller
+            .scan_b_roots(proof, self.cnf.solver().num_vars());
+        match self.labeller.mcmillan(
+            &mut self.aig,
+            proof,
+            root,
+            &rev,
+            &mut self.stats.trace_clauses,
+        ) {
+            Ok(itp) => QueryResult::Unsat(itp),
+            Err(e) => QueryResult::Broken(e),
         }
     }
 
@@ -325,19 +375,17 @@ impl<'a> ItpRun<'a> {
     /// re-validate, so this can cost queries but never verdicts).
     fn conclude_safe(&mut self, k: usize) -> Verdict {
         if let Some(bus) = &self.cfg.bus {
-            let mut cnf = AigCnf::with_lifetime(CnfLifetime::Rebuild);
             for (ord, (latch, delta)) in self.latches.iter().zip(&self.deltas).enumerate() {
                 let b = self.init_state[ord];
                 // `latch = b ∧ δ = ¬b` UNSAT ⇒ the latch can never leave
                 // its initial value, so the cube (ord, ¬b) is unreachable.
                 let stay = latch.lit().xor_sign(!b);
                 let leave = delta.xor_sign(b);
-                let res = cnf.solve_under(&self.aig, &[stay, leave]);
+                let res = self.cnf.solve_under(&self.aig, &[stay, leave]);
                 if res == SatResult::Unsat && bus.publish_inductive(vec![(ord, !b)]) {
                     self.stats.published += 1;
                 }
             }
-            self.stats.checks += cnf.stats().checks;
         }
         Verdict::Safe { iterations: k }
     }
@@ -350,7 +398,7 @@ impl<'a> ItpRun<'a> {
             ..Bmc::default()
         };
         let run = bmc.check(net, budget);
-        self.stats.checks += run.stats.sat_checks;
+        self.delegated_checks += run.stats.sat_checks;
         run.verdict
     }
 }
@@ -364,89 +412,125 @@ enum QueryResult {
     Broken(String),
 }
 
-/// McMillan labelling: one forward pass over the resolution DAG rooted
-/// at the empty clause, in derivation order.
+/// McMillan labelling state kept across one run's queries.
 ///
-/// Leaves (root clauses): an `A` clause contributes the disjunction of
-/// its literals over *global* variables (those occurring in any `B` root
-/// clause); a `B` clause contributes ⊤. A resolution step on pivot `v`
-/// joins the operands with ∨ when `v` is `A`-local and ∧ otherwise.
-/// Partition membership keys on **root** labels only — derived clauses
-/// carry whatever label was active when they were learnt.
-fn mcmillan(
-    aig: &mut Aig,
-    proof: &ProofLog,
-    num_vars: usize,
-    rev: &HashMap<SatVar, Lit>,
-    walked: &mut u64,
-) -> Result<Lit, String> {
-    let empty = proof
-        .empty_id()
-        .ok_or_else(|| "resolution trace has no empty clause".to_string())?;
-    let n = proof.num_clauses();
-    // Restrict the pass to clauses the empty derivation depends on.
-    let mut need = vec![false; n];
-    let mut stack = vec![empty];
-    while let Some(id) = stack.pop() {
-        if need[id as usize] {
-            continue;
+/// A clause's partial interpolant depends only on the root labels below
+/// it and on the global set, so labels are memoised across queries until
+/// the global set grows (a new frame adds `B` roots over fresh variables).
+#[derive(Default)]
+struct Labeller {
+    /// Variables occurring in some `B` root clause: the global set.
+    in_b: Vec<bool>,
+    /// Log clauses already scanned for `B` roots.
+    scanned: usize,
+    /// Partial interpolant of every clause labelled under the current
+    /// global set.
+    value: Vec<Option<Lit>>,
+    /// Clauses the current labelling pass has visited (reset after it).
+    needed: Vec<bool>,
+}
+
+impl Labeller {
+    /// Adds the variables of the `B` roots logged since the last call to
+    /// the global set, dropping every memoised label if it grew.
+    fn scan_b_roots(&mut self, proof: &ProofLog, num_vars: usize) {
+        if self.in_b.len() < num_vars {
+            self.in_b.resize(num_vars, false);
         }
-        need[id as usize] = true;
-        if let Some((base, steps)) = proof.chain(id) {
-            stack.push(base);
-            stack.extend(steps.iter().map(|&(_, side)| side));
-        }
-    }
-    let mut in_b = vec![false; num_vars];
-    for id in 0..n as ClauseId {
-        if proof.is_root(id) && proof.clause_label(id) == LABEL_B {
-            for l in proof.lits(id) {
-                in_b[l.var().index()] = true;
+        let mut grew = false;
+        for id in self.scanned..proof.num_clauses() {
+            let id = id as ClauseId;
+            if proof.is_root(id) && proof.clause_label(id) == LABEL_B {
+                for l in proof.lits(id) {
+                    grew |= !std::mem::replace(&mut self.in_b[l.var().index()], true);
+                }
             }
         }
-    }
-    let mut itp: Vec<Option<Lit>> = vec![None; n];
-    for id in 0..n as ClauseId {
-        if !need[id as usize] {
-            continue;
+        self.scanned = proof.num_clauses();
+        if grew {
+            self.value.clear();
         }
-        *walked += 1;
-        let value = match proof.chain(id) {
-            None => {
-                if proof.clause_label(id) == LABEL_B {
-                    Lit::TRUE
-                } else {
+    }
+
+    /// McMillan labelling: one forward pass, in derivation order, over
+    /// the resolution DAG rooted at `root`.
+    ///
+    /// Leaves (root clauses): an `A` clause contributes the disjunction of
+    /// its literals over *global* variables (those occurring in any `B`
+    /// root clause), each read through `rev`; a `B` clause contributes ⊤.
+    /// A resolution step on pivot `v` joins the operands with ∨ when `v`
+    /// is `A`-local and ∧ otherwise. Partition membership keys on
+    /// **root** labels only — derived clauses carry whatever label was
+    /// active when they were learnt.
+    fn mcmillan(
+        &mut self,
+        aig: &mut Aig,
+        proof: &ProofLog,
+        root: ClauseId,
+        rev: &HashMap<SatVar, Lit>,
+        walked: &mut u64,
+    ) -> Result<Lit, String> {
+        let n = proof.num_clauses();
+        self.needed.resize(n, false);
+        self.value.resize(n, None);
+        // The unlabelled clauses the root's derivation depends on. Ids are
+        // allocated in derivation order, so ascending ids are a
+        // topological order.
+        let mut order: Vec<ClauseId> = Vec::new();
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            if self.value[id as usize].is_some()
+                || std::mem::replace(&mut self.needed[id as usize], true)
+            {
+                continue;
+            }
+            order.push(id);
+            if let Some((base, steps)) = proof.chain(id) {
+                stack.push(base);
+                stack.extend(steps.iter().map(|&(_, side)| side));
+            }
+        }
+        order.sort_unstable();
+        for &id in &order {
+            self.needed[id as usize] = false;
+        }
+        *walked += order.len() as u64;
+        for id in order {
+            let value = match proof.chain(id) {
+                None if proof.clause_label(id) == LABEL_B => Lit::TRUE,
+                None => {
                     let mut acc = Lit::FALSE;
                     for l in proof.lits(id) {
-                        if in_b[l.var().index()] {
+                        if self.in_b[l.var().index()] {
                             let base = rev.get(&l.var()).ok_or_else(|| {
                                 format!("global sat var {} outside the cut", l.var().index())
                             })?;
-                            let t = base.xor_sign(l.is_negative());
-                            acc = aig.or(acc, t);
+                            acc = aig.or(acc, base.xor_sign(l.is_negative()));
                         }
                     }
                     acc
                 }
-            }
-            Some((base, steps)) => {
-                let mut acc = itp[base as usize]
-                    .ok_or_else(|| "chain references a later clause".to_string())?;
-                for &(pivot, side) in steps {
-                    let s = itp[side as usize]
-                        .ok_or_else(|| "chain references a later clause".to_string())?;
-                    acc = if in_b[pivot.index()] {
-                        aig.and(acc, s)
-                    } else {
-                        aig.or(acc, s)
-                    };
+                Some((base, steps)) => {
+                    let mut acc = self.value_of(base)?;
+                    for &(pivot, side) in steps {
+                        let s = self.value_of(side)?;
+                        acc = if self.in_b[pivot.index()] {
+                            aig.and(acc, s)
+                        } else {
+                            aig.or(acc, s)
+                        };
+                    }
+                    acc
                 }
-                acc
-            }
-        };
-        itp[id as usize] = Some(value);
+            };
+            self.value[id as usize] = Some(value);
+        }
+        self.value_of(root)
     }
-    itp[empty as usize].ok_or_else(|| "empty clause left unlabelled".to_string())
+
+    fn value_of(&self, id: ClauseId) -> Result<Lit, String> {
+        self.value[id as usize].ok_or_else(|| "chain references a later clause".to_string())
+    }
 }
 
 #[cfg(test)]
@@ -454,6 +538,15 @@ mod tests {
     use super::*;
     use crate::testsupport::{check_safe, check_unsafe};
     use cbq_ckt::generators;
+
+    /// What the audit test re-checks on fresh proof-free bridges.
+    #[derive(Default)]
+    pub(super) struct Audit {
+        /// Every interpolant: (`A` root, `B` root, `I` over the cut).
+        pub(super) interpolants: Vec<(Lit, Lit, Lit)>,
+        /// Every fixpoint test: (`I` over the latches, `R`, contained).
+        pub(super) fixpoints: Vec<(Lit, Lit, bool)>,
+    }
 
     #[test]
     fn proves_safe_models() {
@@ -503,6 +596,59 @@ mod tests {
             run.verdict
         );
         assert!(!run.verdict.is_unsafe());
+    }
+
+    #[test]
+    fn interpolants_separate_and_fixpoints_match_fresh_bridges() {
+        // Every interpolant the shared bridge yields must separate the
+        // real sides: `R ∧ a_eq ∧ ¬I` and `I ∧ b_any` are UNSAT on fresh
+        // proof-free bridges. Every shared fixpoint answer must equal a
+        // fresh bridge's.
+        let mut models = vec![
+            generators::token_ring(5),
+            generators::gray_counter(4),
+            generators::arbiter(4),
+            generators::mutex(),
+            generators::lfsr(5, &[0, 2]),
+            generators::fifo_ctrl(2),
+            generators::token_ring_bug(5),
+            generators::mutex_bug(),
+            generators::shift_ones(4),
+            generators::bounded_counter_gap(4, 6, 12),
+            generators::bounded_counter_gap(5, 10, 20),
+        ];
+        models.extend((6..12).map(|k| generators::counter_bug(6, k)));
+        let budget = crate::engine::Budget::unlimited();
+        let (mut interpolants, mut fixpoints) = (0, 0);
+        for net in &models {
+            let cfg = Itp::default();
+            let mut run = ItpRun::new(&cfg, net);
+            let verdict = run.solve(&Meter::start(&budget), net, &budget);
+            for &(a, b, itp) in &run.audit.interpolants {
+                let mut fresh = AigCnf::new();
+                let a_side = fresh.solve_under(&run.aig, &[a, !itp]);
+                assert_eq!(a_side, SatResult::Unsat, "{}: A ⊄ I", net.name());
+                let mut fresh = AigCnf::new();
+                let b_side = fresh.solve_under(&run.aig, &[itp, b]);
+                assert_eq!(b_side, SatResult::Unsat, "{}: I meets B", net.name());
+            }
+            for &(itp_l, r, contained) in &run.audit.fixpoints {
+                let mut fresh = AigCnf::new();
+                let fresh_contained = fresh.solve_under(&run.aig, &[itp_l, !r]) == SatResult::Unsat;
+                assert_eq!(contained, fresh_contained, "{}: fixpoint test", net.name());
+            }
+            assert!(
+                !matches!(verdict, Verdict::Unknown { .. }),
+                "{}: {verdict}",
+                net.name()
+            );
+            interpolants += run.audit.interpolants.len();
+            fixpoints += run.audit.fixpoints.len();
+        }
+        assert!(
+            interpolants > 50 && fixpoints > 50,
+            "{interpolants} / {fixpoints}"
+        );
     }
 
     #[test]

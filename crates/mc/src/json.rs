@@ -549,6 +549,8 @@ pub fn run_fields(run: &McRun) -> Vec<(String, Json)> {
             field("trace_clauses", d.trace_clauses),
             field("itp_nodes", d.itp_nodes),
             field("published", d.published),
+            field("solver", &d.solver),
+            field("cnf", &d.cnf),
         ]);
     } else if let Some(d) = run.detail::<BmcStats>() {
         out.extend([
@@ -820,14 +822,24 @@ mod tests {
 
     #[test]
     fn itp_json_carries_interpolation_detail() {
-        use crate::itp::Itp;
+        use crate::itp::{Itp, ItpStats};
         let run = Itp::default().check(&generators::token_ring(4), &Budget::unlimited());
+        let d = run.detail::<ItpStats>().expect("itp stats");
         let json = run_to_json(&run);
         assert!(json.contains("\"verdict\":\"safe\""), "got {json}");
         assert!(json.contains("\"engine\":\"itp\""), "got {json}");
         assert!(json.contains("\"interpolants\":"), "got {json}");
         assert!(json.contains("\"trace_clauses\":"), "got {json}");
         assert!(json.contains("\"refinements\":"), "got {json}");
+        // The one bridge's counters: every check but delegation's is its.
+        assert!(d.solver.solves > 0 && d.cnf.encoded_ands > 0, "{d:?}");
+        assert_eq!(d.cnf.checks, d.checks, "no delegation on a safe model");
+        for field in [
+            format!("\"solver\":{}", Json::from(&d.solver)),
+            format!("\"cnf\":{}", Json::from(&d.cnf)),
+        ] {
+            assert!(json.contains(&field), "{field} missing from {json}");
+        }
     }
 
     #[test]

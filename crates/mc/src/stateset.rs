@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use cbq_aig::{Aig, Lit, Node, Var};
 use cbq_ckt::Network;
-use cbq_cnf::{AigCnf, AigCnfStats, CnfLifetime};
+use cbq_cnf::{AigCnf, AigCnfStats};
 use cbq_sat::{SatResult, SolverStats};
 
 use crate::engine::Direction;
@@ -172,18 +172,13 @@ impl Partition {
         } else {
             (Lit::FALSE, Lit::FALSE, Vec::new())
         };
-        // The sweeper's GC decides what a retirement does to the clause
-        // database, so the bridge is created with the sweeper's lifetime.
-        let lifetime = sweep
-            .as_ref()
-            .map_or(CnfLifetime::default(), |cfg| cfg.lifetime);
         let mut sweeper = sweep.map(StateSetSweeper::new);
         if let Some(sw) = &mut sweeper {
             sw.set_deadline(deadline);
         }
         Partition {
             aig,
-            cnf: AigCnf::with_lifetime(lifetime),
+            cnf: AigCnf::new(),
             pis: net.primary_inputs().to_vec(),
             latches: net.latch_vars(),
             next_vars,
@@ -208,7 +203,7 @@ impl Partition {
     fn clone_for_split(&self) -> Partition {
         Partition {
             aig: self.aig.clone(),
-            cnf: AigCnf::with_lifetime(self.cnf.lifetime()),
+            cnf: AigCnf::new(),
             pis: self.pis.clone(),
             latches: self.latches.clone(),
             next_vars: self.next_vars.clone(),

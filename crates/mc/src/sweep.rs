@@ -29,9 +29,7 @@
 //! activities, phases, and every counter — outlives the collection with
 //! nothing re-encoded; orphaned cones are released and purged, and under
 //! memory pressure the whole generation is retired by asserting the
-//! negated activation literal instead. (The old throw-the-solver-away
-//! behaviour is available as [`cbq_cnf::CnfLifetime::Rebuild`] via
-//! [`SweepConfig::lifetime`], kept for the ablation experiments.)
+//! negated activation literal instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -39,7 +37,7 @@ use std::time::Instant;
 use cbq_aig::sim::BitSim;
 use cbq_aig::{Aig, Lit, Var};
 use cbq_cec::{sweep as fraig, SweepConfig as FraigConfig};
-use cbq_cnf::{AigCnf, CnfLifetime};
+use cbq_cnf::AigCnf;
 
 use crate::bus::LemmaBus;
 
@@ -58,13 +56,6 @@ pub struct SweepConfig {
     /// holding only live cones and retires the SAT bridge's cone
     /// generation).
     pub gc: bool,
-    /// What a GC does to the clause database: the default
-    /// [`CnfLifetime::Activation`] retires dead cones via their
-    /// activation literal and keeps everything the solver learnt;
-    /// [`CnfLifetime::Rebuild`] throws the solver away (ablation
-    /// baseline). Consumed by the partition seeding code, which creates
-    /// each partition's bridge with this lifetime.
-    pub lifetime: CnfLifetime,
     /// Per-traversal budget deadline: a sweep that would start after this
     /// instant is skipped entirely, and the fraig candidate loop stops
     /// early once it passes (cooperative cancellation, so a sweep can
@@ -84,7 +75,6 @@ impl Default for SweepConfig {
             growth_factor: 1.5,
             min_nodes: 256,
             gc: true,
-            lifetime: CnfLifetime::default(),
             deadline: None,
         }
     }
@@ -269,8 +259,7 @@ impl StateSetSweeper {
             let (packed, packed_roots, var_map) = aig.compact_with_map(&new_roots);
             // Carry the bridge across the compaction: surviving cones keep
             // their SAT variables, so the solver's learnt clauses stay
-            // live and nothing re-encodes (under the rebuild-lifetime
-            // ablation this degrades to the old fresh-bridge behaviour).
+            // live and nothing re-encodes.
             cnf.migrate(&var_map, packed.num_nodes());
             self.stats.cnf_gcs += 1;
             *aig = packed;

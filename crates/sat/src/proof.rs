@@ -19,6 +19,17 @@
 //! final empty clause get chains of their own, so an UNSAT answer without
 //! assumptions always ends in a derivation of the empty clause.
 //!
+//! An UNSAT answer *under assumptions* ends instead in the *final clause*
+//! ([`ProofLog::final_id`]): the negations of the failed assumptions.
+//! Its chain starts at the reason of the falsified assumption `¬p`,
+//! resolves the trail's non-assumption literals away in reverse trail
+//! order and ends with the level-0 units — the shape conflict analysis
+//! records. When `¬p` holds at level 0, its unit is the final clause.
+//! Resolving the final clause with the assumptions as unit clauses gives
+//! the empty clause, so the log refutes the database plus the
+//! assumptions (what interpolation needs); [`ProofLog::to_drat`] still
+//! certifies only a real empty clause.
+//!
 //! Clause lifetime mirrors the solver's arena: additions and deletions
 //! are recorded as [`ProofEvent`]s in database order (what DRAT needs),
 //! and the `CRef → ClauseId` bookkeeping survives in-place arena
@@ -77,6 +88,9 @@ pub struct ProofLog {
     clauses: Vec<ProofClause>,
     events: Vec<ProofEvent>,
     empty: Option<ClauseId>,
+    /// The final clause of the last solve, if it ended UNSAT under
+    /// assumptions (cleared at the start of every solve).
+    final_clause: Option<ClauseId>,
     /// Partition label stamped on clauses registered from now on
     /// (interpolation partitions A/B; 0 until told otherwise).
     label: u32,
@@ -141,6 +155,16 @@ impl ProofLog {
         self.empty
     }
 
+    /// The final clause of the last solve, when it ended UNSAT under
+    /// assumptions: the negations of [`crate::Solver::failed_assumptions`],
+    /// with a resolution chain. `None` after a SAT answer, an
+    /// assumption-free solve, a refutation of the database itself (see
+    /// [`ProofLog::empty_id`]), or when the failed assumptions contradict
+    /// each other (`x` and `¬x` both assumed).
+    pub fn final_id(&self) -> Option<ClauseId> {
+        self.final_clause
+    }
+
     /// Whether the log contains a derivation of the empty clause.
     pub fn unsat(&self) -> bool {
         self.empty.is_some()
@@ -191,6 +215,14 @@ impl ProofLog {
         debug_assert!(self.clauses[id as usize].lits.is_empty());
         debug_assert!(self.empty.is_none(), "empty clause derived twice");
         self.empty = Some(id);
+    }
+
+    pub(crate) fn set_final(&mut self, id: ClauseId) {
+        self.final_clause = Some(id);
+    }
+
+    pub(crate) fn clear_final(&mut self) {
+        self.final_clause = None;
     }
 
     pub(crate) fn map_cref(&mut self, c: CRef, id: ClauseId) {
@@ -440,6 +472,42 @@ mod tests {
         assert_eq!(s.drat_proof(), None);
         // The database itself stays satisfiable.
         assert_eq!(s.solve(), SatResult::Sat);
+    }
+
+    #[test]
+    fn unsat_under_assumptions_logs_the_final_clause() {
+        let mut s = Solver::new();
+        s.set_proof_mode(ProofMode::Trace);
+        let a = s.new_var();
+        let b = s.new_var();
+        let c = s.new_var();
+        let d = s.new_var();
+        s.add_clause(&[a.neg(), b.pos()]);
+        s.add_clause(&[b.neg(), d.neg(), c.pos()]);
+        // Added last, so `c`'s reason keeps its level-0 literal `¬d`.
+        s.add_clause(&[d.pos()]);
+        assert_eq!(s.solve_with(&[a.pos(), c.neg()]), SatResult::Unsat);
+        let p = s.proof().unwrap();
+        let id = p.final_id().expect("final clause logged");
+        let mut lits = p.lits(id).to_vec();
+        lits.sort_unstable();
+        let mut want: Vec<SatLit> = s.failed_assumptions().iter().map(|&l| !l).collect();
+        want.sort_unstable();
+        assert_eq!(lits, want);
+        assert_eq!(p.replay(id).unwrap(), lits, "chain must resolve `d` away");
+        p.verify().unwrap();
+        assert!(!p.unsat() && s.drat_proof().is_none());
+        // An assumption falsified at level 0: its unit is the final clause.
+        assert_eq!(s.solve_with(&[b.pos(), d.neg()]), SatResult::Unsat);
+        let p = s.proof().unwrap();
+        assert_eq!(p.lits(p.final_id().unwrap()), &[d.pos()]);
+        // SAT answers and assumption-free solves clear it.
+        assert_eq!(s.solve_with(&[a.pos()]), SatResult::Sat);
+        assert_eq!(s.proof().unwrap().final_id(), None);
+        assert_eq!(s.solve_with(&[b.pos(), c.neg()]), SatResult::Unsat);
+        assert!(s.proof().unwrap().final_id().is_some());
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.proof().unwrap().final_id(), None);
     }
 
     #[test]

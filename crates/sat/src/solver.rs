@@ -695,14 +695,27 @@ impl Solver {
 
     /// Computes the subset of assumptions responsible for falsifying the
     /// assumption `p`; stores the failed assumptions (including `p`) in
-    /// `self.failed`.
+    /// `self.failed`. With proofs on, also logs the final clause
+    /// ([`ProofLog::final_id`]): the negated failed assumptions, derived
+    /// from the reason of `¬p` by resolving the trail's non-assumption
+    /// literals away deepest first, then the level-0 units.
     fn analyze_final(&mut self, p: SatLit) {
         self.failed.clear();
         self.failed.push(p);
-        if self.decision_level() == 0 {
+        let pv = p.var().index();
+        if self.level[pv] == 0 {
+            // `¬p` holds at level 0: its recorded unit is the final clause.
+            if let Some(log) = self.proof.as_mut() {
+                let id = log.unit_id(p.var());
+                log.set_final(id);
+            }
             return;
         }
-        self.seen[p.var().index()] = true;
+        let proof_on = self.proof.is_some();
+        let mut base: Option<CRef> = None;
+        let mut steps: Vec<(SatVar, CRef)> = Vec::new();
+        let mut zeros: Vec<SatVar> = Vec::new();
+        self.seen[pv] = true;
         for i in (self.trail_lim[0]..self.trail.len()).rev() {
             let q = self.trail[i];
             let v = q.var().index();
@@ -717,17 +730,34 @@ impl Solver {
                     }
                 }
                 Some(r) => {
+                    if proof_on {
+                        if v == pv {
+                            base = Some(r);
+                        } else {
+                            steps.push((q.var(), r));
+                        }
+                    }
                     for k in 1..self.ca.len(r) {
                         let l = self.ca.lit(r, k);
                         if self.level[l.var().index()] > 0 {
                             self.seen[l.var().index()] = true;
+                        } else if proof_on {
+                            zeros.push(l.var());
                         }
                     }
                 }
             }
             self.seen[v] = false;
         }
-        self.seen[p.var().index()] = false;
+        self.seen[pv] = false;
+        // No base: `¬p` was itself assumed, and `p ∨ ¬p` needs no proof.
+        if let Some(base) = base {
+            let lits: Vec<SatLit> = self.failed.iter().map(|&a| !a).collect();
+            self.proof_stash_chain(base, steps, zeros);
+            let log = self.proof.as_mut().expect("checked above");
+            let id = log.take_stash_as(&lits);
+            log.set_final(id);
+        }
     }
 
     fn backtrack(&mut self, target: usize) {
@@ -1081,6 +1111,9 @@ impl Solver {
     pub fn solve_with(&mut self, assumptions: &[SatLit]) -> SatResult {
         self.stats.solves += 1;
         self.failed.clear();
+        if let Some(p) = self.proof.as_mut() {
+            p.clear_final();
+        }
         self.call_conflicts = 0;
         self.best_trail = 0;
         self.use_target = false;
@@ -1223,7 +1256,8 @@ impl Solver {
 
     /// After an [`SatResult::Unsat`] answer from [`Solver::solve_with`]:
     /// a subset of the assumptions sufficient for unsatisfiability
-    /// (empty if the database alone is unsatisfiable).
+    /// (empty if the database alone is unsatisfiable). With proofs on,
+    /// [`ProofLog::final_id`] names the derivation of their negation.
     pub fn failed_assumptions(&self) -> &[SatLit] {
         &self.failed
     }

@@ -217,6 +217,62 @@ proptest! {
         prop_assert_eq!(run(ProofMode::Off), run(ProofMode::Drat));
     }
 
+    /// Trace mode logs a final clause for every UNSAT answer under
+    /// assumptions: the negated failed assumptions, with a chain that
+    /// replays, implied by the formula alone (checked by enumeration).
+    /// SAT answers, assumption-free solves and refutations of the database
+    /// itself leave none. Unit clauses put literals on level 0, so chains
+    /// end in level-0 units and some assumptions are falsified there.
+    #[test]
+    fn final_clauses_negate_the_failed_assumptions(
+        clauses in cnf_strategy(7, 24),
+        queries in prop::collection::vec(
+            prop::collection::vec((0..7usize, any::<bool>()), 0..=4),
+            1..=4,
+        ),
+    ) {
+        let nvars = 7;
+        let mut s = Solver::new();
+        s.set_proof_mode(ProofMode::Trace);
+        for _ in 0..nvars {
+            s.new_var();
+        }
+        for c in &clauses {
+            s.add_clause(c);
+        }
+        for q in queries {
+            let mut seen = std::collections::HashSet::new();
+            let assumptions: Vec<SatLit> = q
+                .into_iter()
+                .filter(|(v, _)| seen.insert(*v))
+                .map(|(v, pos)| SatVar::from_index(v).lit(pos))
+                .collect();
+            let res = s.solve_with(&assumptions);
+            let log = s.proof().unwrap();
+            if res != SatResult::Unsat || assumptions.is_empty() || log.unsat() {
+                prop_assert_eq!(log.final_id(), None);
+                continue;
+            }
+            let id = log.final_id();
+            prop_assert!(id.is_some(), "UNSAT under {:?} logged no final clause", assumptions);
+            let id = id.unwrap();
+            let failed = s.failed_assumptions().to_vec();
+            let mut want: Vec<SatLit> = failed.iter().map(|&l| !l).collect();
+            want.sort_unstable();
+            let mut got = log.lits(id).to_vec();
+            got.sort_unstable();
+            prop_assert_eq!(got, want);
+            let verdict = log.verify();
+            prop_assert!(verdict.is_ok(), "trace broken: {:?}", verdict.err());
+            let mut with_core = clauses.clone();
+            with_core.extend(failed.iter().map(|&l| vec![l]));
+            prop_assert!(
+                brute_force_sat(nvars, &with_core).is_none(),
+                "final clause not implied by the formula"
+            );
+        }
+    }
+
     /// `failed_assumptions` is a genuine core: re-solving with just the
     /// core is still UNSAT.
     #[test]

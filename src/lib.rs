@@ -63,7 +63,7 @@ pub mod prelude {
     pub use cbq_bdd::{BddManager, BddRef};
     pub use cbq_cec::{check_equiv, sweep, MergeOrder, SweepConfig};
     pub use cbq_ckt::{Network, Trace};
-    pub use cbq_cnf::{AigCnf, CnfLifetime, EquivResult};
+    pub use cbq_cnf::{AigCnf, EquivResult};
     pub use cbq_core::{exists_many, exists_one, substitute, QuantConfig, QuantResult};
     pub use cbq_mc::{
         BddUmc, Bmc, Budget, CircuitUmc, Engine, KInduction, McRun, McStats, Portfolio, Verdict,

@@ -183,66 +183,47 @@ fn partitioned_circuit_umc_matches_oracle() {
 }
 
 #[test]
-fn activation_reuse_and_rebuild_lifetimes_match_oracle() {
-    // The solver ablation of the arena/activation PR: eager sweeping with
-    // the persistent activation-literal solver vs the old
-    // throw-the-solver-away rebuild — identical verdicts, iteration
-    // counts, and minimal cex depths on the whole suite, for both circuit
-    // engines. Only the activation runs may retain learnt clauses.
-    use cbq::cnf::CnfLifetime;
+fn activation_lifetime_matches_oracle_and_retains_learnts() {
+    // Eager sweeping on the persistent activation-literal solver: the
+    // verdicts, iteration counts and minimal cex depths match the oracle
+    // on the whole suite, for both circuit engines, and learnt clauses
+    // survive the sweep GCs.
     use cbq::mc::sweep::SweepConfig as StateSweepConfig;
     use cbq::mc::CircuitUmcStats;
     let mut retained_total = 0;
     for (net, expected) in suite_with_oracle() {
-        for lifetime in [CnfLifetime::Activation, CnfLifetime::Rebuild] {
-            let sweep = Some(StateSweepConfig {
-                lifetime,
-                ..StateSweepConfig::eager()
-            });
-            let run = CircuitUmc {
-                sweep: sweep.clone(),
-                ..CircuitUmc::default()
-            }
-            .check(&net, &Budget::unlimited());
-            assert_agrees(
-                &net,
-                expected,
-                &run.verdict,
-                "circuit-umc-lifetime",
-                true,
-                true,
-            );
-            let d = run.detail::<CircuitUmcStats>().expect("stats");
-            match lifetime {
-                CnfLifetime::Activation => retained_total += d.cnf.learnts_retained,
-                CnfLifetime::Rebuild => assert_eq!(
-                    d.cnf.learnts_retained,
-                    0,
-                    "{}: rebuild mode retained learnts",
-                    net.name()
-                ),
-            }
-            let run = CircuitUmc {
-                sweep,
-                ..CircuitUmc::forward()
-            }
-            .check(&net, &Budget::unlimited());
-            assert_agrees(
-                &net,
-                expected,
-                &run.verdict,
-                "forward-umc-lifetime",
-                true,
-                true,
-            );
-            let d = run.detail::<CircuitUmcStats>().expect("stats");
-            if lifetime == CnfLifetime::Rebuild {
-                assert_eq!(d.cnf.learnts_retained, 0);
-            }
+        let sweep = Some(StateSweepConfig::eager());
+        let run = CircuitUmc {
+            sweep: sweep.clone(),
+            ..CircuitUmc::default()
         }
+        .check(&net, &Budget::unlimited());
+        assert_agrees(
+            &net,
+            expected,
+            &run.verdict,
+            "circuit-umc-lifetime",
+            true,
+            true,
+        );
+        let d = run.detail::<CircuitUmcStats>().expect("stats");
+        retained_total += d.cnf.learnts_retained;
+        let run = CircuitUmc {
+            sweep,
+            ..CircuitUmc::forward()
+        }
+        .check(&net, &Budget::unlimited());
+        assert_agrees(
+            &net,
+            expected,
+            &run.verdict,
+            "forward-umc-lifetime",
+            true,
+            true,
+        );
     }
-    // Across the whole suite, at least one activation run must have
-    // carried learnt clauses over a sweep GC (the stat the PR is about).
+    // Across the whole suite, at least one run must have carried learnt
+    // clauses over a sweep GC.
     assert!(
         retained_total > 0,
         "no learnt clause ever survived a sweep GC across the suite"
