@@ -17,7 +17,8 @@ pub struct AigPerfCounters {
     /// Support limiting and multi-root walk sharing keep it below the
     /// summed cone sizes of the walked roots.
     pub scratch_walk_nodes: u64,
-    /// Cofactor-cache hits.
+    /// Always 0. The manager no longer caches cofactors; the field stays
+    /// because `--json` and the benchmark's counters name it.
     pub cofactor_cache_hits: u64,
 }
 
@@ -203,60 +204,9 @@ impl Scratch {
     }
 }
 
-/// Direct-mapped cofactor cache keyed by (root, var, phase).
-///
-/// Exact without any invalidation: the manager is append-only and
-/// [`Aig::and`] is a deterministic function of immutable existing
-/// structure, so a cofactor, once computed, can never change —
-/// recomputing it later necessarily returns the same literal. Compaction
-/// builds a fresh manager (and thus a fresh, empty cache), which is the
-/// only generation boundary that exists. Storage is allocated lazily on
-/// the first cofactor call so managers that never cofactor pay nothing.
-#[derive(Clone, Default)]
-struct CofactorCache {
-    /// `(key, result)`; `u64::MAX` marks an empty slot (a real key would
-    /// need a node index beyond any allocatable manager).
-    slots: Vec<(u64, Lit)>,
-    hits: u64,
-}
-
-const COF_CACHE_SLOTS: usize = 4096;
-
-impl CofactorCache {
-    fn key(f: Lit, v: Var, value: bool) -> u64 {
-        (u64::from(f.code()) << 32) | u64::from(v.0 << 1 | value as u32)
-    }
-
-    fn slot(key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as usize & (COF_CACHE_SLOTS - 1)
-    }
-
-    fn get(&mut self, f: Lit, v: Var, value: bool) -> Option<Lit> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let key = CofactorCache::key(f, v, value);
-        let (k, res) = self.slots[CofactorCache::slot(key)];
-        if k == key {
-            self.hits += 1;
-            Some(res)
-        } else {
-            None
-        }
-    }
-
-    fn put(&mut self, f: Lit, v: Var, value: bool, result: Lit) {
-        if self.slots.is_empty() {
-            self.slots = vec![(u64::MAX, Lit::FALSE); COF_CACHE_SLOTS];
-        }
-        let key = CofactorCache::key(f, v, value);
-        self.slots[CofactorCache::slot(key)] = (key, result);
-    }
-}
-
-/// Direct-mapped cone-size cache keyed by the root literal. Like the
-/// cofactor cache it is exact forever: nodes are never mutated, so the
-/// cone of an existing literal cannot change.
+/// Direct-mapped cone-size cache keyed by the root literal. It is exact
+/// forever: nodes are never mutated, so the cone of an existing literal
+/// cannot change.
 #[derive(Clone, Default)]
 struct ConeSizeCache {
     /// `(root code, size)`; `u32::MAX` marks an empty slot.
@@ -312,10 +262,10 @@ impl ConeSizeCache {
 ///
 /// The quantification inner loop (`cofactor` → `compose` → `and`) runs on
 /// dense, allocation-free structures: an open-addressing strash, a
-/// generation-stamped scratchpad for cone walks, support-limited
+/// generation-stamped scratchpad for cone walks, and support-limited
 /// cofactoring (the sub-cone that does not depend on the substituted
-/// variable is copied through unchanged), and a direct-mapped cofactor
-/// cache. See [`Aig::perf_counters`] for the work counters.
+/// variable is copied through unchanged). See [`Aig::perf_counters`] for
+/// the work counters.
 #[derive(Clone)]
 pub struct Aig {
     nodes: Vec<Node>,
@@ -323,7 +273,6 @@ pub struct Aig {
     inputs: Vec<Var>,
     level: Vec<u32>,
     scratch: Scratch,
-    cof_cache: CofactorCache,
     cone_cache: ConeSizeCache,
     strash_probes: u64,
 }
@@ -343,7 +292,6 @@ impl Aig {
             inputs: Vec::new(),
             level: vec![0],
             scratch: Scratch::default(),
-            cof_cache: CofactorCache::default(),
             cone_cache: ConeSizeCache::default(),
             strash_probes: 0,
         }
@@ -378,7 +326,7 @@ impl Aig {
         AigPerfCounters {
             strash_probes: self.strash_probes,
             scratch_walk_nodes: self.scratch.walk_nodes,
-            cofactor_cache_hits: self.cof_cache.hits,
+            cofactor_cache_hits: 0,
         }
     }
 
@@ -741,10 +689,7 @@ impl Aig {
     /// The positive or negative cofactor of `f` with respect to `v`.
     ///
     /// Support-limited: only the sub-cone of `f` that depends on `v` is
-    /// rebuilt; everything outside it is copied through unchanged. Results
-    /// are served from the cofactor cache when the same (root, var, phase)
-    /// was computed before — `exists_many`'s cost re-estimation and
-    /// aborted-variable retries ask for the same cofactors repeatedly.
+    /// rebuilt; everything outside it is copied through unchanged.
     ///
     /// ```
     /// use cbq_aig::{Aig, Lit};
@@ -757,12 +702,7 @@ impl Aig {
     /// ```
     pub fn cofactor(&mut self, f: Lit, v: Var, value: bool) -> Lit {
         let constant = if value { Lit::TRUE } else { Lit::FALSE };
-        if let Some(hit) = self.cof_cache.get(f, v, value) {
-            return hit;
-        }
-        let res = self.compose(f, &[(v, constant)]);
-        self.cof_cache.put(f, v, value, res);
-        res
+        self.compose(f, &[(v, constant)])
     }
 
     /// Both cofactors `(f|v=1, f|v=0)` of `f` with respect to `v`.
@@ -966,10 +906,9 @@ mod tests {
         let f = aig.and(a, b);
         let before = aig.perf_counters();
         let c1 = aig.cofactor(f, a.var(), true);
-        let c2 = aig.cofactor(f, a.var(), true); // cache hit
+        let c2 = aig.cofactor(f, a.var(), true);
         assert_eq!(c1, c2);
         let delta = aig.perf_counters().since(before);
-        assert_eq!(delta.cofactor_cache_hits, 1);
         assert!(delta.scratch_walk_nodes > 0);
         let g = aig.and(b, a); // strash lookup
         assert_eq!(g, f);

@@ -228,8 +228,8 @@ proptest! {
     }
 
     /// Differential: the manager's substitutions — `compose`,
-    /// `compose_many`, and `cofactor` on its first call and on a cache hit
-    /// — return the literals the test-side oracle computes on a clone of
+    /// `compose_many`, and `cofactor` on its first call and on a repeat —
+    /// return the literals the test-side oracle computes on a clone of
     /// the same manager, and both clones end with the same node list.
     #[test]
     fn substitutions_match_the_oracle(
@@ -247,13 +247,11 @@ proptest! {
         let swap = [(v, w.lit().xor_sign(phase))];
         let composed = aig.compose(root, &swap);
         prop_assert_eq!(composed, oracle::compose(&mut slow, root, &swap));
-        // First call, then an immediate cache hit.
+        // First call, then the same cofactor again.
         let cof = aig.cofactor(root, v, value);
         prop_assert_eq!(cof, oracle::cofactor(&mut slow, root, v, value));
         prop_assert!(!aig.support_contains(cof, v));
-        let hits = aig.perf_counters().cofactor_cache_hits;
         prop_assert_eq!(aig.cofactor(root, v, value), cof);
-        prop_assert_eq!(aig.perf_counters().cofactor_cache_hits, hits + 1);
         let (f1, f0) = aig.cofactors(composed, w);
         prop_assert_eq!(f1, oracle::cofactor(&mut slow, composed, w, true));
         prop_assert_eq!(f0, oracle::cofactor(&mut slow, composed, w, false));

@@ -536,8 +536,15 @@ impl AigCnf {
     ///
     /// Only meaningful immediately after a [`SatResult::Sat`] answer.
     pub fn model_inputs(&self, aig: &Aig) -> Vec<bool> {
-        aig.inputs()
-            .iter()
+        self.model_of(aig.inputs())
+    }
+
+    /// The model's values of `vars`, in order, read straight from the
+    /// bridge's map; a variable the bridge never encoded reads `false`.
+    ///
+    /// Only meaningful immediately after a [`SatResult::Sat`] answer.
+    pub fn model_of(&self, vars: &[Var]) -> Vec<bool> {
+        vars.iter()
             .map(|v| {
                 self.map
                     .get(v.index())

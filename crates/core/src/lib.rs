@@ -367,8 +367,6 @@ pub struct QuantStats {
     pub sweep: SweepStats,
     /// Optimisation-phase counters accumulated over all variables.
     pub opt: OptStats,
-    /// AIG-manager cofactor-cache hits during this run.
-    pub cofactor_cache_hits: u64,
     /// Nodes visited by dense scratchpad cone walks during this run.
     pub scratch_walk_nodes: u64,
     /// Structural-hash slot probes during this run.
@@ -592,7 +590,6 @@ pub fn exists_many(
 
 /// Folds the manager's hot-path counter delta for this run into `stats`.
 fn record_perf_delta(stats: &mut QuantStats, d: cbq_aig::AigPerfCounters) {
-    stats.cofactor_cache_hits += d.cofactor_cache_hits;
     stats.scratch_walk_nodes += d.scratch_walk_nodes;
     stats.strash_probes += d.strash_probes;
 }

@@ -119,10 +119,10 @@ proptest! {
         check_result(&aig, f, &vars, blit)?;
     }
 
-    /// The cofactor cache only memoises what recomputation returns: a
-    /// second `exists_many` on the manager the first one left behind,
-    /// where every cofactor is a cache or strash hit, returns the same
-    /// literal without growing the manager.
+    /// Quantification is a function of the manager's structure: a second
+    /// `exists_many` on the manager the first one left behind, where
+    /// every rebuilt gate is a strash hit, returns the same literal
+    /// without growing the manager.
     #[test]
     fn warm_manager_recomputes_the_same_exists(ops in ops_strategy(20), nvars in 1..3usize) {
         let (mut aig, f) = build(&ops);

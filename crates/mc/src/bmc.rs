@@ -5,7 +5,9 @@
 //! bits are AIG functions of the initial constants and the input frames
 //! `i₀ … i_{t-1}`, so no next-state variables ever exist — the circuit
 //! analogue of in-lining. Each depth is one assumption-based SAT call on
-//! the shared clause database.
+//! the shared clause database. The [`Unroller`] here is the crate's only
+//! functional unrolling: k-induction and interpolation unroll through it
+//! too.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use cbq_ckt::{Network, Trace};
 use cbq_cnf::AigCnf;
 use cbq_sat::{SatLit, SatResult};
 
-use crate::bus::{assume_cube_at, BusClientStats, BusCursor, LatchCube, LemmaBus, LemmaValidator};
+use crate::bus::{BusClientStats, BusConsumer, LemmaBus};
 use crate::engine::{Budget, Engine, Meter};
 use crate::verdict::{McRun, McStats, Verdict};
 
@@ -110,24 +112,28 @@ impl CoiReduction {
     }
 }
 
-/// Incremental functional unroller, shared by BMC and the base case of
-/// k-induction.
+/// The crate's one functional unroller. Frame `t`'s state bits are AIG
+/// functions of the start state and the input frames `i₀ … i_{t-1}`, and
+/// every frame is built by [`Unroller::push_frame`]. Three start states:
+///
+/// - the reset constants: BMC (with [`Unroller::with_coi_reduction`])
+///   and the base case of k-induction ([`Unroller::new`]);
+/// - fresh free state variables: the k-induction step case
+///   ([`Unroller::free_state`]);
+/// - a caller's cut on the caller's own manager and bridge: the `B`
+///   frames of interpolation ([`Unroller::from_state`]).
 #[derive(Debug)]
 pub(crate) struct Unroller {
     pub aig: Aig,
     pub cnf: AigCnf,
-    /// Current-frame state functions (over initial constants and input
-    /// frames created so far).
-    state: Vec<Lit>,
-    /// State functions of *every* frame unrolled so far (`states[t]` is
-    /// the state entering frame `t`; `states[0]` is the init constants).
-    /// Kept so bus lemmas can be instantiated at frames that already
-    /// exist by the time they are admitted.
+    /// The state entering each frame unrolled so far (`states[0]` is the
+    /// start state), kept so bus lemmas can be instantiated at frames
+    /// that already exist by the time they are admitted.
     pub states: Vec<Vec<Lit>>,
+    /// `bad` per unrolled frame.
+    pub bads: Vec<Lit>,
     /// Fresh input variables per frame.
     frame_inputs: Vec<Vec<Var>>,
-    /// `bad` literal per unrolled frame.
-    bads: Vec<Lit>,
     /// When set, stuck latches stay constants and pruned latches keep a
     /// frozen placeholder that no composed root — and no instantiated
     /// lemma — is allowed to read.
@@ -135,120 +141,145 @@ pub(crate) struct Unroller {
 }
 
 impl Unroller {
+    /// From the reset constants, unreduced.
     pub fn new(net: &Network) -> Unroller {
-        Unroller::build(net, None)
+        Unroller::from_reset(net, None)
     }
 
-    /// Like [`Unroller::new`] with the ternary X-propagation COI
-    /// reduction enabled. Sound for exact-depth reachability queries
-    /// only (see [`CoiReduction`]); k-induction keeps the plain
-    /// constructor.
+    /// From the reset constants with the ternary X-propagation COI
+    /// reduction. Sound for exact-depth reachability queries only (see
+    /// [`CoiReduction`]).
     pub fn with_coi_reduction(net: &Network) -> Unroller {
-        Unroller::build(net, Some(CoiReduction::analyse(net)))
+        Unroller::from_reset(net, Some(CoiReduction::analyse(net)))
     }
 
-    fn build(net: &Network, coi: Option<CoiReduction>) -> Unroller {
-        let aig = net.aig().clone();
-        let state: Vec<Lit> = net
+    fn from_reset(net: &Network, coi: Option<CoiReduction>) -> Unroller {
+        let reset = net
             .latches()
             .iter()
             .map(|l| if l.init { Lit::TRUE } else { Lit::FALSE })
             .collect();
+        let mut u = Unroller::from_state(net.aig().clone(), AigCnf::new(), reset);
+        u.coi = coi;
+        u
+    }
+
+    /// From one fresh free variable per latch.
+    pub fn free_state(net: &Network) -> Unroller {
+        let mut aig = net.aig().clone();
+        let free = net
+            .latches()
+            .iter()
+            .map(|_| aig.add_input().lit())
+            .collect();
+        Unroller::from_state(aig, AigCnf::new(), free)
+    }
+
+    /// From `start` (one literal per latch) on a manager that extends the
+    /// network's AIG, encoding into `cnf`.
+    pub fn from_state(aig: Aig, cnf: AigCnf, start: Vec<Lit>) -> Unroller {
         Unroller {
             aig,
-            cnf: AigCnf::new(),
-            states: vec![state.clone()],
-            state,
-            frame_inputs: Vec::new(),
+            cnf,
+            states: vec![start],
             bads: Vec::new(),
-            coi,
+            frame_inputs: Vec::new(),
+            coi: None,
         }
     }
 
     /// Latch-count summary of the reduction: `(stuck, pruned)`. Both 0
     /// when the reduction is off.
     pub fn coi_summary(&self) -> (usize, usize) {
-        match &self.coi {
-            None => (0, 0),
-            Some(c) => {
-                let stuck = c.stuck.iter().filter(|s| s.is_some()).count();
-                let pruned = c
-                    .active
-                    .iter()
-                    .zip(&c.stuck)
-                    .filter(|(a, s)| !**a && s.is_none())
-                    .count();
-                (stuck, pruned)
-            }
-        }
+        let stuck = self
+            .coi
+            .as_ref()
+            .map_or(0, |c| c.stuck.iter().flatten().count());
+        let pruned = (0..self.states[0].len())
+            .filter(|&i| self.pruned(i))
+            .count();
+        (stuck, pruned)
     }
 
-    /// Whether a bus cube may be instantiated on this unrolling: every
-    /// literal must touch a latch whose per-frame value is actually
-    /// computed (live or stuck-at-constant). Pruned latches keep a
-    /// frozen placeholder that must never reach the solver.
+    /// Whether latch `i` is pruned: its per-frame value is never computed.
+    fn pruned(&self, i: usize) -> bool {
+        self.coi
+            .as_ref()
+            .is_some_and(|c| !c.active[i] && c.stuck[i].is_none())
+    }
+
+    /// Whether a bus cube may be instantiated on this unrolling: no
+    /// literal may touch a pruned latch, whose frozen placeholder must
+    /// never reach the solver.
     pub fn cube_instantiable(&self, cube: &[(usize, bool)]) -> bool {
-        match &self.coi {
-            None => true,
-            Some(c) => cube
+        cube.iter().all(|&(ord, _)| !self.pruned(ord))
+    }
+
+    /// Unrolls one more frame and returns its `bad`: a fresh input for
+    /// every primary input (even under COI reduction, so trace
+    /// extraction is uniform), then one shared cone walk composing `bad`
+    /// and every live next-state function. Stuck latches keep their
+    /// constant, pruned ones their placeholder.
+    pub fn push_frame(&mut self, net: &Network) -> Lit {
+        let fresh: Vec<Var> = net
+            .primary_inputs()
+            .iter()
+            .map(|_| self.aig.add_input())
+            .collect();
+        let latches = net.latches();
+        let state = self.states.last().expect("start state");
+        // Pruned latches are unread by every composed root; their
+        // placeholder must not enter the substitution.
+        let mut subst: Vec<(Var, Lit)> = latches
+            .iter()
+            .zip(state)
+            .enumerate()
+            .filter(|&(i, _)| !self.pruned(i))
+            .map(|(_, (l, s))| (l.var, *s))
+            .collect();
+        subst.extend(
+            net.primary_inputs()
                 .iter()
-                .all(|&(ord, _)| c.active[ord] || c.stuck[ord].is_some()),
+                .zip(&fresh)
+                .map(|(pi, f)| (*pi, f.lit())),
+        );
+        let live: Vec<usize> = (0..latches.len())
+            .filter(|&i| self.coi.as_ref().is_none_or(|c| c.active[i]))
+            .collect();
+        let mut roots: Vec<Lit> = Vec::with_capacity(1 + live.len());
+        roots.push(net.bad());
+        roots.extend(live.iter().map(|&i| latches[i].next));
+        let composed = self.aig.compose_many(&roots, &subst);
+        let mut next = state.clone();
+        for (&i, &f) in live.iter().zip(&composed[1..]) {
+            next[i] = f;
         }
+        self.bads.push(composed[0]);
+        self.frame_inputs.push(fresh);
+        self.states.push(next);
+        composed[0]
     }
 
     /// Ensures frames `0..=depth` exist and returns `bad` at `depth`.
     pub fn bad_at(&mut self, net: &Network, depth: usize) -> Lit {
         while self.bads.len() <= depth {
-            // Fresh inputs for this frame (all primary inputs get one,
-            // even under COI reduction, so trace extraction is uniform).
-            let fresh: Vec<Var> = net
-                .primary_inputs()
-                .iter()
-                .map(|_| self.aig.add_input())
-                .collect();
-            let latches = net.latches();
-            let mut subst: Vec<(Var, Lit)> = Vec::with_capacity(latches.len() + fresh.len());
-            for (i, (l, s)) in latches.iter().zip(&self.state).enumerate() {
-                // Pruned latches are unread by every composed root; their
-                // (frozen) placeholder must not enter the substitution.
-                let pruned = self
-                    .coi
-                    .as_ref()
-                    .is_some_and(|c| !c.active[i] && c.stuck[i].is_none());
-                if !pruned {
-                    subst.push((l.var, *s));
-                }
-            }
-            subst.extend(
-                net.primary_inputs()
-                    .iter()
-                    .zip(&fresh)
-                    .map(|(pi, f)| (*pi, f.lit())),
-            );
-            // One shared cone walk composes bad and every live
-            // next-state function.
-            let mut roots: Vec<Lit> = Vec::with_capacity(1 + latches.len());
-            roots.push(net.bad());
-            let mut live: Vec<usize> = Vec::with_capacity(latches.len());
-            for (i, l) in latches.iter().enumerate() {
-                // Stuck latches keep their constant; pruned ones their
-                // placeholder.
-                if self.coi.as_ref().is_none_or(|c| c.active[i]) {
-                    live.push(i);
-                    roots.push(l.next);
-                }
-            }
-            let composed = self.aig.compose_many(&roots, &subst);
-            let mut next_state = self.state.clone();
-            for (k, &i) in live.iter().enumerate() {
-                next_state[i] = composed[k + 1];
-            }
-            self.bads.push(composed[0]);
-            self.frame_inputs.push(fresh);
-            self.states.push(next_state.clone());
-            self.state = next_state;
+            self.push_frame(net);
         }
         self.bads[depth]
+    }
+
+    /// Instantiates an admitted lemma cube as a clause under `guard` over
+    /// the state entering frame `t`: `⋁ ¬(states[t][ord] == val)`.
+    /// Constants fold away (see
+    /// [`cbq_cnf::AigCnf::add_guarded_clause_lits`]); an identically
+    /// false clause is skipped — dropping an instantiation is always
+    /// sound.
+    pub fn assume_cube(&mut self, guard: SatLit, t: usize, cube: &[(usize, bool)]) {
+        let clause: Vec<Lit> = cube
+            .iter()
+            .map(|&(ord, val)| self.states[t][ord].xor_sign(val))
+            .collect();
+        self.cnf.add_guarded_clause_lits(&self.aig, guard, &clause);
     }
 
     /// Solves `bad` at exactly `depth` under `extra` assumptions (the
@@ -265,18 +296,13 @@ impl Unroller {
 
     /// Extracts the trace for a satisfiable `depth` query (model must be
     /// current).
-    pub fn extract_trace(&self, net: &Network, depth: usize) -> Trace {
-        let model = self.cnf.model_inputs(&self.aig);
-        let inputs = (0..=depth)
-            .map(|t| {
-                self.frame_inputs[t]
-                    .iter()
-                    .map(|v| model[self.aig.input_index(*v).expect("frame input")])
-                    .collect()
-            })
-            .collect();
-        let _ = net;
-        Trace::new(inputs)
+    pub fn extract_trace(&self, depth: usize) -> Trace {
+        Trace::new(
+            self.frame_inputs[..=depth]
+                .iter()
+                .map(|inputs| self.cnf.model_of(inputs))
+                .collect(),
+        )
     }
 }
 
@@ -290,20 +316,13 @@ pub struct Bmc {
     /// Maximum unrolling depth (inclusive).
     pub max_depth: usize,
     /// The parallel portfolio's [`LemmaBus`]. When set, BMC re-validates
-    /// every published IC3 cube with its own [`LemmaValidator`] and
+    /// every published IC3 cube with its own [`crate::LemmaValidator`] and
     /// instantiates the admitted clauses at every unrolled frame under
     /// one guard. In a functional unrolling from the concrete initial
     /// state every frame valuation is a reachable state, so admitted
     /// lemmas are *implied* — they can only prune the solver's search,
     /// never add or remove a counterexample.
     pub bus: Option<Arc<LemmaBus>>,
-    /// Ternary X-propagation COI reduction before unrolling (on by
-    /// default): stuck-at-constant latches unroll as constants, and
-    /// latches that cannot influence `bad` are never composed. Verdicts
-    /// and minimal counterexample depths are unchanged — stuck values
-    /// hold in every reachable state, and a functional unrolling only
-    /// valuates reachable states.
-    pub coi_reduction: bool,
 }
 
 impl Default for Bmc {
@@ -311,7 +330,6 @@ impl Default for Bmc {
         Bmc {
             max_depth: 64,
             bus: None,
-            coi_reduction: true,
         }
     }
 }
@@ -355,13 +373,16 @@ impl Engine for Bmc {
     }
 
     /// Runs BMC on `net` within `budget` (`max_steps` caps the depth).
+    ///
+    /// The unrolling always runs the ternary X-propagation COI
+    /// reduction: stuck-at-constant latches unroll as constants, and
+    /// latches that cannot influence `bad` are never composed. Verdicts
+    /// and minimal counterexample depths are unchanged — stuck values
+    /// hold in every reachable state, and a functional unrolling only
+    /// valuates reachable states.
     fn check(&self, net: &Network, budget: &Budget) -> McRun {
         let meter = Meter::start(budget);
-        let mut u = if self.coi_reduction {
-            Unroller::with_coi_reduction(net)
-        } else {
-            Unroller::new(net)
-        };
+        let mut u = Unroller::with_coi_reduction(net);
         let (latches_stuck, latches_pruned) = u.coi_summary();
         let mut stats = BmcStats {
             latches_total: net.latches().len(),
@@ -369,16 +390,13 @@ impl Engine for Bmc {
             latches_pruned,
             ..BmcStats::default()
         };
-        // Bus consumer state: a zero-trust validator, one guard carrying
-        // every instantiated lemma clause, the read cursor, and the
-        // admitted cubes (re-instantiated at each new frame).
-        let mut validator = self.bus.as_ref().map(|_| LemmaValidator::new(net));
-        let lemma_guard = validator.as_ref().map(|_| u.cnf.new_guard());
-        let extra: Vec<SatLit> = lemma_guard.iter().copied().collect();
-        let mut cursor = BusCursor::default();
-        let mut admitted: Vec<LatchCube> = Vec::new();
-        let mut pending: Vec<LatchCube> = Vec::new();
-        let mut tagged_rejected: u64 = 0;
+        // The bus consumer, and one guard carrying every instantiated
+        // lemma clause.
+        let mut consumer = self
+            .bus
+            .clone()
+            .map(|bus| (BusConsumer::new(bus, net), u.cnf.new_guard()));
+        let extra: Vec<SatLit> = consumer.iter().map(|&(_, guard)| guard).collect();
         let mut verdict = Verdict::Unknown {
             reason: format!("no counterexample up to depth {}", self.max_depth),
         };
@@ -389,59 +407,35 @@ impl Engine for Bmc {
             }
             stats.depth_reached = d;
             u.bad_at(net, d);
-            if let (Some(bus), Some(v), Some(guard)) =
-                (self.bus.as_deref(), validator.as_mut(), lemma_guard)
-            {
+            if let Some((c, guard)) = consumer.as_mut() {
                 // Previously admitted lemmas reach the newly opened frame
-                // first, then fresh publications cover frames 1..=d (the
+                // first, then fresh admissions cover frames 1..=d (the
                 // frame-0 instantiation is a constant-true clause — skip).
+                // A cube over a pruned latch has no per-frame value to
+                // bind against — dropping it only loses pruning power,
+                // never soundness.
                 if d >= 1 {
-                    for cube in &admitted {
-                        assume_cube_at(&mut u.cnf, &u.aig, guard, &u.states[d], cube);
+                    for cube in c.admitted() {
+                        if u.cube_instantiable(cube) {
+                            u.assume_cube(*guard, d, cube);
+                        }
                     }
                 }
-                let fresh = bus.cubes_since(&mut cursor);
-                if !fresh.is_empty() {
-                    // Tagged (already inductive) publications take the
-                    // sequential fast path; untagged ones join the
-                    // mutual-induction batch pool. A fast-path rejection
-                    // is final; pool cubes stay pending for later rounds.
-                    let mut tagged: Vec<LatchCube> = Vec::new();
-                    for (cube, inductive) in fresh {
-                        if inductive {
-                            tagged.push(cube);
-                        } else {
-                            pending.push(cube);
-                        }
+                for cube in c.poll() {
+                    if !u.cube_instantiable(cube) {
+                        stats.coi_lemmas_skipped += 1;
+                        continue;
                     }
-                    let mut batch = v.admit_inductive(&tagged);
-                    tagged_rejected += (tagged.len() - batch.len()) as u64;
-                    if !pending.is_empty() {
-                        let from_pool = v.admit_batch(&pending);
-                        pending.retain(|c| !from_pool.contains(c));
-                        batch.extend(from_pool);
-                    }
-                    stats.bus.lemmas_admitted += batch.len() as u64;
-                    stats.bus.lemmas_rejected = tagged_rejected + pending.len() as u64;
-                    for norm in batch {
-                        // A cube over a pruned latch has no per-frame
-                        // value to bind against — dropping it only loses
-                        // pruning power, never soundness.
-                        if !u.cube_instantiable(&norm) {
-                            stats.coi_lemmas_skipped += 1;
-                            continue;
-                        }
-                        for t in 1..=d {
-                            assume_cube_at(&mut u.cnf, &u.aig, guard, &u.states[t], &norm);
-                        }
-                        admitted.push(norm);
+                    for t in 1..=d {
+                        u.assume_cube(*guard, t, cube);
                     }
                 }
             }
             match u.check_depth_assuming(net, d, &extra) {
                 SatResult::Sat => {
-                    let trace = u.extract_trace(net, d);
-                    verdict = Verdict::Unsafe { trace };
+                    verdict = Verdict::Unsafe {
+                        trace: u.extract_trace(d),
+                    };
                     break;
                 }
                 SatResult::Unsat => {}
@@ -454,7 +448,11 @@ impl Engine for Bmc {
             }
         }
         stats.unrolled_nodes = u.aig.num_nodes();
-        stats.sat_checks = u.cnf.stats().checks + validator.as_ref().map_or(0, |v| v.checks());
+        stats.sat_checks = u.cnf.stats().checks;
+        if let Some((c, _)) = &consumer {
+            stats.sat_checks += c.checks();
+            stats.bus = c.stats();
+        }
         finish(verdict, stats, &meter)
     }
 }
@@ -463,6 +461,7 @@ impl Engine for Bmc {
 mod tests {
     use super::*;
     use cbq_ckt::generators;
+    use proptest::prelude::*;
 
     #[test]
     fn finds_minimal_depth_counterexamples() {
@@ -534,31 +533,31 @@ mod tests {
         let net = b.build(bad);
 
         let reduced = Bmc::default().check(&net, &Budget::unlimited());
-        let full = Bmc {
-            coi_reduction: false,
-            ..Bmc::default()
-        }
-        .check(&net, &Budget::unlimited());
-        for run in [&reduced, &full] {
-            match &run.verdict {
-                Verdict::Unsafe { trace } => {
-                    assert_eq!(trace.len(), 3);
-                    assert!(trace.validates(&net));
-                }
-                other => panic!("expected unsafe, got {other}"),
+        match &reduced.verdict {
+            Verdict::Unsafe { trace } => {
+                assert_eq!(trace.len(), 3);
+                assert!(trace.validates(&net));
             }
+            other => panic!("expected unsafe, got {other}"),
         }
+        // The unreduced side: the plain unroller, one depth at a time.
+        let mut full = Unroller::new(&net);
+        assert_eq!(full.coi_summary(), (0, 0));
+        let depth = (0..=2)
+            .find(|&d| full.check_depth_assuming(&net, d, &[]) == SatResult::Sat)
+            .expect("the unreduced unrolling finds the bug");
+        let trace = full.extract_trace(depth);
+        assert_eq!(trace.len(), 3);
+        assert!(trace.validates(&net));
         let rs = reduced.detail::<BmcStats>().unwrap();
         assert_eq!(rs.latches_total, 4);
         assert_eq!(rs.latches_stuck, 1, "stuck latch not detected");
         assert_eq!(rs.latches_pruned, 1, "dead latch not pruned");
-        let fs = full.detail::<BmcStats>().unwrap();
-        assert_eq!((fs.latches_stuck, fs.latches_pruned), (0, 0));
         assert!(
-            rs.unrolled_nodes <= fs.unrolled_nodes,
+            rs.unrolled_nodes <= full.aig.num_nodes(),
             "reduction grew the unrolling: {} > {}",
             rs.unrolled_nodes,
-            fs.unrolled_nodes
+            full.aig.num_nodes()
         );
     }
 
@@ -573,6 +572,134 @@ mod tests {
         match run.verdict {
             Verdict::Unsafe { trace } => assert_eq!(trace.len(), 1),
             other => panic!("expected unsafe, got {other}"),
+        }
+    }
+
+    #[test]
+    fn consumes_prepublished_bus_lemmas() {
+        // `a` and `b` toggle together outside `bad`'s cone (pruned); a
+        // two-stage pipeline `p0' = 1`, `p1' = p0` fires `bad = p1` at
+        // depth 2. The pair `a ∧ ¬b`, `¬a ∧ b` is unreachable and
+        // mutually inductive: admitted, but skipped on the reduced
+        // unrolling. `¬p0 ∧ p1` is unreachable, inductive, and over live
+        // latches: admitted and instantiated.
+        let mut b = cbq_ckt::Network::builder("toggles");
+        let a = b.add_latch(false);
+        b.set_next(a, !a.lit());
+        let bv = b.add_latch(false);
+        b.set_next(bv, !bv.lit());
+        let p0 = b.add_latch(false);
+        b.set_next(p0, Lit::TRUE);
+        let p1 = b.add_latch(false);
+        b.set_next(p1, p0.lit());
+        let net = b.build(p1.lit());
+        let bus = Arc::new(LemmaBus::new());
+        bus.publish_cube(vec![(0, true), (1, false)]);
+        bus.publish_cube(vec![(0, false), (1, true)]);
+        bus.publish_inductive(vec![(2, false), (3, true)]);
+        let with_bus = Bmc {
+            bus: Some(bus),
+            ..Bmc::default()
+        }
+        .check(&net, &Budget::unlimited());
+        let without = Bmc::default().check(&net, &Budget::unlimited());
+        assert_eq!(with_bus.verdict, without.verdict);
+        assert_eq!(with_bus.verdict.trace().map(Trace::len), Some(3));
+        let d = with_bus.detail::<BmcStats>().expect("stats");
+        assert_eq!(d.latches_pruned, 2, "stats: {d:?}");
+        assert_eq!(d.bus.lemmas_admitted, 3, "stats: {d:?}");
+        assert_eq!(d.bus.lemmas_rejected, 0, "stats: {d:?}");
+        assert_eq!(d.coi_lemmas_skipped, 2, "stats: {d:?}");
+    }
+
+    /// A random network: three latches with the given resets and two
+    /// inputs; each next-state function, then `bad`, is a short random
+    /// AND expression over all five.
+    fn random_network(inits: &[bool], fns: &[Vec<(usize, bool, usize, bool)>]) -> Network {
+        let mut b = Network::builder("random");
+        let latches: Vec<Var> = inits.iter().map(|&i| b.add_latch(i)).collect();
+        let inputs: Vec<Var> = (0..2).map(|_| b.add_input()).collect();
+        let leaves: Vec<Lit> = latches.iter().chain(&inputs).map(|v| v.lit()).collect();
+        let mut roots = Vec::new();
+        for ops in fns {
+            let mut pool = leaves.clone();
+            for &(x, px, y, py) in ops {
+                let l = pool[x % pool.len()].xor_sign(px);
+                let r = pool[y % pool.len()].xor_sign(py);
+                let g = b.aig_mut().and(l, r);
+                pool.push(g);
+            }
+            roots.push(*pool.last().expect("leaves"));
+        }
+        for (l, r) in latches.iter().zip(&roots) {
+            b.set_next(*l, *r);
+        }
+        b.build(roots[latches.len()])
+    }
+
+    /// Unrolls frames 0–4 and evaluates every state and `bad` under the
+    /// input assignment `bits` (bit `i` for the unrolled manager's `i`-th
+    /// input): they must match iterating [`Network::step`] from the start
+    /// state the assignment gives. `checked` selects the latches that must
+    /// match. Returns the evaluated start state.
+    fn frames_follow_steps(
+        net: &Network,
+        u: &mut Unroller,
+        bits: u64,
+        checked: impl Fn(usize) -> bool,
+    ) -> Result<Vec<bool>, TestCaseError> {
+        u.bad_at(net, 4);
+        let asg: Vec<bool> = (0..u.aig.num_inputs())
+            .map(|i| bits >> (i % 64) & 1 == 1)
+            .collect();
+        let eval = |l: Lit| u.aig.eval(l, &asg);
+        let start: Vec<bool> = u.states[0].iter().map(|&l| eval(l)).collect();
+        let mut state = start.clone();
+        for t in 0..=5 {
+            for i in (0..state.len()).filter(|&i| checked(i)) {
+                prop_assert_eq!(eval(u.states[t][i]), state[i], "latch {} at frame {}", i, t);
+            }
+            if t == 5 {
+                break;
+            }
+            let inputs: Vec<bool> = u.frame_inputs[t].iter().map(|v| eval(v.lit())).collect();
+            let (next, bad) = net.step(&state, &inputs);
+            prop_assert_eq!(eval(u.bads[t]), bad, "bad at frame {}", t);
+            state = next;
+        }
+        Ok(start)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every start state unrolls the network's own semantics: from
+        /// the reset constants (plain and COI-reduced, where live and
+        /// stuck latches must match) and from free state variables.
+        #[test]
+        fn frames_match_network_steps(
+            inits in prop::collection::vec(any::<bool>(), 3..=3),
+            fns in prop::collection::vec(
+                prop::collection::vec(
+                    (any::<usize>(), any::<bool>(), any::<usize>(), any::<bool>()),
+                    0..=4,
+                ),
+                4..=4,
+            ),
+            bits: u64,
+        ) {
+            let net = random_network(&inits, &fns);
+            let start = frames_follow_steps(&net, &mut Unroller::new(&net), bits, |_| true)?;
+            prop_assert_eq!(start, net.initial_state());
+            let mut free = Unroller::free_state(&net);
+            frames_follow_steps(&net, &mut free, bits, |_| true)?;
+            let mut reduced = Unroller::with_coi_reduction(&net);
+            let coi = reduced.coi.as_ref().expect("reduction");
+            let computed: Vec<bool> = (0..3)
+                .map(|i| coi.active[i] || coi.stuck[i].is_some())
+                .collect();
+            let start = frames_follow_steps(&net, &mut reduced, bits, |i| computed[i])?;
+            prop_assert_eq!(start, net.initial_state());
         }
     }
 }

@@ -29,7 +29,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cbq_aig::{Aig, Lit, Var};
 use cbq_ckt::Network;
@@ -184,6 +184,22 @@ impl LemmaBus {
     }
 }
 
+/// The admission filter every cube passes before any query: `cube`
+/// normalized (sorted by latch ordinal, exact duplicates dropped) when
+/// it is well-formed — non-empty, one literal per latch, every ordinal
+/// below `init.len()` — and excludes the single, fully specified reset
+/// state `init`. Shared by bus admission and IC3's warm-start seeds.
+pub(crate) fn admissible_cube(cube: &[(usize, bool)], init: &[bool]) -> Option<LatchCube> {
+    let mut cube = cube.to_vec();
+    cube.sort_unstable_by_key(|&(ord, _)| ord);
+    cube.dedup();
+    let well_formed = !cube.is_empty()
+        && cube.windows(2).all(|w| w[0].0 != w[1].0)
+        && cube.iter().all(|&(ord, _)| ord < init.len());
+    let excludes_init = || cube.iter().any(|&(ord, val)| init[ord] != val);
+    (well_formed && excludes_init()).then_some(cube)
+}
+
 /// Re-validates bus cubes for one consumer: a private one-step model of
 /// the transition structure (latches as free inputs, functional `δ`)
 /// plus the conjunction of everything admitted so far.
@@ -230,20 +246,7 @@ impl LemmaValidator {
     /// Normalizes and validates `cube`; on success the clause `¬cube`
     /// joins the admitted set and the normalized cube is returned.
     pub fn admit(&mut self, cube: &[(usize, bool)]) -> Option<LatchCube> {
-        let mut cube = cube.to_vec();
-        cube.sort_unstable_by_key(|&(ord, _)| ord);
-        cube.dedup();
-        let well_formed = !cube.is_empty()
-            && cube.windows(2).all(|w| w[0].0 != w[1].0)
-            && cube.iter().all(|&(ord, _)| ord < self.latches.len());
-        if !well_formed {
-            return None;
-        }
-        // Init-exclusion: some literal must disagree with the (single,
-        // fully specified) reset state.
-        if !cube.iter().any(|&(ord, val)| self.init_state[ord] != val) {
-            return None;
-        }
+        let cube = admissible_cube(cube, &self.init_state)?;
         // One relative-induction query: can a state satisfying A ∧ ¬c
         // step into c? The ¬c clause lives under a per-query guard; each
         // c(δ) conjunct is its own assumption.
@@ -292,17 +295,10 @@ impl LemmaValidator {
     pub fn admit_batch(&mut self, cubes: &[LatchCube]) -> Vec<LatchCube> {
         let mut candidates: Vec<LatchCube> = Vec::new();
         for cube in cubes {
-            let mut cube = cube.clone();
-            cube.sort_unstable_by_key(|&(ord, _)| ord);
-            cube.dedup();
-            let well_formed = !cube.is_empty()
-                && cube.windows(2).all(|w| w[0].0 != w[1].0)
-                && cube.iter().all(|&(ord, _)| ord < self.latches.len());
-            if well_formed
-                && cube.iter().any(|&(ord, val)| self.init_state[ord] != val)
-                && !candidates.contains(&cube)
-            {
-                candidates.push(cube);
+            if let Some(cube) = admissible_cube(cube, &self.init_state) {
+                if !candidates.contains(&cube) {
+                    candidates.push(cube);
+                }
             }
         }
         while !candidates.is_empty() {
@@ -369,23 +365,88 @@ impl LemmaValidator {
     }
 }
 
-/// Instantiates an admitted lemma cube as a guarded clause over one
-/// unrolled frame: `state[ord]` is the frame's function for latch `ord`,
-/// and the added clause is `⋁ ¬(state[ord] == val)`. Constants fold away
-/// (see [`cbq_cnf::AigCnf::add_guarded_clause_lits`]); an identically
-/// false clause is skipped — dropping an instantiation is always sound.
-pub fn assume_cube_at(
-    cnf: &mut AigCnf,
-    aig: &Aig,
-    guard: SatLit,
-    state: &[Lit],
-    cube: &[(usize, bool)],
-) -> bool {
-    let clause: Vec<Lit> = cube
-        .iter()
-        .map(|&(ord, val)| state[ord].xor_sign(val))
-        .collect();
-    cnf.add_guarded_clause_lits(aig, guard, &clause)
+/// The one cube consumer of the unrolling engines (BMC and k-induction):
+/// a private [`LemmaValidator`], the bus read position, every cube
+/// admitted so far, the pool of untagged cubes still pending, and the
+/// count of cubes refused for good.
+///
+/// The engines only instantiate what [`BusConsumer::poll`] admits on
+/// their frames; every admitted clause holds in every reachable state.
+pub(crate) struct BusConsumer {
+    bus: Arc<LemmaBus>,
+    validator: LemmaValidator,
+    cursor: BusCursor,
+    admitted: Vec<LatchCube>,
+    pending: Vec<LatchCube>,
+    refused: u64,
+}
+
+impl BusConsumer {
+    /// A consumer of `bus` validating against `net`'s transition structure.
+    pub fn new(bus: Arc<LemmaBus>, net: &Network) -> BusConsumer {
+        BusConsumer {
+            bus,
+            validator: LemmaValidator::new(net),
+            cursor: BusCursor::default(),
+            admitted: Vec::new(),
+            pending: Vec::new(),
+            refused: 0,
+        }
+    }
+
+    /// Reads the bus once and returns the cubes newly admitted, in
+    /// normalized form. Tagged (already inductive) publications take the
+    /// sequential fast path, where a rejection is final. Untagged ones
+    /// join the pending pool, normalized so an admitted cube leaves it,
+    /// and the pool is retried as one mutual-induction batch on every
+    /// read that brings news: IC3's frame clauses usually hold only as a
+    /// set, and a set that failed mid-convergence can become inductive
+    /// once its missing siblings arrive.
+    pub fn poll(&mut self) -> &[LatchCube] {
+        let start = self.admitted.len();
+        let fresh = self.bus.cubes_since(&mut self.cursor);
+        if !fresh.is_empty() {
+            let mut tagged: Vec<LatchCube> = Vec::new();
+            for (cube, inductive) in fresh {
+                if inductive {
+                    tagged.push(cube);
+                } else if let Some(cube) = admissible_cube(&cube, &self.validator.init_state) {
+                    self.pending.push(cube);
+                } else {
+                    self.refused += 1;
+                }
+            }
+            let fast = self.validator.admit_inductive(&tagged);
+            self.refused += (tagged.len() - fast.len()) as u64;
+            self.admitted.extend(fast);
+            if !self.pending.is_empty() {
+                let from_pool = self.validator.admit_batch(&self.pending);
+                self.pending.retain(|c| !from_pool.contains(c));
+                self.admitted.extend(from_pool);
+            }
+        }
+        &self.admitted[start..]
+    }
+
+    /// Every cube admitted so far, in admission order.
+    pub fn admitted(&self) -> &[LatchCube] {
+        &self.admitted
+    }
+
+    /// SAT checks of the private validator.
+    pub fn checks(&self) -> u64 {
+        self.validator.checks()
+    }
+
+    /// Traffic so far: every admitted cube, and as rejected the cubes
+    /// refused for good plus the ones still pending.
+    pub fn stats(&self) -> BusClientStats {
+        BusClientStats {
+            lemmas_admitted: self.admitted.len() as u64,
+            lemmas_rejected: self.refused + self.pending.len() as u64,
+            ..BusClientStats::default()
+        }
+    }
 }
 
 /// Per-consumer bus traffic counters, shared by the BMC, k-induction,
@@ -561,5 +622,66 @@ mod tests {
         assert_eq!(batch, vec![c1.clone(), c2]);
         // Once the pair is admitted, each member re-admits trivially.
         assert!(v.admit(&c1).is_some());
+    }
+
+    #[test]
+    fn consumer_keeps_untagged_cubes_pending_until_their_siblings_arrive() {
+        // a' = b, b' = a (both init 0): the two one-hot cubes are
+        // inductive only as a pair.
+        let mut b = cbq_ckt::Network::builder("swap");
+        let a = b.add_latch(false);
+        let bv = b.add_latch(false);
+        b.set_next(a, bv.lit());
+        b.set_next(bv, a.lit());
+        let net = b.build(cbq_aig::Lit::FALSE);
+        let bus = Arc::new(LemmaBus::new());
+        let mut consumer = BusConsumer::new(bus.clone(), &net);
+        let c1 = vec![(0, true), (1, false)];
+        let c2 = vec![(0, false), (1, true)];
+        bus.publish_cube(c1.clone());
+        assert!(consumer.poll().is_empty(), "half a pair is not inductive");
+        let pending = BusClientStats {
+            lemmas_rejected: 1,
+            ..BusClientStats::default()
+        };
+        assert_eq!(consumer.stats(), pending);
+        assert!(consumer.poll().is_empty(), "no news, no retry");
+        bus.publish_cube(c2.clone());
+        assert_eq!(consumer.poll(), [c1, c2].as_slice());
+        assert_eq!(consumer.admitted().len(), 2);
+        let admitted = BusClientStats {
+            lemmas_admitted: 2,
+            ..BusClientStats::default()
+        };
+        assert_eq!(consumer.stats(), admitted);
+    }
+
+    #[test]
+    fn consumer_rejects_a_tagged_junk_cube_once() {
+        // {l0, l1} is unreachable on the ring but not inductive: the
+        // fast path refuses it for good. A later untagged invariant,
+        // published out of order, costs only its own batch query.
+        let net = generators::token_ring(4);
+        let bus = Arc::new(LemmaBus::new());
+        let mut consumer = BusConsumer::new(bus.clone(), &net);
+        bus.publish_inductive(vec![(0, true), (1, true)]);
+        assert!(consumer.poll().is_empty());
+        assert_eq!(consumer.stats().lemmas_rejected, 1);
+        let checks = consumer.checks();
+        assert!(checks > 0, "the tagged cube was queried");
+        bus.publish_cube(vec![(3, false), (2, false), (1, false), (0, false)]);
+        let all_zero = vec![(0, false), (1, false), (2, false), (3, false)];
+        assert_eq!(consumer.poll(), [all_zero].as_slice());
+        assert_eq!(consumer.checks(), checks + 1, "the junk was retried");
+        let stats = BusClientStats {
+            lemmas_admitted: 1,
+            lemmas_rejected: 1,
+            ..BusClientStats::default()
+        };
+        assert_eq!(consumer.stats(), stats);
+        // The admitted cube left the pool: news brings no second copy.
+        bus.publish_cube(vec![(0, true), (2, true)]);
+        assert!(consumer.poll().is_empty());
+        assert_eq!(consumer.stats().lemmas_admitted, 1);
     }
 }

@@ -26,7 +26,7 @@ use cbq_core::{exists_many, QuantConfig};
 use cbq_sat::{SatResult, SolverStats};
 
 use crate::engine::{Budget, Direction, Engine, Meter};
-use crate::stateset::{read_vars, state_cube, Partition, PartitionCount, PartitionStats, StateSet};
+use crate::stateset::{state_cube, Partition, PartitionCount, PartitionStats, StateSet};
 use crate::sweep::{SweepConfig as StateSweepConfig, SweepStats};
 use crate::verdict::{McRun, McStats, Resource, Verdict};
 
@@ -164,7 +164,7 @@ fn quant_perf(s: &cbq_core::QuantStats) -> AigPerfCounters {
     AigPerfCounters {
         strash_probes: s.strash_probes,
         scratch_walk_nodes: s.scratch_walk_nodes,
-        cofactor_cache_hits: s.cofactor_cache_hits,
+        cofactor_cache_hits: 0,
     }
 }
 
@@ -462,7 +462,7 @@ fn backward_trace(ss: &mut StateSet, net: &Network, level: usize) -> Trace {
             let pre_raw = p.preimage(target);
             let cube = state_cube(&mut p.aig, &p.latches, &state);
             if p.cnf.solve_under(&p.aig, &[pre_raw, cube]) == SatResult::Sat {
-                let inputs = read_vars(&p.aig, &p.pis, &p.cnf);
+                let inputs = p.cnf.model_of(&p.pis);
                 let (next, _) = net.step(&state, &inputs);
                 inputs_seq.push(inputs);
                 state = next;
@@ -481,7 +481,7 @@ fn backward_trace(ss: &mut StateSet, net: &Network, level: usize) -> Trace {
     let cube = state_cube(&mut p.aig, &p.latches, &state);
     let r = p.cnf.solve_under(&p.aig, &[p.bad, cube]);
     debug_assert_eq!(r, SatResult::Sat, "bad must fire at trace end");
-    inputs_seq.push(read_vars(&p.aig, &p.pis, &p.cnf));
+    inputs_seq.push(p.cnf.model_of(&p.pis));
     Trace::new(inputs_seq)
 }
 
@@ -497,8 +497,8 @@ fn forward_trace(ss: &mut StateSet, level: usize, t0: usize) -> Trace {
         let r = p.cnf.solve_under(&p.aig, &[p.frontiers[level], p.bad]);
         debug_assert_eq!(r, SatResult::Sat);
         (
-            vec![read_vars(&p.aig, &p.latches, &p.cnf)],
-            vec![read_vars(&p.aig, &p.pis, &p.cnf)],
+            vec![p.cnf.model_of(&p.latches)],
+            vec![p.cnf.model_of(&p.pis)],
         )
     };
     for l in (0..level).rev() {
@@ -520,8 +520,8 @@ fn forward_trace(ss: &mut StateSet, level: usize, t0: usize) -> Trace {
                 p.aig.and_many(&eqs)
             };
             if p.cnf.solve_under(&p.aig, &[p.frontiers[l], eq]) == SatResult::Sat {
-                states_rev.push(read_vars(&p.aig, &p.latches, &p.cnf));
-                inputs_rev.push(read_vars(&p.aig, &p.pis, &p.cnf));
+                states_rev.push(p.cnf.model_of(&p.latches));
+                inputs_rev.push(p.cnf.model_of(&p.pis));
                 found = true;
                 break;
             }

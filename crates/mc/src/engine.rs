@@ -196,6 +196,30 @@ impl Meter {
     }
 }
 
+/// The caller's own limit on `resource`. Delegates are only ever bounded
+/// on axes the caller budgeted, so this is `Some` in practice.
+fn caller_limit(budget: &Budget, resource: Resource) -> Option<u64> {
+    match resource {
+        Resource::Steps => budget.max_steps.map(|s| s as u64),
+        Resource::Nodes => budget.max_nodes.map(|s| s as u64),
+        Resource::SatChecks => budget.max_sat_checks,
+        Resource::WallClock => budget.timeout.map(|t| t.as_millis() as u64),
+    }
+}
+
+/// Rewrites a delegate's `Bounded` verdict to cite the caller's own limit:
+/// a delegate (a portfolio member, interpolation's BMC run) sees what is
+/// left of `budget`, but the caller set it.
+pub(crate) fn cite_caller(budget: &Budget, verdict: Verdict) -> Verdict {
+    match verdict {
+        Verdict::Bounded { resource, limit } => Verdict::Bounded {
+            resource,
+            limit: caller_limit(budget, resource).unwrap_or(limit),
+        },
+        other => other,
+    }
+}
+
 /// The common interface of every unbounded model checker in this crate.
 ///
 /// Implementations must honour `budget` at every iteration boundary:

@@ -58,7 +58,7 @@ use cbq_ckt::{Network, Trace};
 use cbq_cnf::{AigCnf, AigCnfStats};
 use cbq_sat::{SatLit, SatResult, SolverStats};
 
-use crate::bus::{BusClientStats, BusCursor, LemmaBus};
+use crate::bus::{admissible_cube, BusClientStats, BusCursor, LemmaBus};
 use crate::engine::{Budget, Engine, Meter};
 use crate::verdict::{McRun, McStats, Verdict};
 
@@ -443,19 +443,6 @@ impl<'a> Ic3Run<'a> {
         self.seq
     }
 
-    /// Model values of `vars` (all AIG inputs) after a SAT answer.
-    fn read(&self, vars: &[Var]) -> Vec<bool> {
-        let model = self.cnf.model_inputs(&self.aig);
-        vars.iter()
-            .map(|v| {
-                model[self
-                    .aig
-                    .input_index(*v)
-                    .expect("sequential var is an input")]
-            })
-            .collect()
-    }
-
     /// The AIG literal asserting latch `ord == val`.
     fn latch_lit(&self, ord: usize, val: bool) -> Lit {
         self.latches[ord].lit().xor_sign(!val)
@@ -542,7 +529,10 @@ impl<'a> Ic3Run<'a> {
         extra.extend_from_slice(&delta_sls);
         let result = self.cnf.solve_under_assuming(&self.aig, &[], &extra);
         let out = match result {
-            SatResult::Sat => Rel::Pred(self.read(&self.latches), self.read(&self.pis)),
+            SatResult::Sat => Rel::Pred(
+                self.cnf.model_of(&self.latches),
+                self.cnf.model_of(&self.pis),
+            ),
             SatResult::Unsat => {
                 let failed = self.cnf.solver().failed_assumptions();
                 let keep = delta_sls.iter().map(|sl| failed.contains(sl)).collect();
@@ -1046,7 +1036,7 @@ impl<'a> Ic3Run<'a> {
             .solve_under_assuming(&self.aig, &[self.init_lit, self.bad], &[])
         {
             SatResult::Sat => {
-                let trace = Trace::new(vec![self.read(&self.pis)]);
+                let trace = Trace::new(vec![self.cnf.model_of(&self.pis)]);
                 return Verdict::Unsafe { trace };
             }
             SatResult::Unknown => {
@@ -1062,28 +1052,21 @@ impl<'a> Ic3Run<'a> {
         // inductive relative to F₀ (`rel_query` at level 0) — before its
         // clause enters F₁, so a stale or even adversarial seed degrades
         // to wasted queries, never to a wrong verdict.
-        if !self.cfg.seed.is_empty() {
-            for cand in self.cfg.seed.clone() {
-                if let Some(bounded) = self.budget_verdict(meter) {
-                    return bounded;
+        let cfg = self.cfg;
+        for cand in &cfg.seed {
+            if let Some(bounded) = self.budget_verdict(meter) {
+                return bounded;
+            }
+            let Some(cube) = admissible_cube(cand, &self.init_state) else {
+                self.stats.seed_rejected += 1;
+                continue;
+            };
+            match self.rel_query(&cube, 0) {
+                Rel::Blocked(_) => {
+                    self.add_blocked(cube, 1);
+                    self.stats.seeded += 1;
                 }
-                let mut cube = cand;
-                cube.sort_unstable_by_key(|&(ord, _)| ord);
-                cube.dedup();
-                let well_formed = !cube.is_empty()
-                    && cube.windows(2).all(|w| w[0].0 != w[1].0)
-                    && cube.iter().all(|&(ord, _)| ord < self.latches.len());
-                if !well_formed || !self.excludes_init(&cube) {
-                    self.stats.seed_rejected += 1;
-                    continue;
-                }
-                match self.rel_query(&cube, 0) {
-                    Rel::Blocked(_) => {
-                        self.add_blocked(cube, 1);
-                        self.stats.seeded += 1;
-                    }
-                    _ => self.stats.seed_rejected += 1,
-                }
+                _ => self.stats.seed_rejected += 1,
             }
         }
         loop {
@@ -1105,8 +1088,8 @@ impl<'a> Ic3Run<'a> {
                         }
                     }
                     SatResult::Sat => {
-                        let state = self.read(&self.latches);
-                        let inputs = self.read(&self.pis);
+                        let state = self.cnf.model_of(&self.latches);
+                        let inputs = self.cnf.model_of(&self.pis);
                         // `init ∧ bad` was refuted at depth 0.
                         debug_assert_ne!(state, self.init_state);
                         // Widen the root against `bad` itself: every

@@ -12,16 +12,19 @@
 //! If the base is UNSAT up to `k-1` and the step is UNSAT, the property
 //! holds. Simple-path constraints (pairwise state disequality) make the
 //! method complete: `k` need never exceed the recurrence diameter.
+//!
+//! Both unrollings are the crate's one functional [`Unroller`]: the base
+//! starts from the reset constants, the step from fresh free state
+//! variables.
 
 use std::sync::Arc;
 
-use cbq_aig::{Aig, Lit, Var};
+use cbq_aig::Lit;
 use cbq_ckt::Network;
-use cbq_cnf::AigCnf;
 use cbq_sat::{SatLit, SatResult};
 
 use crate::bmc::Unroller;
-use crate::bus::{assume_cube_at, BusClientStats, BusCursor, LatchCube, LemmaBus, LemmaValidator};
+use crate::bus::{BusClientStats, BusConsumer, LemmaBus};
 use crate::engine::{Budget, Engine, Meter};
 use crate::verdict::{McRun, McStats, Verdict};
 
@@ -30,14 +33,12 @@ use crate::verdict::{McRun, McStats, Verdict};
 pub struct KInduction {
     /// Maximum induction depth to attempt.
     pub max_k: usize,
-    /// Add pairwise state-disequality (simple path) constraints — needed
-    /// for completeness, occasionally disabled for benchmarking.
-    pub simple_path: bool,
     /// The parallel portfolio's [`LemmaBus`]. Admitted IC3 cubes (each
-    /// re-validated by a private [`LemmaValidator`]) strengthen both
-    /// unrollings: redundant-but-pruning clauses in the base case, and
-    /// genuine invariant strengthening at every frame of the step case —
-    /// the classical way k-induction benefits from reachability lemmas.
+    /// re-validated by a private [`crate::LemmaValidator`]) strengthen
+    /// both unrollings: redundant-but-pruning clauses in the base case,
+    /// and genuine invariant strengthening at every frame of the step
+    /// case — the classical way k-induction benefits from reachability
+    /// lemmas.
     pub bus: Option<Arc<LemmaBus>>,
 }
 
@@ -45,7 +46,6 @@ impl Default for KInduction {
     fn default() -> KInduction {
         KInduction {
             max_k: 64,
-            simple_path: true,
             bus: None,
         }
     }
@@ -66,87 +66,19 @@ pub struct KInductionStats {
     pub bus: BusClientStats,
 }
 
-/// The step-case unrolling: frames from a free symbolic initial state.
-struct StepUnroller {
-    aig: Aig,
-    cnf: AigCnf,
-    /// Free variables of state 0, then computed state functions.
-    states: Vec<Vec<Lit>>,
-    bads: Vec<Lit>,
-}
+/// The bus consumer with the lemma guards of the base and step
+/// unrollings.
+type Consumer = (BusConsumer, SatLit, SatLit);
 
-impl StepUnroller {
-    fn new(net: &Network) -> StepUnroller {
-        let mut aig = net.aig().clone();
-        let s0: Vec<Lit> = net
-            .latches()
-            .iter()
-            .map(|_| aig.add_input().lit())
-            .collect();
-        StepUnroller {
-            aig,
-            cnf: AigCnf::new(),
-            states: vec![s0],
-            bads: Vec::new(),
-        }
-    }
-
-    /// Ensures frames `0..=t` exist; returns `bad` at frame `t`.
-    fn bad_at(&mut self, net: &Network, t: usize) -> Lit {
-        while self.bads.len() <= t {
-            let frame = self.bads.len();
-            let cur = self.states[frame].clone();
-            let fresh: Vec<Var> = net
-                .primary_inputs()
-                .iter()
-                .map(|_| self.aig.add_input())
-                .collect();
-            let mut subst: Vec<(Var, Lit)> = net
-                .latches()
-                .iter()
-                .zip(&cur)
-                .map(|(l, s)| (l.var, *s))
-                .collect();
-            subst.extend(
-                net.primary_inputs()
-                    .iter()
-                    .zip(&fresh)
-                    .map(|(pi, f)| (*pi, f.lit())),
-            );
-            let bad_t = self.aig.compose(net.bad(), &subst);
-            let next: Vec<Lit> = net
-                .latches()
-                .iter()
-                .map(|l| self.aig.compose(l.next, &subst))
-                .collect();
-            self.bads.push(bad_t);
-            self.states.push(next);
-        }
-        self.bads[t]
-    }
-
-    /// Asserts that states `a` and `b` differ (simple-path constraint).
-    fn assert_distinct(&mut self, a: usize, b: usize) {
-        let diffs: Vec<Lit> = self.states[a]
-            .iter()
-            .zip(&self.states[b])
-            .map(|(x, y)| self.aig.xor(*x, *y))
-            .collect();
-        let any = self.aig.or_many(&diffs);
-        self.cnf.assert_lit(&self.aig, any);
-    }
-}
-
-/// Bundles the typed stats into the uniform run record.
-fn finish(verdict: Verdict, stats: KInductionStats, meter: &Meter) -> McRun {
-    let common = McStats {
-        engine: "kind",
-        iterations: stats.k,
-        peak_nodes: stats.unrolled_nodes,
-        sat_checks: stats.base_checks + stats.step_checks,
-        elapsed: meter.elapsed(),
-    };
-    McRun::new(verdict, common).with_detail(stats)
+/// Asserts that step states `a` and `b` differ (simple-path constraint).
+fn assert_distinct(step: &mut Unroller, a: usize, b: usize) {
+    let diffs: Vec<Lit> = step.states[a]
+        .iter()
+        .zip(&step.states[b])
+        .map(|(x, y)| step.aig.xor(*x, *y))
+        .collect();
+    let any = step.aig.or_many(&diffs);
+    step.cnf.assert_lit(&step.aig, any);
 }
 
 impl Engine for KInduction {
@@ -159,155 +91,113 @@ impl Engine for KInduction {
         let meter = Meter::start(budget);
         let mut stats = KInductionStats::default();
         let mut base = Unroller::new(net);
-        let mut step = StepUnroller::new(net);
-        let mut step_pairs_done = 0usize;
-        // Bus consumer state: one validator feeds both unrollings, each
-        // holding its instantiated lemma clauses under its own guard.
-        let mut validator = self.bus.as_ref().map(|_| LemmaValidator::new(net));
-        let base_guard = validator.as_ref().map(|_| base.cnf.new_guard());
-        let step_guard = validator.as_ref().map(|_| step.cnf.new_guard());
-        let base_extra: Vec<SatLit> = base_guard.iter().copied().collect();
-        let step_extra: Vec<SatLit> = step_guard.iter().copied().collect();
-        let mut cursor = BusCursor::default();
-        let mut admitted: Vec<LatchCube> = Vec::new();
-        let mut pending: Vec<LatchCube> = Vec::new();
-        let mut tagged_rejected: u64 = 0;
+        let mut step = Unroller::free_state(net);
+        // One consumer feeds both unrollings, each holding its
+        // instantiated lemma clauses under its own guard.
+        let mut consumer: Option<Consumer> = self.bus.clone().map(|bus| {
+            let base_guard = base.cnf.new_guard();
+            let step_guard = step.cnf.new_guard();
+            (BusConsumer::new(bus, net), base_guard, step_guard)
+        });
+        let verdict = self.search(net, &meter, &mut stats, &mut base, &mut step, &mut consumer);
+        stats.base_checks = base.cnf.stats().checks;
+        stats.step_checks = step.cnf.stats().checks;
+        stats.unrolled_nodes = base.aig.num_nodes() + step.aig.num_nodes();
+        if let Some((c, _, _)) = &consumer {
+            stats.step_checks += c.checks();
+            stats.bus = c.stats();
+        }
+        let common = McStats {
+            engine: "kind",
+            iterations: stats.k,
+            peak_nodes: stats.unrolled_nodes,
+            sat_checks: stats.base_checks + stats.step_checks,
+            elapsed: meter.elapsed(),
+        };
+        McRun::new(verdict, common).with_detail(stats)
+    }
+}
+
+impl KInduction {
+    /// The base/step loop over increasing `k`.
+    fn search(
+        &self,
+        net: &Network,
+        meter: &Meter,
+        stats: &mut KInductionStats,
+        base: &mut Unroller,
+        step: &mut Unroller,
+        consumer: &mut Option<Consumer>,
+    ) -> Verdict {
+        let base_extra: Vec<SatLit> = consumer.iter().map(|&(_, g, _)| g).collect();
+        let step_extra: Vec<SatLit> = consumer.iter().map(|&(_, _, g)| g).collect();
         for k in 1..=self.max_k {
             let nodes = base.aig.num_nodes() + step.aig.num_nodes();
             let checks = base.cnf.stats().checks + step.cnf.stats().checks;
             if let Some(bounded) = meter.exceeded(k - 1, nodes, checks) {
-                return self.conclude(bounded, stats, &base, &step, &validator, &meter);
+                return bounded;
             }
             stats.k = k;
-            if let (Some(bus), Some(v), Some(bg), Some(sg)) = (
-                self.bus.as_deref(),
-                validator.as_mut(),
-                base_guard,
-                step_guard,
-            ) {
+            if let Some((c, base_guard, step_guard)) = consumer {
                 base.bad_at(net, k - 1);
                 step.bad_at(net, k);
                 // Previously admitted lemmas reach this iteration's new
                 // frames (base frame k-1, step frame k); the base's
                 // frame 0 is constants, the step's frame 0 is the free
                 // state covered at admission time.
-                for cube in &admitted {
+                for cube in c.admitted() {
                     if k >= 2 {
-                        assume_cube_at(&mut base.cnf, &base.aig, bg, &base.states[k - 1], cube);
+                        base.assume_cube(*base_guard, k - 1, cube);
                     }
-                    assume_cube_at(&mut step.cnf, &step.aig, sg, &step.states[k], cube);
+                    step.assume_cube(*step_guard, k, cube);
                 }
-                // Fresh publications cover every existing frame. Batch
-                // admission finds the maximal inductive subset — IC3's
-                // frame clauses usually hold only by mutual induction —
-                // and earlier rejects are retried alongside each fresh
-                // batch, since a set that failed mid-convergence can
-                // become inductive once its missing siblings arrive.
-                let fresh = bus.cubes_since(&mut cursor);
-                if !fresh.is_empty() {
-                    // Tagged (already inductive) publications take the
-                    // sequential fast path; a fast-path rejection is
-                    // final, while pool cubes stay pending for retries.
-                    let mut tagged: Vec<LatchCube> = Vec::new();
-                    for (cube, inductive) in fresh {
-                        if inductive {
-                            tagged.push(cube);
-                        } else {
-                            pending.push(cube);
-                        }
+                // Fresh admissions cover every existing frame.
+                for cube in c.poll() {
+                    for t in 1..k {
+                        base.assume_cube(*base_guard, t, cube);
                     }
-                    let mut batch = v.admit_inductive(&tagged);
-                    tagged_rejected += (tagged.len() - batch.len()) as u64;
-                    if !pending.is_empty() {
-                        let from_pool = v.admit_batch(&pending);
-                        pending.retain(|c| !from_pool.contains(c));
-                        batch.extend(from_pool);
-                    }
-                    stats.bus.lemmas_admitted += batch.len() as u64;
-                    stats.bus.lemmas_rejected = tagged_rejected + pending.len() as u64;
-                    for norm in batch {
-                        for t in 1..k {
-                            assume_cube_at(&mut base.cnf, &base.aig, bg, &base.states[t], &norm);
-                        }
-                        for t in 0..=k {
-                            assume_cube_at(&mut step.cnf, &step.aig, sg, &step.states[t], &norm);
-                        }
-                        admitted.push(norm);
+                    for t in 0..=k {
+                        step.assume_cube(*step_guard, t, cube);
                     }
                 }
             }
             // Base: any counterexample at depth k-1?
             match base.check_depth_assuming(net, k - 1, &base_extra) {
                 SatResult::Sat => {
-                    let trace = base.extract_trace(net, k - 1);
-                    return self.conclude(
-                        Verdict::Unsafe { trace },
-                        stats,
-                        &base,
-                        &step,
-                        &validator,
-                        &meter,
-                    );
+                    return Verdict::Unsafe {
+                        trace: base.extract_trace(k - 1),
+                    }
                 }
                 SatResult::Unknown => {
-                    let verdict = Verdict::Unknown {
+                    return Verdict::Unknown {
                         reason: format!("base budget at k={k}"),
-                    };
-                    return self.conclude(verdict, stats, &base, &step, &validator, &meter);
+                    }
                 }
                 SatResult::Unsat => {}
             }
             // Step: ¬bad₀ … ¬bad_{k-1} ∧ bad_k over a loop-free path.
             let bad_k = step.bad_at(net, k);
-            if self.simple_path {
-                // Add the new disequality constraints for state k.
-                for a in 0..k {
-                    step.assert_distinct(a, k);
-                    step_pairs_done += 1;
-                }
+            for a in 0..k {
+                assert_distinct(step, a, k);
             }
-            let mut assumptions: Vec<Lit> = (0..k).map(|t| !step.bads[t]).collect();
+            let mut assumptions: Vec<Lit> = step.bads[..k].iter().map(|b| !*b).collect();
             assumptions.push(bad_k);
             match step
                 .cnf
                 .solve_under_assuming(&step.aig, &assumptions, &step_extra)
             {
-                SatResult::Unsat => {
-                    let verdict = Verdict::Safe { iterations: k };
-                    return self.conclude(verdict, stats, &base, &step, &validator, &meter);
-                }
+                SatResult::Unsat => return Verdict::Safe { iterations: k },
                 SatResult::Unknown => {
-                    let verdict = Verdict::Unknown {
+                    return Verdict::Unknown {
                         reason: format!("step budget at k={k}"),
-                    };
-                    return self.conclude(verdict, stats, &base, &step, &validator, &meter);
+                    }
                 }
                 SatResult::Sat => {}
             }
-            let _ = step_pairs_done;
         }
-        let verdict = Verdict::Unknown {
+        Verdict::Unknown {
             reason: format!("no proof or counterexample up to k={}", self.max_k),
-        };
-        self.conclude(verdict, stats, &base, &step, &validator, &meter)
-    }
-}
-
-impl KInduction {
-    /// Fills the solver/unrolling counters and closes the run record.
-    fn conclude(
-        &self,
-        verdict: Verdict,
-        mut stats: KInductionStats,
-        base: &Unroller,
-        step: &StepUnroller,
-        validator: &Option<LemmaValidator>,
-        meter: &Meter,
-    ) -> McRun {
-        stats.base_checks = base.cnf.stats().checks;
-        stats.step_checks = step.cnf.stats().checks + validator.as_ref().map_or(0, |v| v.checks());
-        stats.unrolled_nodes = base.aig.num_nodes() + step.aig.num_nodes();
-        finish(verdict, stats, meter)
+        }
     }
 }
 
@@ -336,7 +226,6 @@ mod tests {
     fn proves_bounded_counter() {
         let run = KInduction {
             max_k: 24,
-            simple_path: true,
             ..KInduction::default()
         }
         .check(&generators::bounded_counter(4, 9), &Budget::unlimited());
@@ -391,31 +280,14 @@ mod tests {
     }
 
     #[test]
-    fn without_simple_path_deep_chain_needs_large_k() {
-        let run = KInduction {
-            max_k: 3,
-            simple_path: false,
-            ..KInduction::default()
-        }
-        .check(&deep_unreachable(), &Budget::unlimited());
-        assert!(
-            matches!(run.verdict, Verdict::Unknown { .. }),
-            "got {}",
-            run.verdict
-        );
-        // With enough depth it closes even without simple paths (the
-        // chain is acyclic), and the circuit really is safe.
-        let run2 = KInduction {
-            max_k: 10,
-            simple_path: false,
-            ..KInduction::default()
-        }
-        .check(&deep_unreachable(), &Budget::unlimited());
-        assert!(run2.verdict.is_safe(), "got {}", run2.verdict);
+    fn proves_the_deep_unreachable_chain() {
+        // The circuit really is safe, and the default engine proves it.
         assert_eq!(
             crate::explicit::shortest_cex_depth(&deep_unreachable(), 8, 1 << 12),
             None
         );
+        let run = KInduction::default().check(&deep_unreachable(), &Budget::unlimited());
+        assert!(run.verdict.is_safe(), "got {}", run.verdict);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   `yᵢ` are fresh AIG inputs standing for the next state (the *cut*);
 //! - `B` — `bad` asserted at every time step `1 … k`, functionally
 //!   unrolled from the cut (`s₁ = Y`, `s_{j+1} = δ(s_j, P_j)` over fresh
-//!   input frames).
+//!   input frames) by the crate's one unroller, `bmc::Unroller`, started
+//!   at the cut on the run's own manager.
 //!
 //! When the query is UNSAT, the in-memory resolution trace
 //! ([`cbq_sat::ProofLog`], recorded under [`cbq_sat::ProofMode::Trace`])
@@ -21,8 +22,9 @@
 //! `I ⊆ R` the sequence has closed and `R` is an inductive invariant
 //! excluding `bad`, so the model is **safe**. A SAT answer with `R`
 //! still equal to the initial states is a *concrete* counterexample of
-//! depth ≤ `k`, delegated to [`Bmc`] for a minimal trace; with `R`
-//! widened it is abstract — the unrolling deepens and `R` resets.
+//! depth ≤ `k`, delegated to [`Bmc`] for a minimal trace within what is
+//! left of the caller's budget; with `R` widened it is abstract — the
+//! unrolling deepens and `R` resets.
 //!
 //! One proof-logging bridge serves the whole run, and nothing but Tseitin
 //! definitions is ever asserted on it, so no learnt clause ever needs to
@@ -51,9 +53,9 @@ use cbq_ckt::{Network, Trace};
 use cbq_cnf::{AigCnf, AigCnfStats};
 use cbq_sat::{ClauseId, ProofLog, ProofMode, SatResult, SatVar, SolverStats};
 
-use crate::bmc::Bmc;
+use crate::bmc::{Bmc, Unroller};
 use crate::bus::LemmaBus;
-use crate::engine::{Budget, Engine, Meter};
+use crate::engine::{cite_caller, Budget, Engine, Meter};
 use crate::verdict::{McRun, McStats, Verdict};
 
 /// Proof-plane label of the `A` partition (prefix: `R` + one step).
@@ -132,19 +134,22 @@ impl Engine for Itp {
         let meter = Meter::start(budget);
         let mut run = ItpRun::new(self, net);
         let verdict = run.solve(&meter, net, budget);
-        let peak = run.aig.num_nodes();
+        let peak = run.unroll.aig.num_nodes();
         let checks = run.checks();
         let mut stats = run.stats;
         stats.checks = checks;
-        stats.solver = run.cnf.solver_stats();
-        stats.cnf = run.cnf.stats();
+        stats.solver = run.unroll.cnf.solver_stats();
+        stats.cnf = run.unroll.cnf.stats();
         finish(verdict, stats, peak, &meter)
     }
 }
 
 struct ItpRun<'a> {
     cfg: &'a Itp,
-    aig: Aig,
+    /// The `B` unrolling from the cut `Y`, on the run's own manager and
+    /// its one proof-logging bridge; every query is posed on that bridge
+    /// as assumptions.
+    unroll: Unroller,
     pis: Vec<Var>,
     latches: Vec<Var>,
     deltas: Vec<Lit>,
@@ -155,14 +160,8 @@ struct ItpRun<'a> {
     ys: Vec<Var>,
     /// `⋀ᵢ yᵢ ≡ δᵢ(L, P₀)` — the transition link, independent of `R`.
     a_eq: Lit,
-    /// Frontier state functions of the `B` unrolling (`s_{k+1}`, over
-    /// `Y` and the fresh input frames `P₁ … P_k`).
-    state: Vec<Lit>,
     /// `bad(s₁) ∨ … ∨ bad(s_k)` for the frames built so far.
     b_any: Lit,
-    /// The run's one proof-logging bridge; every query is posed on it as
-    /// assumptions.
-    cnf: AigCnf,
     labeller: Labeller,
     /// SAT checks of BMC delegation (the bridge counts its own).
     delegated_checks: u64,
@@ -187,14 +186,14 @@ impl<'a> ItpRun<'a> {
             })
             .collect();
         let a_eq = aig.and_many(&eqs);
-        let state: Vec<Lit> = ys.iter().map(|y| y.lit()).collect();
+        let cut: Vec<Lit> = ys.iter().map(|y| y.lit()).collect();
         // Everything but the `B` frames is labelled `A`.
         let mut cnf = AigCnf::new();
         cnf.set_proof_mode(ProofMode::Trace);
         cnf.set_clause_label(LABEL_A);
         ItpRun {
             cfg,
-            aig,
+            unroll: Unroller::from_state(aig, cnf, cut),
             pis: net.primary_inputs().to_vec(),
             latches,
             deltas,
@@ -203,9 +202,7 @@ impl<'a> ItpRun<'a> {
             bad: net.bad(),
             ys,
             a_eq,
-            state,
             b_any: Lit::FALSE,
-            cnf,
             labeller: Labeller::default(),
             delegated_checks: 0,
             stats: ItpStats::default(),
@@ -216,52 +213,33 @@ impl<'a> ItpRun<'a> {
 
     /// SAT checks so far: the bridge's plus BMC delegation's.
     fn checks(&self) -> u64 {
-        self.cnf.stats().checks + self.delegated_checks
-    }
-
-    /// Unrolls one more `B` frame: `bad` at the new time step under a
-    /// fresh input frame, and the next frontier state.
-    fn extend_frames(&mut self) {
-        let mut map: Vec<(Var, Lit)> = self
-            .latches
-            .iter()
-            .zip(&self.state)
-            .map(|(v, s)| (*v, *s))
-            .collect();
-        for p in &self.pis {
-            let fresh = self.aig.add_input().lit();
-            map.push((*p, fresh));
-        }
-        let mut roots = self.deltas.clone();
-        roots.push(self.bad);
-        let out = self.aig.compose_many(&roots, &map);
-        let bad_j = *out.last().expect("bad root composed");
-        self.state = out[..out.len() - 1].to_vec();
-        self.b_any = self.aig.or(self.b_any, bad_j);
-    }
-
-    /// Model values of `vars` (AIG inputs) after a SAT answer.
-    fn read(&self, vars: &[Var]) -> Vec<bool> {
-        let model = self.cnf.model_inputs(&self.aig);
-        vars.iter()
-            .map(|v| model[self.aig.input_index(*v).expect("primary input")])
-            .collect()
+        self.unroll.cnf.stats().checks + self.delegated_checks
     }
 
     fn solve(&mut self, meter: &Meter, net: &Network, budget: &Budget) -> Verdict {
         // Depth 0: `bad` inside the initial states needs no unrolling
         // (and the safety argument below assumes it has been excluded).
-        if self.cnf.solve_under(&self.aig, &[self.init_lit, self.bad]) == SatResult::Sat {
-            let trace = Trace::new(vec![self.read(&self.pis)]);
+        if self
+            .unroll
+            .cnf
+            .solve_under(&self.unroll.aig, &[self.init_lit, self.bad])
+            == SatResult::Sat
+        {
+            let trace = Trace::new(vec![self.unroll.cnf.model_of(&self.pis)]);
             return Verdict::Unsafe { trace };
         }
 
         let mut k = 1;
-        self.extend_frames();
         let mut r_lit = self.init_lit;
         loop {
+            if self.unroll.bads.len() < k {
+                // `B` frame k: `bad` at time k joins `b_any`.
+                let bad_k = self.unroll.push_frame(net);
+                self.b_any = self.unroll.aig.or(self.b_any, bad_k);
+            }
             self.stats.frames = k;
-            if let Some(bounded) = meter.exceeded(k - 1, self.aig.num_nodes(), self.checks()) {
+            if let Some(bounded) = meter.exceeded(k - 1, self.unroll.aig.num_nodes(), self.checks())
+            {
                 return bounded;
             }
             if self.b_any == Lit::FALSE {
@@ -270,13 +248,13 @@ impl<'a> ItpRun<'a> {
                 // depth 0 is already excluded.
                 return self.conclude_safe(k);
             }
-            let a_lit = self.aig.and(r_lit, self.a_eq);
+            let a_lit = self.unroll.aig.and(r_lit, self.a_eq);
             match self.bounded_query(a_lit) {
                 QueryResult::Sat => {
                     if r_lit == self.init_lit {
                         // Concrete counterexample within k steps: delegate
                         // to BMC for a minimal-depth trace.
-                        return self.delegate_cex(net, budget, k);
+                        return self.delegate_cex(net, meter, budget, k);
                     }
                     // Abstract counterexample: deepen and restart.
                     if k >= self.cfg.max_frames {
@@ -286,29 +264,31 @@ impl<'a> ItpRun<'a> {
                     }
                     self.stats.restarts += 1;
                     k += 1;
-                    self.extend_frames();
                     r_lit = self.init_lit;
                 }
                 QueryResult::Unsat(itp_y) => {
                     self.stats.interpolants += 1;
-                    self.stats.itp_nodes = self.aig.collect_cone(&[itp_y]).len();
+                    self.stats.itp_nodes = self.unroll.aig.collect_cone(&[itp_y]).len();
                     let sub: Vec<(Var, Lit)> = self
                         .ys
                         .iter()
                         .zip(&self.latches)
                         .map(|(y, l)| (*y, l.lit()))
                         .collect();
-                    let itp_l = self.aig.compose_many(&[itp_y], &sub)[0];
+                    let itp_l = self.unroll.aig.compose_many(&[itp_y], &sub)[0];
                     // Fixpoint test: I ⊆ R closes the approximation
                     // sequence — R is inductive and excludes `bad`.
-                    let contained =
-                        self.cnf.solve_under(&self.aig, &[itp_l, !r_lit]) == SatResult::Unsat;
+                    let contained = self
+                        .unroll
+                        .cnf
+                        .solve_under(&self.unroll.aig, &[itp_l, !r_lit])
+                        == SatResult::Unsat;
                     #[cfg(test)]
                     self.audit.fixpoints.push((itp_l, r_lit, contained));
                     if contained {
                         return self.conclude_safe(k);
                     }
-                    r_lit = self.aig.or(r_lit, itp_l);
+                    r_lit = self.unroll.aig.or(r_lit, itp_l);
                     self.stats.refinements += 1;
                 }
                 QueryResult::Broken(reason) => return Verdict::Unknown { reason },
@@ -321,11 +301,15 @@ impl<'a> ItpRun<'a> {
     /// `B`), then assumes both roots. UNSAT answers return the Craig
     /// interpolant over the cut.
     fn bounded_query(&mut self, a_lit: Lit) -> QueryResult {
-        self.cnf.ensure(&self.aig, a_lit);
-        self.cnf.set_clause_label(LABEL_B);
-        self.cnf.ensure(&self.aig, self.b_any);
-        self.cnf.set_clause_label(LABEL_A);
-        match self.cnf.solve_under(&self.aig, &[a_lit, self.b_any]) {
+        self.unroll.cnf.ensure(&self.unroll.aig, a_lit);
+        self.unroll.cnf.set_clause_label(LABEL_B);
+        self.unroll.cnf.ensure(&self.unroll.aig, self.b_any);
+        self.unroll.cnf.set_clause_label(LABEL_A);
+        match self
+            .unroll
+            .cnf
+            .solve_under(&self.unroll.aig, &[a_lit, self.b_any])
+        {
             SatResult::Sat => QueryResult::Sat,
             SatResult::Unknown => QueryResult::Broken("solver returned unknown".into()),
             SatResult::Unsat => {
@@ -341,25 +325,33 @@ impl<'a> ItpRun<'a> {
 
     /// Labels the refutation the last UNSAT answer logged.
     fn interpolate(&mut self) -> QueryResult {
-        let proof = self.cnf.solver().proof().expect("the bridge logs proofs");
+        let proof = self
+            .unroll
+            .cnf
+            .solver()
+            .proof()
+            .expect("the bridge logs proofs");
         let Some(root) = proof.final_id().or(proof.empty_id()) else {
             return QueryResult::Broken("UNSAT answer without a logged refutation".into());
         };
         // Map the cut, the constant node and the activation literal (read
         // as ⊤) back to AIG literals; the interpolant mentions nothing else.
         let fixed = [
-            (self.cnf.sat_lit(Lit::FALSE), Lit::FALSE),
-            (self.cnf.activation(), Lit::TRUE),
+            (self.unroll.cnf.sat_lit(Lit::FALSE), Lit::FALSE),
+            (self.unroll.cnf.activation(), Lit::TRUE),
         ];
-        let cut = self.ys.iter().map(|y| (self.cnf.sat_lit(y.lit()), y.lit()));
+        let cut = self
+            .ys
+            .iter()
+            .map(|y| (self.unroll.cnf.sat_lit(y.lit()), y.lit()));
         let rev: HashMap<SatVar, Lit> = cut
             .chain(fixed)
             .filter_map(|(sl, l)| sl.map(|sl| (sl.var(), l.xor_sign(sl.is_negative()))))
             .collect();
         self.labeller
-            .scan_b_roots(proof, self.cnf.solver().num_vars());
+            .scan_b_roots(proof, self.unroll.cnf.solver().num_vars());
         match self.labeller.mcmillan(
-            &mut self.aig,
+            &mut self.unroll.aig,
             proof,
             root,
             &rev,
@@ -381,7 +373,10 @@ impl<'a> ItpRun<'a> {
                 // its initial value, so the cube (ord, ¬b) is unreachable.
                 let stay = latch.lit().xor_sign(!b);
                 let leave = delta.xor_sign(b);
-                let res = self.cnf.solve_under(&self.aig, &[stay, leave]);
+                let res = self
+                    .unroll
+                    .cnf
+                    .solve_under(&self.unroll.aig, &[stay, leave]);
                 if res == SatResult::Unsat && bus.publish_inductive(vec![(ord, !b)]) {
                     self.stats.published += 1;
                 }
@@ -391,15 +386,26 @@ impl<'a> ItpRun<'a> {
     }
 
     /// A concrete counterexample of depth ≤ k exists: run BMC capped at
-    /// that depth so the reported trace is minimal.
-    fn delegate_cex(&mut self, net: &Network, budget: &Budget, k: usize) -> Verdict {
+    /// that depth so the reported trace is minimal. BMC gets what is
+    /// left of the caller's budget — the SAT checks and the wall clock
+    /// the run has not spent; steps and nodes pass whole, since BMC
+    /// stops at depth k anyway and nodes is a peak — and a `Bounded`
+    /// answer cites the caller's limit.
+    fn delegate_cex(&mut self, net: &Network, meter: &Meter, budget: &Budget, k: usize) -> Verdict {
+        let left = Budget {
+            max_sat_checks: budget
+                .max_sat_checks
+                .map(|s| s.saturating_sub(self.checks())),
+            timeout: budget.timeout.map(|t| t.saturating_sub(meter.elapsed())),
+            ..budget.clone()
+        };
         let bmc = Bmc {
             max_depth: k,
             ..Bmc::default()
         };
-        let run = bmc.check(net, budget);
+        let run = bmc.check(net, &left);
         self.delegated_checks += run.stats.sat_checks;
-        run.verdict
+        cite_caller(budget, run.verdict)
     }
 }
 
@@ -626,15 +632,16 @@ mod tests {
             let verdict = run.solve(&Meter::start(&budget), net, &budget);
             for &(a, b, itp) in &run.audit.interpolants {
                 let mut fresh = AigCnf::new();
-                let a_side = fresh.solve_under(&run.aig, &[a, !itp]);
+                let a_side = fresh.solve_under(&run.unroll.aig, &[a, !itp]);
                 assert_eq!(a_side, SatResult::Unsat, "{}: A ⊄ I", net.name());
                 let mut fresh = AigCnf::new();
-                let b_side = fresh.solve_under(&run.aig, &[itp, b]);
+                let b_side = fresh.solve_under(&run.unroll.aig, &[itp, b]);
                 assert_eq!(b_side, SatResult::Unsat, "{}: I meets B", net.name());
             }
             for &(itp_l, r, contained) in &run.audit.fixpoints {
                 let mut fresh = AigCnf::new();
-                let fresh_contained = fresh.solve_under(&run.aig, &[itp_l, !r]) == SatResult::Unsat;
+                let fresh_contained =
+                    fresh.solve_under(&run.unroll.aig, &[itp_l, !r]) == SatResult::Unsat;
                 assert_eq!(contained, fresh_contained, "{}: fixpoint test", net.name());
             }
             assert!(
@@ -669,5 +676,46 @@ mod tests {
         assert!(run.verdict.is_safe(), "got {}", run.verdict);
         let detail = run.detail::<ItpStats>().expect("itp stats");
         assert_eq!(detail.published, 1, "the stuck latch publishes");
+    }
+
+    #[test]
+    fn bmc_delegation_spends_only_what_is_left() {
+        use crate::verdict::Resource;
+        // The interpolation bridge finds the concrete counterexample and
+        // BMC delegation extracts the minimal trace.
+        let net = generators::counter_bug(6, 12);
+        let unlimited = Itp::default().check(&net, &crate::engine::Budget::unlimited());
+        let total = unlimited.stats.sat_checks;
+        let bridge = unlimited
+            .detail::<ItpStats>()
+            .expect("itp stats")
+            .cnf
+            .checks;
+        assert!(bridge < total, "BMC delegation ran");
+        // The unlimited run's own spend suffices.
+        let budget = crate::engine::Budget::unlimited().with_sat_checks(total);
+        let run = Itp::default().check(&net, &budget);
+        assert_eq!(
+            run.verdict.trace().map(Trace::len),
+            Some(13),
+            "got {}",
+            run.verdict
+        );
+        assert!(run.stats.sat_checks <= total);
+        // One check past the bridge's own: the delegate runs dry and the
+        // verdict cites the caller's limit.
+        let limit = bridge + 1;
+        let budget = crate::engine::Budget::unlimited().with_sat_checks(limit);
+        let run = Itp::default().check(&net, &budget);
+        let expected = Verdict::Bounded {
+            resource: Resource::SatChecks,
+            limit,
+        };
+        assert_eq!(run.verdict, expected);
+        assert!(
+            run.stats.sat_checks <= limit,
+            "{} > {limit}",
+            run.stats.sat_checks
+        );
     }
 }

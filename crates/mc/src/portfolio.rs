@@ -42,7 +42,7 @@ use crate::bdd_umc::BddUmc;
 use crate::bmc::{Bmc, BmcStats};
 use crate::bus::{BusClientStats, BusCounts, LemmaBus};
 use crate::circuit_umc::CircuitUmc;
-use crate::engine::{Budget, Engine, Meter};
+use crate::engine::{cite_caller, Budget, Engine, Meter};
 use crate::ic3::{Ic3, Ic3Stats};
 use crate::induction::{KInduction, KInductionStats};
 use crate::itp::Itp;
@@ -137,11 +137,9 @@ impl Portfolio {
             Box::new(Bmc {
                 max_depth: 32,
                 bus: bus.clone(),
-                ..Bmc::default()
             }),
             Box::new(KInduction {
                 max_k: 40,
-                simple_path: true,
                 bus: bus.clone(),
             }),
             Box::new(Ic3 {
@@ -168,30 +166,6 @@ impl Default for Portfolio {
 fn finish(verdict: Verdict, mut stats: McStats, detail: PortfolioStats, meter: &Meter) -> McRun {
     stats.elapsed = meter.elapsed();
     McRun::new(verdict, stats).with_detail::<PortfolioStats>(detail)
-}
-
-/// The caller's own limit on `resource`, for rewriting a member's
-/// slice-derived `Bounded` verdict. Members are only ever bounded on
-/// axes the caller budgeted, so this is `Some` in practice.
-fn caller_limit(budget: &Budget, resource: Resource) -> Option<u64> {
-    match resource {
-        Resource::Steps => budget.max_steps.map(|s| s as u64),
-        Resource::Nodes => budget.max_nodes.map(|s| s as u64),
-        Resource::SatChecks => budget.max_sat_checks,
-        Resource::WallClock => budget.timeout.map(|t| t.as_millis() as u64),
-    }
-}
-
-/// Rewrites a member's `Bounded` verdict to cite the caller's own limit
-/// (a member sees its slice, the caller set the budget).
-fn cite_caller(budget: &Budget, verdict: Verdict) -> Verdict {
-    match verdict {
-        Verdict::Bounded { resource, limit } => Verdict::Bounded {
-            resource,
-            limit: caller_limit(budget, resource).unwrap_or(limit),
-        },
-        other => other,
-    }
 }
 
 /// Folds one member's bus-consumer counters into the aggregate.

@@ -738,14 +738,6 @@ pub(crate) fn state_cube(aig: &mut Aig, latches: &[Var], state: &[bool]) -> Lit 
     aig.and_many(&lits)
 }
 
-/// Reads the model values of a list of input variables, in order.
-pub(crate) fn read_vars(aig: &Aig, vars: &[Var], cnf: &AigCnf) -> Vec<bool> {
-    let model = cnf.model_inputs(aig);
-    vars.iter()
-        .map(|v| model[aig.input_index(*v).expect("sequential var is an input")])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

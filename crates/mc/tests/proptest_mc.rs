@@ -101,7 +101,7 @@ proptest! {
         let verdicts: Vec<(&str, Verdict)> = vec![
             ("circuit", CircuitUmc::default().check(&net, &Budget::unlimited()).verdict),
             ("bdd", BddUmc::default().check(&net, &Budget::unlimited()).verdict),
-            ("kind", KInduction { max_k: 20, simple_path: true, bus: None }.check(&net, &Budget::unlimited()).verdict),
+            ("kind", KInduction { max_k: 20, ..KInduction::default() }.check(&net, &Budget::unlimited()).verdict),
         ];
         for (name, v) in &verdicts {
             match (oracle, v) {
