@@ -5,6 +5,12 @@
 //! cargo run --release -p cbq-bench --bin report            # all
 //! cargo run --release -p cbq-bench --bin report -- e1 e6   # selected
 //! ```
+//!
+//! Exits 1 after printing every table when an engine experiment found
+//! two conclusive verdicts that differ under its agreement rule, or an
+//! `e6c` replay that was not a tier-1 hit (each such row is also named on
+//! stderr); a bounded or unknown cell prints its `!=` marker but does not
+//! fail the run. Exits 2 on an unknown experiment id.
 
 use cbq_bench::{run_experiment, EXPERIMENTS};
 
@@ -15,13 +21,23 @@ fn main() {
     } else {
         args
     };
+    let mut conflicts = 0;
     for id in ids {
         match run_experiment(&id) {
-            Some(table) => print!("{table}"),
+            Some(table) => {
+                print!("{table}");
+                for row in &table.conflicts {
+                    eprintln!("{id}: conclusive verdicts disagree on {row}");
+                }
+                conflicts += table.conflicts.len();
+            }
             None => {
                 eprintln!("unknown experiment `{id}` (expected one of {EXPERIMENTS:?})");
                 std::process::exit(2);
             }
         }
+    }
+    if conflicts > 0 {
+        std::process::exit(1);
     }
 }

@@ -1,10 +1,14 @@
 //! # cbq-bench — the evaluation harness
 //!
 //! One section per experiment (E1–E8, described in the README's
-//! *Experiments* section; committed snapshots in `BENCH.md`). Each
-//! experiment exposes a `*_table()` function that regenerates the
-//! corresponding table/figure as a [`Table`] of printed rows; the
-//! `report` binary dispatches on experiment ids.
+//! *Experiments* section; committed snapshots in `BENCH.md`), each
+//! regenerating its table/figure as a [`Table`] of printed rows;
+//! [`run_experiment`] and the `report` binary dispatch on experiment ids.
+//! The engine experiments (the E6 family but `e6c`) are grids of models ×
+//! labelled engine configs whose columns are dotted keys of each run's
+//! `cbq check --json` record ([`cbq_mc::json::run_fields`]). Rows where
+//! two conclusive verdicts disagree, or an `e6c` replay misses tier 1,
+//! land in [`Table::conflicts`], and `report` exits 1 on them.
 
 #![forbid(unsafe_code)]
 
@@ -20,11 +24,11 @@ use cbq_ckt::Network;
 use cbq_cnf::{AigCnf, ProofMode};
 use cbq_core::{exists_bdd, exists_many, QuantConfig};
 use cbq_mc::ganai::all_solutions_exists;
+use cbq_mc::json::{run_fields, Json};
 use cbq_mc::preimage::preimage_formula;
 use cbq_mc::sweep::SweepConfig as StateSweepConfig;
 use cbq_mc::{
-    registry, Bmc, Budget, CircuitUmc, CircuitUmcStats, Engine, GenMode, Ic3, Ic3Stats, Itp,
-    ItpStats, PartitionCount, PartitionStats, Portfolio, PortfolioBusStats, PortfolioStats,
+    by_name, registry, Budget, CircuitUmc, Engine, GenMode, Ic3, McRun, PartitionCount, Portfolio,
     Verdict,
 };
 use cbq_synth::OptConfig;
@@ -38,6 +42,10 @@ pub struct Table {
     pub header: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
+    /// Rows whose conclusive verdicts disagree, or whose `e6c` replay
+    /// missed tier 1 (engine experiments only); `report` exits 1 when
+    /// any table has one.
+    pub conflicts: Vec<String>,
 }
 
 impl Table {
@@ -45,7 +53,7 @@ impl Table {
         Table {
             title: title.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            ..Table::default()
         }
     }
 
@@ -492,7 +500,7 @@ pub fn e5_table() -> Table {
 }
 
 // ---------------------------------------------------------------------
-// E6 / Table 4 — UMC engine comparison
+// E6 family — engine experiments as grids over the `--json` run record
 // ---------------------------------------------------------------------
 
 /// The suite for the engine-comparison table.
@@ -531,38 +539,6 @@ pub fn e6_budget() -> Budget {
     Budget::unlimited().with_timeout(std::time::Duration::from_secs(30))
 }
 
-/// E6: verdict, effort, and representation peaks for every registered
-/// engine — the registry *is* the comparison.
-pub fn e6_table() -> Table {
-    let mut header = vec!["circuit".to_string()];
-    for spec in registry() {
-        header.push(spec.name.to_string());
-        header.push("nodes".to_string());
-        header.push("ms".to_string());
-    }
-    let mut t = Table {
-        title: "E6 / Table 4 — UMC comparison across the engine registry".to_string(),
-        header,
-        rows: Vec::new(),
-    };
-    let budget = e6_budget();
-    for net in umc_suite() {
-        let mut row = vec![net.name().to_string()];
-        for spec in registry() {
-            let run = (spec.build)().check(&net, &budget);
-            row.push(verdict_cell(&run.verdict));
-            row.push(run.stats.peak_nodes.to_string());
-            row.push(format!("{:.1}", run.stats.elapsed.as_secs_f64() * 1e3));
-        }
-        t.push(row);
-    }
-    t
-}
-
-// ---------------------------------------------------------------------
-// E6s — state-set sweeping ablation (frontier-size trajectory)
-// ---------------------------------------------------------------------
-
 /// Median of a size profile (0 for an empty one).
 pub fn median(sizes: &[usize]) -> usize {
     let mut sorted = sizes.to_vec();
@@ -570,283 +546,366 @@ pub fn median(sizes: &[usize]) -> usize {
     sorted.get(sorted.len() / 2).copied().unwrap_or(0)
 }
 
-/// E6s kernel: one circuit-engine run with the given sweep setting.
-/// Returns (verdict, reached size, median frontier, peak nodes, ms).
-pub fn sweep_run(
-    net: &Network,
-    sweep: Option<StateSweepConfig>,
-    budget: &Budget,
-) -> (Verdict, usize, usize, usize, f64) {
-    let engine = CircuitUmc {
-        sweep,
-        ..CircuitUmc::default()
-    };
-    let start = Instant::now();
-    let run = engine.check(net, budget);
-    let detail = run.detail::<CircuitUmcStats>().expect("circuit stats");
-    (
-        run.verdict.clone(),
-        detail.reached_size,
-        median(&detail.frontier_sizes),
-        detail.peak_nodes,
-        start.elapsed().as_secs_f64() * 1e3,
-    )
+/// How a grid's verdict column decides that two runs agree.
+#[derive(Clone, Copy, Debug)]
+enum Rule {
+    /// The whole verdict cell: class plus proof or counterexample depth.
+    Exact,
+    /// Safe versus unsafe only: proof depths differ across engines, and
+    /// IC3's counterexamples need not be minimal.
+    Class,
 }
 
-/// E6s: the frontier-size trajectory of the circuit engine with
-/// state-set sweeping on (eager) vs off, across the E6 suite. The claim:
-/// sweeping strictly shrinks the reached set and the median frontier on
-/// redundancy-heavy traversals while preserving every verdict.
-pub fn e6s_table() -> Table {
-    let mut t = Table::new(
-        "E6s — state-set sweeping ablation (circuit engine, AND gates)",
-        &[
-            "circuit",
-            "verdict",
-            "reached off",
-            "reached on",
-            "medfront off",
-            "medfront on",
-            "peak off",
-            "peak on",
-            "ms off",
-            "ms on",
-        ],
-    );
-    let budget = e6_budget();
-    for net in umc_suite() {
-        let (v_off, r_off, f_off, p_off, ms_off) = sweep_run(&net, None, &budget);
-        let (v_on, r_on, f_on, p_on, ms_on) =
-            sweep_run(&net, Some(StateSweepConfig::eager()), &budget);
-        let verdict = if verdict_cell(&v_off) == verdict_cell(&v_on) {
-            verdict_cell(&v_off)
-        } else {
-            format!("{} != {}", verdict_cell(&v_off), verdict_cell(&v_on))
-        };
-        t.push(vec![
-            net.name().to_string(),
-            verdict,
-            r_off.to_string(),
-            r_on.to_string(),
-            f_off.to_string(),
-            f_on.to_string(),
-            p_off.to_string(),
-            p_on.to_string(),
-            format!("{ms_off:.1}"),
-            format!("{ms_on:.1}"),
-        ]);
+/// The verdict column of one row: the `shown` verdict's cell when every
+/// voter agrees with the first under `rule`, else every voter's cell
+/// joined by ` != `. The flag is raised when two *conclusive* voters
+/// differ, which fails `report`; a bounded or unknown voter only prints
+/// the marker, so a slow machine cannot fail the run.
+fn agreement(rule: Rule, voters: &[&Verdict], shown: &Verdict) -> (String, bool) {
+    let key = |v: &Verdict| match rule {
+        Rule::Exact => verdict_cell(v),
+        Rule::Class if v.is_safe() => "safe".to_string(),
+        Rule::Class if v.is_unsafe() => "unsafe".to_string(),
+        Rule::Class => "inconclusive".to_string(),
+    };
+    let keys: Vec<String> = voters.iter().map(|v| key(v)).collect();
+    if keys.iter().all(|k| *k == keys[0]) {
+        return (verdict_cell(shown), false);
     }
-    t
+    let mut conclusive = (voters.iter().zip(&keys))
+        .filter(|(v, _)| v.is_conclusive())
+        .map(|(_, k)| k);
+    let first = conclusive.next();
+    let conflict = conclusive.any(|k| Some(k) != first);
+    let cells: Vec<String> = voters.iter().map(|v| verdict_cell(v)).collect();
+    (cells.join(" != "), conflict)
 }
 
-// ---------------------------------------------------------------------
-// E6p — partitioned vs monolithic state sets (circuit engine)
-// ---------------------------------------------------------------------
-
-/// E6p kernel: one circuit-engine run at the given partition count.
-/// Returns (verdict, reached size, partition stats, ms).
-pub fn partition_run(
-    net: &Network,
-    count: PartitionCount,
-    budget: &Budget,
-) -> (Verdict, usize, PartitionStats, f64) {
-    // Fixed(1) keeps the resplit watermark off: genuinely monolithic.
-    let engine = CircuitUmc {
-        partition: count,
-        ..CircuitUmc::default()
-    };
-    let start = Instant::now();
-    let run = engine.check(net, budget);
-    let detail = run.detail::<CircuitUmcStats>().expect("circuit stats");
-    (
-        run.verdict.clone(),
-        detail.reached_size,
-        detail.partitions.clone(),
-        start.elapsed().as_secs_f64() * 1e3,
-    )
+/// A field of a run record, by dotted key (`cnf.checks`). A key the
+/// record lacks is a bug in the table that names it.
+fn field<'a>(record: &'a Json, key: &str) -> &'a Json {
+    key.split('.')
+        .try_fold(record, |v, k| v.get(k))
+        .unwrap_or_else(|| panic!("`{key}` is not a field of the run record {record}"))
 }
 
-/// E6p: the partitioned state-set ablation across the E6 suite — the
-/// circuit engine monolithic (`x1`) vs partitioned (`x4`) vs one
-/// partition per core (`auto`). The claims: verdicts (and fixpoint
-/// iterations / cex depths) are identical at every partition count, and
-/// on redundancy-heavy models the largest per-partition state cone stays
-/// strictly below the monolithic reached-set representation.
-pub fn e6p_table() -> Table {
-    let mut t = Table::new(
-        "E6p — partitioned state sets (circuit engine, AND gates)",
-        &[
-            "circuit",
-            "verdict",
-            "reached x1",
-            "maxcone x1",
-            "maxcone x4",
-            "parts",
-            "splits",
-            "ms x1",
-            "ms x4",
-            "ms auto",
-        ],
-    );
-    let budget = e6_budget();
-    for net in umc_suite() {
-        let (v1, reached1, p1, ms1) = partition_run(&net, PartitionCount::Fixed(1), &budget);
-        let (v4, _, p4, ms4) = partition_run(&net, PartitionCount::Fixed(4), &budget);
-        let (va, _, _, msa) = partition_run(&net, PartitionCount::Auto, &budget);
-        let verdict =
-            if verdict_cell(&v1) == verdict_cell(&v4) && verdict_cell(&v1) == verdict_cell(&va) {
-                verdict_cell(&v1)
-            } else {
-                format!(
-                    "{} != {} != {}",
-                    verdict_cell(&v1),
-                    verdict_cell(&v4),
-                    verdict_cell(&va)
-                )
-            };
-        t.push(vec![
-            net.name().to_string(),
-            verdict,
-            reached1.to_string(),
-            p1.max_cone.to_string(),
-            p4.max_cone.to_string(),
-            p4.trajectory.last().copied().unwrap_or(1).to_string(),
-            p4.splits.to_string(),
-            format!("{ms1:.1}"),
-            format!("{ms4:.1}"),
-            format!("{msa:.1}"),
-        ]);
+/// One engine experiment: every model × every labelled engine config,
+/// printed one row per model — the model, the verdict column when the
+/// grid votes, one cell per column, then the probe's cells.
+struct Grid {
+    title: &'static str,
+    models: Vec<Network>,
+    /// Config labels, run in this order on every model.
+    configs: Vec<&'static str>,
+    /// Builds the engine of a config label, afresh for every run (a
+    /// parallel portfolio's lemma bus must not outlive its model).
+    engine: fn(&str) -> Box<dyn Engine>,
+    /// The verdict column: its rule, the configs it compares, and the
+    /// config whose cell it shows when they agree.
+    vote: Option<(Rule, &'static [&'static str], &'static str)>,
+    /// `(header, config label, dotted key of the config's run record)`
+    /// per column (see [`Row::cell`]).
+    columns: Vec<(&'static str, &'static str, &'static str)>,
+    probe: Option<Probe>,
+}
+
+/// Extra cells computed from a model and its row (e6i's proof-overhead
+/// probe): their headers and the function that prints them.
+type Probe = (&'static [&'static str], fn(&Network, &Row) -> Vec<String>);
+
+/// One model's runs in config order: the label, the run, and the run's
+/// `--json` record.
+struct Row(Vec<(&'static str, McRun, Json)>);
+
+impl Row {
+    /// The run of config `label` and its record.
+    fn run(&self, label: &str) -> (&McRun, &Json) {
+        let (_, run, record) = (self.0.iter())
+            .find(|(l, ..)| *l == label)
+            .unwrap_or_else(|| panic!("no config `{label}` in this grid"));
+        (run, record)
     }
-    t
-}
 
-// ---------------------------------------------------------------------
-// E6pdr — IC3/PDR vs the bounded and traversal engines
-// ---------------------------------------------------------------------
-
-/// E6pdr kernel: one IC3 run at generalization mode `gen`. Returns
-/// (verdict, frames, obligations, clauses learned, clauses pushed,
-/// generalization drops, ms).
-pub fn ic3_run(
-    net: &Network,
-    gen: GenMode,
-    budget: &Budget,
-) -> (Verdict, usize, u64, u64, u64, u64, f64) {
-    let engine = Ic3 {
-        gen,
-        ..Ic3::default()
-    };
-    let start = Instant::now();
-    let run = engine.check(net, budget);
-    let detail = run.detail::<Ic3Stats>().expect("ic3 stats");
-    (
-        run.verdict.clone(),
-        detail.frames,
-        detail.obligations,
-        detail.clauses,
-        detail.pushed,
-        detail.gen_drops,
-        start.elapsed().as_secs_f64() * 1e3,
-    )
-}
-
-/// E6pdr: property-directed reachability across the E6 suite, against
-/// the circuit traversal and BMC. The claims: IC3 agrees with the
-/// circuit engine's verdict on every model (the `verdict` column prints
-/// a `!=` marker otherwise — counterexample depths are *not* compared,
-/// IC3 traces need not be minimal), it **proves the safe models BMC can
-/// never close** (the `bmc` column stays `unknown` there), and the
-/// literal-dropping generalization ablation (`ms nodrop`) shows what the
-/// unsat-core-only baseline costs.
-pub fn e6pdr_table() -> Table {
-    let mut t = Table::new(
-        "E6pdr — IC3/PDR vs circuit traversal and BMC (E6 suite)",
-        &[
-            "circuit",
-            "verdict",
-            "bmc",
-            "frames",
-            "obls",
-            "clauses",
-            "pushed",
-            "drops",
-            "ms circuit",
-            "ms ic3",
-            "ms nodrop",
-        ],
-    );
-    let budget = e6_budget();
-    for net in umc_suite() {
-        let start = Instant::now();
-        let circuit = CircuitUmc::default().check(&net, &budget);
-        let ms_circuit = start.elapsed().as_secs_f64() * 1e3;
-        let bmc = Bmc::default().check(&net, &budget);
-        let (v_ic3, frames, obls, clauses, pushed, drops, ms_ic3) =
-            ic3_run(&net, GenMode::default(), &budget);
-        let (v_nodrop, _, _, _, _, _, ms_nodrop) = ic3_run(&net, GenMode::Core, &budget);
-        // Agreement on the classification (safe/unsafe), not the depth:
-        // IC3 counterexamples are genuine but need not be minimal. The
-        // ablation run must agree too — a generalization regression that
-        // flips the core-only verdict prints a `!=` marker here.
-        let agree = circuit.verdict.is_safe() == v_ic3.is_safe()
-            && circuit.verdict.is_unsafe() == v_ic3.is_unsafe()
-            && circuit.verdict.is_safe() == v_nodrop.is_safe()
-            && circuit.verdict.is_unsafe() == v_nodrop.is_unsafe();
-        let verdict = if agree {
-            verdict_cell(&v_ic3)
-        } else {
-            format!(
-                "{} != {}",
-                verdict_cell(&circuit.verdict),
-                verdict_cell(&v_ic3)
-            )
-        };
-        t.push(vec![
-            net.name().to_string(),
-            verdict,
-            verdict_cell(&bmc.verdict),
-            frames.to_string(),
-            obls.to_string(),
-            clauses.to_string(),
-            pushed.to_string(),
-            drops.to_string(),
-            format!("{ms_circuit:.1}"),
-            format!("{ms_ic3:.1}"),
-            format!("{ms_nodrop:.1}"),
-        ]);
+    /// The cell of `key` in `label`'s run: `verdict` prints the verdict
+    /// cell, an array its median, a count as it is, and milliseconds to
+    /// one decimal.
+    fn cell(&self, label: &str, key: &str) -> String {
+        let (run, record) = self.run(label);
+        if key == "verdict" {
+            return verdict_cell(&run.verdict);
+        }
+        match field(record, key) {
+            Json::Arr(xs) => {
+                let sizes: Vec<usize> = xs
+                    .iter()
+                    .filter_map(Json::as_u64)
+                    .map(|x| x as usize)
+                    .collect();
+                median(&sizes).to_string()
+            }
+            v if v.as_u64().is_some() => v.to_string(),
+            v => format!("{:.1}", v.as_f64().expect("a numeric field")),
+        }
     }
-    t
 }
 
-// ---------------------------------------------------------------------
-// E6g — IC3 generalization ablation (the GenMode ladder)
-// ---------------------------------------------------------------------
+impl Grid {
+    /// Runs every config on every model within `budget`. Rows whose
+    /// conclusive verdicts disagree are listed in [`Table::conflicts`].
+    fn run(&self, budget: &Budget) -> Table {
+        let mut header = vec!["circuit"];
+        header.extend(self.vote.map(|_| "verdict"));
+        header.extend(self.columns.iter().map(|c| c.0));
+        header.extend(self.probe.iter().flat_map(|p| p.0));
+        let mut t = Table::new(self.title, &header);
+        for net in &self.models {
+            let runs = self.configs.iter().map(|&label| {
+                let run = (self.engine)(label).check(net, budget);
+                let record = Json::Obj(run_fields(&run));
+                (label, run, record)
+            });
+            let row = Row(runs.collect());
+            let mut cells = vec![net.name().to_string()];
+            if let Some((rule, voters, shown)) = self.vote {
+                let verdict = |label| &row.run(label).0.verdict;
+                let voters: Vec<&Verdict> = voters.iter().map(|l| verdict(l)).collect();
+                let (cell, conflict) = agreement(rule, &voters, verdict(shown));
+                if conflict {
+                    t.conflicts.push(format!("{}: {cell}", net.name()));
+                }
+                cells.push(cell);
+            }
+            cells.extend(
+                self.columns
+                    .iter()
+                    .map(|&(_, label, key)| row.cell(label, key)),
+            );
+            if let Some((_, probe)) = self.probe {
+                cells.extend(probe(net, &row));
+            }
+            t.push(cells);
+        }
+        t
+    }
+}
 
-/// One [`ic3_gen_run`] row: (verdict, SAT checks, obligations, ternary
-/// drops, CTGs blocked, deep CTGs blocked, F_∞ clauses, ms).
-pub type GenRunRow = (Verdict, u64, u64, u64, u64, u64, u64, f64);
+/// A registered engine by name.
+fn registered(name: &str) -> Box<dyn Engine> {
+    by_name(name).unwrap_or_else(|| panic!("`{name}` is not a registered engine"))
+}
 
-/// E6g kernel: one IC3 run at `gen`, surfacing the query-stream
-/// counters. Returns (verdict, SAT checks, obligations, ternary drops,
-/// CTGs blocked, deep CTGs blocked, F_∞ clauses, ms).
-pub fn ic3_gen_run(net: &Network, gen: GenMode, budget: &Budget) -> GenRunRow {
-    let engine = Ic3 {
-        gen,
-        ..Ic3::default()
+/// The grid of an experiment id, for the engine experiments that are
+/// grids (all of the E6 family but `e6c`).
+fn grid(id: &str) -> Option<Grid> {
+    use Rule::{Class, Exact};
+    let grid = match id {
+        // E6 / Table 4: verdict, representation peak and wall clock of
+        // every registered engine — the registry *is* the comparison.
+        "e6" => Grid {
+            title: "E6 / Table 4 — UMC comparison across the engine registry",
+            models: umc_suite(),
+            configs: registry().iter().map(|s| s.name).collect(),
+            engine: registered,
+            vote: None,
+            columns: (registry().iter())
+                .flat_map(|s| {
+                    let n = s.name;
+                    [
+                        (n, n, "verdict"),
+                        ("nodes", n, "peak_nodes"),
+                        ("ms", n, "elapsed_ms"),
+                    ]
+                })
+                .collect(),
+            probe: None,
+        },
+        // E6s: the circuit engine with state-set sweeping off vs eager.
+        // The claim: sweeping strictly shrinks the reached set and the
+        // median frontier on redundancy-heavy traversals while
+        // preserving every verdict.
+        "e6s" => Grid {
+            title: "E6s — state-set sweeping ablation (circuit engine, AND gates)",
+            models: umc_suite(),
+            configs: vec!["off", "on"],
+            engine: |label| {
+                Box::new(CircuitUmc {
+                    sweep: (label == "on").then(StateSweepConfig::eager),
+                    ..CircuitUmc::default()
+                })
+            },
+            vote: Some((Exact, &["off", "on"], "off")),
+            columns: vec![
+                ("reached off", "off", "reached_size"),
+                ("reached on", "on", "reached_size"),
+                ("medfront off", "off", "frontier_sizes"),
+                ("medfront on", "on", "frontier_sizes"),
+                ("peak off", "off", "peak_nodes"),
+                ("peak on", "on", "peak_nodes"),
+                ("ms off", "off", "elapsed_ms"),
+                ("ms on", "on", "elapsed_ms"),
+            ],
+            probe: None,
+        },
+        // E6p: the circuit engine monolithic (`x1`) vs partitioned (`x4`)
+        // vs one partition per core (`auto`). The claims: verdicts,
+        // fixpoint iterations and cex depths are identical at every
+        // partition count, and on redundancy-heavy models the largest
+        // per-partition state cone stays below the monolithic one.
+        "e6p" => Grid {
+            title: "E6p — partitioned state sets (circuit engine, AND gates)",
+            models: umc_suite(),
+            configs: vec!["x1", "x4", "auto"],
+            engine: |label| {
+                let count = PartitionCount::from_name(label.trim_start_matches('x'));
+                Box::new(CircuitUmc {
+                    partition: count.expect("a partition count"),
+                    ..CircuitUmc::default()
+                })
+            },
+            vote: Some((Exact, &["x1", "x4", "auto"], "x1")),
+            columns: vec![
+                ("reached x1", "x1", "reached_size"),
+                ("maxcone x1", "x1", "partitions.max_cone"),
+                ("maxcone x4", "x4", "partitions.max_cone"),
+                ("parts", "x4", "partitions.final"),
+                ("splits", "x4", "partitions.splits"),
+                ("ms x1", "x1", "elapsed_ms"),
+                ("ms x4", "x4", "elapsed_ms"),
+                ("ms auto", "auto", "elapsed_ms"),
+            ],
+            probe: None,
+        },
+        // E6pdr: IC3 against the circuit traversal and BMC. The claims:
+        // IC3 agrees with the circuit engine's class on every model, it
+        // proves the safe models BMC can never close (`bmc` stays
+        // `unknown` there), and `ms nodrop` shows what the unsat-core-only
+        // generalization baseline costs — it must agree too.
+        "e6pdr" => Grid {
+            title: "E6pdr — IC3/PDR vs circuit traversal and BMC (E6 suite)",
+            models: umc_suite(),
+            configs: vec!["circuit", "bmc", "ic3", "nodrop"],
+            engine: |label| match label {
+                "nodrop" => Box::new(Ic3 {
+                    gen: GenMode::Core,
+                    ..Ic3::default()
+                }),
+                name => registered(name),
+            },
+            vote: Some((Class, &["circuit", "ic3", "nodrop"], "ic3")),
+            columns: vec![
+                ("bmc", "bmc", "verdict"),
+                ("frames", "ic3", "frames"),
+                ("obls", "ic3", "obligations"),
+                ("clauses", "ic3", "clauses"),
+                ("pushed", "ic3", "pushed"),
+                ("drops", "ic3", "gen_drops"),
+                ("ms circuit", "circuit", "elapsed_ms"),
+                ("ms ic3", "ic3", "elapsed_ms"),
+                ("ms nodrop", "nodrop", "elapsed_ms"),
+            ],
+            probe: None,
+        },
+        // E6g: one IC3 run per `GenMode` rung on the E6 suite plus three
+        // don't-care-rich safe models. The claims: every rung reaches the
+        // same class, and the structural rungs — ternary widening, CTG
+        // blocking, F_∞ promotion — cut the SAT query stream (`chk`) and
+        // the obligation count (`obl`).
+        "e6g" => Grid {
+            title: "E6g — IC3 generalization ablation (core < drop < ternary < ctg < ctg-deep)",
+            models: e6g_suite(),
+            configs: GenMode::ALL.iter().map(|g| g.name()).collect(),
+            engine: |label| {
+                Box::new(Ic3 {
+                    gen: GenMode::parse(label).expect("a generalization mode"),
+                    ..Ic3::default()
+                })
+            },
+            vote: Some((
+                Class,
+                &["core", "drop", "ternary", "ctg", "ctg-deep"],
+                "ctg-deep",
+            )),
+            columns: vec![
+                ("chk core", "core", "cnf.checks"),
+                ("chk drop", "drop", "cnf.checks"),
+                ("chk tern", "ternary", "cnf.checks"),
+                ("chk ctg", "ctg", "cnf.checks"),
+                ("chk deep", "ctg-deep", "cnf.checks"),
+                ("obl drop", "drop", "obligations"),
+                ("obl tern", "ternary", "obligations"),
+                ("obl ctg", "ctg", "obligations"),
+                ("tdrops", "ctg-deep", "tern_drops"),
+                ("ctg blk", "ctg-deep", "ctg_blocked"),
+                ("deep blk", "ctg-deep", "ctg_deep_blocked"),
+                ("inf", "ctg-deep", "inf_clauses"),
+                ("ms deep", "ctg-deep", "elapsed_ms"),
+            ],
+            probe: None,
+        },
+        // E6i: Craig interpolation against IC3 and the circuit traversal.
+        // The claims: itp agrees with both on every model's class, it
+        // closes the safe models from bounded proofs alone (`frames` stays
+        // well under the diameters), and the proof plane is cheap: `ms
+        // sat` vs `ms sat+pf` solve the *same* monolithic unrolling with
+        // logging off and on.
+        "e6i" => Grid {
+            title: "E6i — Craig interpolation vs IC3 and circuit traversal (E6 suite)",
+            models: umc_suite(),
+            configs: vec!["circuit", "ic3", "itp"],
+            engine: registered,
+            vote: Some((Class, &["circuit", "ic3", "itp"], "itp")),
+            columns: vec![
+                ("frames", "itp", "frames"),
+                ("refin", "itp", "refinements"),
+                ("itps", "itp", "interpolants"),
+                ("i-nodes", "itp", "itp_nodes"),
+                ("ms itp", "itp", "elapsed_ms"),
+                ("ms ic3", "ic3", "elapsed_ms"),
+                ("ms circuit", "circuit", "elapsed_ms"),
+            ],
+            probe: Some((&["ms sat", "ms sat+pf"], |net, row| {
+                let frames = field(row.run("itp").1, "frames").as_u64().expect("a count");
+                let (off, traced) = proof_overhead_run(net, (frames as usize).max(4));
+                vec![format!("{off:.1}"), format!("{traced:.1}")]
+            })),
+        },
+        // E6pp: the sequential budget-sliced cascade against the parallel
+        // race with its lemma bus. The claims: both modes reach the same
+        // class everywhere (the parallel winner is the smallest-index
+        // conclusive member), and the parallel mode wins on wall clock
+        // wherever the bus lets a member conclude early.
+        "e6pp" => Grid {
+            title: "E6pp — portfolio: sequential vs parallel+bus (E6 suite)",
+            // The E6 suite plus a gap counter padded with 256 shadow bits
+            // outside the property's cone: k-induction alone burns all its
+            // simple-path frames over the full state vector, while IC3's
+            // cone-directed clauses converge fast and, on the bus, hand
+            // k-induction the invariant mid-run.
+            models: {
+                let mut models = umc_suite();
+                models.push(generators::shadowed_counter_gap(7, 50, 100, 256));
+                models
+            },
+            configs: vec!["seq", "par"],
+            engine: |label| {
+                Box::new(match label {
+                    "par" => Portfolio::standard_parallel(),
+                    _ => Portfolio::standard(),
+                })
+            },
+            vote: Some((Class, &["seq", "par"], "seq")),
+            columns: vec![
+                ("ms seq", "seq", "elapsed_ms"),
+                ("ms par+bus", "par", "elapsed_ms"),
+                ("cubes", "par", "bus.published_cubes"),
+                ("admitted", "par", "bus.clients.lemmas_admitted"),
+                ("merges", "par", "bus.published_merges"),
+            ],
+            probe: None,
+        },
+        _ => return None,
     };
-    let start = Instant::now();
-    let run = engine.check(net, budget);
-    let d = run.detail::<Ic3Stats>().expect("ic3 stats");
-    (
-        run.verdict.clone(),
-        d.cnf.checks,
-        d.obligations,
-        d.tern_drops,
-        d.ctg_blocked,
-        d.ctg_deep_blocked,
-        d.inf_clauses,
-        start.elapsed().as_secs_f64() * 1e3,
-    )
+    Some(grid)
 }
 
 /// The E6g suite: the engine-comparison models plus three don't-care
@@ -860,86 +919,13 @@ pub fn e6g_suite() -> Vec<Network> {
     suite
 }
 
-/// E6g: the generalization-effort ladder, one IC3 run per
-/// [`GenMode`] per model. The claims: every rung reaches the same
-/// verdict (a `!=` marker prints otherwise), and the structural rungs —
-/// ternary widening, CTG blocking, F_∞ promotion — cut the SAT query
-/// stream (`chk`) and the obligation count (`obl`) that the paper's
-/// thesis says dominate the wall clock.
-pub fn e6g_table() -> Table {
-    let mut t = Table::new(
-        "E6g — IC3 generalization ablation (core < drop < ternary < ctg < ctg-deep)",
-        &[
-            "circuit", "verdict", "chk core", "chk drop", "chk tern", "chk ctg", "chk deep",
-            "obl drop", "obl tern", "obl ctg", "tdrops", "ctg blk", "deep blk", "inf", "ms deep",
-        ],
-    );
-    let budget = e6_budget();
-    for net in e6g_suite() {
-        let runs: Vec<GenRunRow> = GenMode::ALL
-            .iter()
-            .map(|&gen| ic3_gen_run(&net, gen, &budget))
-            .collect();
-        let agree = runs.iter().all(|(v, ..)| {
-            v.is_safe() == runs[0].0.is_safe() && v.is_unsafe() == runs[0].0.is_unsafe()
-        });
-        let verdict = if agree {
-            verdict_cell(&runs[4].0)
-        } else {
-            format!(
-                "{} != {}",
-                verdict_cell(&runs[0].0),
-                verdict_cell(&runs[4].0)
-            )
-        };
-        t.push(vec![
-            net.name().to_string(),
-            verdict,
-            runs[0].1.to_string(),
-            runs[1].1.to_string(),
-            runs[2].1.to_string(),
-            runs[3].1.to_string(),
-            runs[4].1.to_string(),
-            runs[1].2.to_string(),
-            runs[2].2.to_string(),
-            runs[3].2.to_string(),
-            runs[4].3.to_string(),
-            runs[4].4.to_string(),
-            runs[4].5.to_string(),
-            runs[4].6.to_string(),
-            format!("{:.1}", runs[4].7),
-        ]);
-    }
-    t
-}
-
-// ---------------------------------------------------------------------
-// E6i — Craig interpolation vs IC3 and circuit traversal
-// ---------------------------------------------------------------------
-
-/// E6i kernel: one interpolation-engine run. Returns (verdict, frames,
-/// refinements, interpolants derived, final interpolant nodes, ms).
-pub fn itp_run(net: &Network, budget: &Budget) -> (Verdict, usize, u64, u64, usize, f64) {
-    let start = Instant::now();
-    let run = Itp::default().check(net, budget);
-    let d = run.detail::<ItpStats>().expect("itp stats");
-    (
-        run.verdict.clone(),
-        d.frames,
-        d.refinements,
-        d.interpolants,
-        d.itp_nodes,
-        start.elapsed().as_secs_f64() * 1e3,
-    )
-}
-
-/// E6i kernel: the proof-plane overhead probe. Builds one monolithic
-/// "bad within `depth` steps" unrolling of the net (functional
-/// composition, fresh inputs per frame — the workload shape the
-/// interpolation engine's bounded queries take) and solves it through
-/// the arena solver twice: proof logging off, then full
-/// resolution-trace logging. Returns (ms off, ms traced); panics if the
-/// two solves disagree, since logging must never change an answer.
+/// E6i's proof-plane overhead probe. Builds one monolithic "bad within
+/// `depth` steps" unrolling of the net (functional composition, fresh
+/// inputs per frame — the workload shape the interpolation engine's
+/// bounded queries take) and solves it through the arena solver twice:
+/// proof logging off, then full resolution-trace logging. Returns (ms
+/// off, ms traced); panics if the two solves disagree, since logging must
+/// never change an answer.
 pub fn proof_overhead_run(net: &Network, depth: usize) -> (f64, f64) {
     let mut aig = net.aig().clone();
     let latches: Vec<Var> = net.latches().iter().map(|l| l.var).collect();
@@ -975,106 +961,16 @@ pub fn proof_overhead_run(net: &Network, depth: usize) -> (f64, f64) {
     (times[0], times[1])
 }
 
-/// E6i: Craig interpolation across the E6 suite, against IC3 and the
-/// circuit traversal. The claims: the interpolation engine agrees with
-/// the circuit engine's classification on every model (a `!=` marker
-/// prints otherwise), it closes the safe models from bounded proofs
-/// alone — `frames` stays well under the models' diameters — and the
-/// proof plane that feeds it is cheap: `ms sat` vs `ms sat+pf` solve
-/// the *same* monolithic unrolling with logging off and on, so the gap
-/// is the whole tracing tax.
-pub fn e6i_table() -> Table {
-    let mut t = Table::new(
-        "E6i — Craig interpolation vs IC3 and circuit traversal (E6 suite)",
-        &[
-            "circuit",
-            "verdict",
-            "frames",
-            "refin",
-            "itps",
-            "i-nodes",
-            "ms itp",
-            "ms ic3",
-            "ms circuit",
-            "ms sat",
-            "ms sat+pf",
-        ],
-    );
-    let budget = e6_budget();
-    for net in umc_suite() {
-        let start = Instant::now();
-        let circuit = CircuitUmc::default().check(&net, &budget);
-        let ms_circuit = start.elapsed().as_secs_f64() * 1e3;
-        let (v_ic3, .., ms_ic3) = ic3_run(&net, GenMode::default(), &budget);
-        let (v_itp, frames, refin, itps, nodes, ms_itp) = itp_run(&net, &budget);
-        let agree = circuit.verdict.is_safe() == v_itp.is_safe()
-            && circuit.verdict.is_unsafe() == v_itp.is_unsafe()
-            && v_ic3.is_safe() == v_itp.is_safe();
-        let verdict = if agree {
-            verdict_cell(&v_itp)
-        } else {
-            format!(
-                "{} != {}",
-                verdict_cell(&circuit.verdict),
-                verdict_cell(&v_itp)
-            )
-        };
-        let (ms_off, ms_trace) = proof_overhead_run(&net, frames.max(4));
-        t.push(vec![
-            net.name().to_string(),
-            verdict,
-            frames.to_string(),
-            refin.to_string(),
-            itps.to_string(),
-            nodes.to_string(),
-            format!("{ms_itp:.1}"),
-            format!("{ms_ic3:.1}"),
-            format!("{ms_circuit:.1}"),
-            format!("{ms_off:.1}"),
-            format!("{ms_trace:.1}"),
-        ]);
-    }
-    t
-}
-
-// ---------------------------------------------------------------------
-// E6c — the serve cache: whole-run replay and IC3 warm starts
-// ---------------------------------------------------------------------
-
-/// E6c kernel: one `check` request through the service core against a
-/// shared cache. Returns (verdict, tier, obligations if IC3, ms).
-pub fn cache_run(
-    cache: &std::sync::Mutex<cbq_serve::StructuralCache>,
-    net: &Network,
-    id: u64,
-    use_cache: bool,
-) -> (Verdict, cbq_serve::CacheTier, u64, f64) {
-    let request = cbq_serve::CheckRequest {
-        id,
-        model: cbq_ckt::io::write_network(net),
-        engine: "ic3".to_string(),
-        budget: e6_budget(),
-        use_cache,
-    };
-    let start = Instant::now();
-    let outcome = cbq_serve::process_check(&request, cache, &cbq_serve::ServerCaps::default());
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    let run = outcome.run.expect("model serializes round-trip");
-    let obls = run
-        .detail::<Ic3Stats>()
-        .map(|d| d.obligations)
-        .unwrap_or_default();
-    (run.verdict.clone(), outcome.tier, obls, elapsed)
-}
-
-/// E6c: the structural cache across the E6 suite. Three requests per
-/// model — cold, identical (tier-1 whole-run replay), and a structurally
-/// perturbed but semantically equal property (`bad ∨ (bad ∧ l₀)`, which
-/// defeats tiers 1/2 and exercises the tier-3 IC3 warm start). The
-/// claims: the replay is orders of magnitude faster than the cold run,
-/// the warm start discharges no more obligations than cold, and all
-/// three verdicts agree (a `!=` marker prints otherwise).
-pub fn e6c_table() -> Table {
+/// E6c: the structural cache across `models`, through the service core.
+/// Three IC3 requests per model on one cache: cold, identical (a tier-1
+/// whole-run replay, which returns the cold run itself), and a
+/// structurally perturbed but semantically equal property
+/// (`bad ∨ (bad ∧ l₀)`, which defeats tiers 1 and 2 and exercises the
+/// tier-3 warm start). The claims: the replay is orders of magnitude
+/// faster than the cold run, the warm start discharges no more
+/// obligations than cold, and all three agree on the class. A replay
+/// that is not a tier-1 hit is a conflict too.
+fn e6c_table(models: Vec<Network>, budget: &Budget) -> Table {
     let mut t = Table::new(
         "E6c — serve cache: cold vs tier-1 replay vs tier-3 warm start (ic3, E6 suite)",
         &[
@@ -1088,11 +984,7 @@ pub fn e6c_table() -> Table {
             "ms warm",
         ],
     );
-    for net in umc_suite() {
-        let cache = std::sync::Mutex::new(cbq_serve::StructuralCache::new());
-        let (v_cold, _, obls_cold, ms_cold) = cache_run(&cache, &net, 1, true);
-        let (v_replay, tier_replay, _, ms_replay) = cache_run(&cache, &net, 2, true);
-
+    for net in models {
         let mut variant = net.clone();
         let perturbed = {
             let bad = variant.bad();
@@ -1102,113 +994,42 @@ pub fn e6c_table() -> Table {
             aig.or(bad, both)
         };
         variant.set_bad(perturbed);
-        let (v_warm, tier_warm, obls_warm, ms_warm) = cache_run(&cache, &variant, 3, true);
-
-        let agree = verdict_cell(&v_cold) == verdict_cell(&v_replay)
-            && v_cold.is_safe() == v_warm.is_safe()
-            && v_cold.is_unsafe() == v_warm.is_unsafe()
-            && tier_replay == cbq_serve::CacheTier::WholeRun;
-        let verdict = if agree {
-            verdict_cell(&v_cold)
-        } else {
-            format!("{} != {}", verdict_cell(&v_cold), verdict_cell(&v_warm))
+        let cache = std::sync::Mutex::new(cbq_serve::StructuralCache::new());
+        let request = |id, model: &Network| {
+            let request = cbq_serve::CheckRequest {
+                id,
+                model: cbq_ckt::io::write_network(model),
+                engine: "ic3".to_string(),
+                budget: budget.clone(),
+                use_cache: true,
+            };
+            let start = Instant::now();
+            let outcome =
+                cbq_serve::process_check(&request, &cache, &cbq_serve::ServerCaps::default());
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            let run = outcome.run.expect("model serializes round-trip");
+            (run, outcome.tier, ms)
         };
+        let (cold, replay, warm) = (request(1, &net), request(2, &net), request(3, &variant));
+        let verdicts = [&cold.0.verdict, &replay.0.verdict, &warm.0.verdict];
+        let (mut verdict, mut conflict) = agreement(Rule::Class, &verdicts, verdicts[0]);
+        if replay.1 != cbq_serve::CacheTier::WholeRun {
+            verdict = format!("{verdict} != replay tier {}", replay.1.number());
+            conflict = true;
+        }
+        if conflict {
+            t.conflicts.push(format!("{}: {verdict}", net.name()));
+        }
+        let obls = |run: &McRun| field(&Json::Obj(run_fields(run)), "obligations").to_string();
         t.push(vec![
             net.name().to_string(),
             verdict,
-            format!("{ms_cold:.1}"),
-            format!("{ms_replay:.3}"),
-            obls_cold.to_string(),
-            obls_warm.to_string(),
-            format!("{}", tier_warm.number()),
-            format!("{ms_warm:.1}"),
-        ]);
-    }
-    t
-}
-
-// ---------------------------------------------------------------------
-// E6pp — the portfolio: sequential vs parallel with the lemma bus
-// ---------------------------------------------------------------------
-
-/// E6pp kernel: one portfolio run, sequential or parallel. Returns the
-/// verdict, wall-clock ms, and — for parallel runs — the bus publication
-/// and admission counters.
-pub fn portfolio_run(
-    net: &Network,
-    parallel: bool,
-    budget: &Budget,
-) -> (Verdict, f64, Option<PortfolioBusStats>) {
-    let engine = if parallel {
-        Portfolio::standard_parallel()
-    } else {
-        Portfolio::standard()
-    };
-    let start = Instant::now();
-    let run = engine.check(net, budget);
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    let bus_stats = run
-        .detail::<PortfolioStats>()
-        .and_then(|d| d.bus.as_ref().copied());
-    (run.verdict, elapsed, bus_stats)
-}
-
-/// E6pp: the portfolio ablation on the E6 suite — the sequential
-/// budget-sliced cascade against the concurrent scoped-thread race with
-/// its cross-engine lemma bus. The claims: both modes return the same
-/// verdict everywhere (parallel determinism — the winner is the
-/// smallest-index conclusive member), and on wall clock the parallel
-/// mode wins wherever the bus lets a member conclude early (a `!=`
-/// marker prints on any verdict divergence).
-pub fn e6pp_table() -> Table {
-    let mut t = Table::new(
-        "E6pp — portfolio: sequential vs parallel+bus (E6 suite)",
-        &[
-            "circuit",
-            "verdict",
-            "ms seq",
-            "ms par+bus",
-            "cubes",
-            "admitted",
-            "merges",
-        ],
-    );
-    let budget = e6_budget();
-    // The E6 suite plus a showcase model where the lemma bus has real
-    // work to save: a gap counter padded with 256 bits of shadow state
-    // outside the property's cone. k-induction alone burns all 40
-    // simple-path frames over the full state vector; IC3's cone-directed
-    // clauses never touch the shadows and converge fast. The sequential
-    // cascade pays both in series, while on the bus k-induction admits
-    // IC3's published invariant mid-run and concludes early.
-    let mut models = umc_suite();
-    models.push(generators::shadowed_counter_gap(7, 50, 100, 256));
-    for net in models {
-        let (v_seq, ms_seq, _) = portfolio_run(&net, false, &budget);
-        let (v_bus, ms_bus, bus) = portfolio_run(&net, true, &budget);
-        let agree = v_seq.is_safe() == v_bus.is_safe() && v_seq.is_unsafe() == v_bus.is_unsafe();
-        let verdict = if agree {
-            verdict_cell(&v_seq)
-        } else {
-            format!("{} != {}", verdict_cell(&v_seq), verdict_cell(&v_bus))
-        };
-        let (cubes, admitted, merges) = bus
-            .map(|b| {
-                (
-                    b.published.cubes,
-                    b.clients.lemmas_admitted,
-                    b.published.merges,
-                )
-            })
-            .unwrap_or_default();
-        t.push(vec![
-            net.name().to_string(),
-            verdict,
-            format!("{ms_seq:.1}"),
-            format!("{ms_bus:.1}"),
-            cubes.to_string(),
-            admitted.to_string(),
-            merges.to_string(),
+            format!("{:.1}", cold.2),
+            format!("{:.3}", replay.2),
+            obls(&cold.0),
+            obls(&warm.0),
+            warm.1.number().to_string(),
+            format!("{:.1}", warm.2),
         ]);
     }
     t
@@ -1218,6 +1039,14 @@ pub fn e6pp_table() -> Table {
 // Smoke — one tiny model per engine (the CI fail-fast run)
 // ---------------------------------------------------------------------
 
+/// The smoke budget: tight enough to fail fast, generous enough that no
+/// engine exhausts it on the two tiny models.
+fn smoke_budget() -> Budget {
+    Budget::unlimited()
+        .with_steps(256)
+        .with_timeout(std::time::Duration::from_secs(10))
+}
+
 /// Smoke: every registered engine on one tiny model under a tight
 /// budget — regressions in any engine (or in sweeping, which is on by
 /// default for the circuit engines) fail fast in CI.
@@ -1226,9 +1055,7 @@ pub fn smoke_table() -> Table {
         "Smoke — every registered engine on one tiny model",
         &["engine", "circuit", "verdict", "nodes", "ms"],
     );
-    let budget = Budget::unlimited()
-        .with_steps(256)
-        .with_timeout(std::time::Duration::from_secs(10));
+    let budget = smoke_budget();
     for spec in registry() {
         for net in [generators::mutex(), generators::mutex_bug()] {
             let start = Instant::now();
@@ -1369,20 +1196,16 @@ pub fn e8_table() -> Table {
 
 /// Runs one experiment by id (`"e1"` … `"e8"`, `"e6s"`, `"smoke"`).
 pub fn run_experiment(id: &str) -> Option<Table> {
+    if let Some(grid) = grid(id) {
+        return Some(grid.run(&e6_budget()));
+    }
     match id {
         "e1" => Some(e1_table()),
         "e2" => Some(e2_table()),
         "e3" => Some(e3_table()),
         "e4" => Some(e4_table()),
         "e5" => Some(e5_table()),
-        "e6" => Some(e6_table()),
-        "e6s" => Some(e6s_table()),
-        "e6p" => Some(e6p_table()),
-        "e6pdr" => Some(e6pdr_table()),
-        "e6g" => Some(e6g_table()),
-        "e6i" => Some(e6i_table()),
-        "e6c" => Some(e6c_table()),
-        "e6pp" => Some(e6pp_table()),
+        "e6c" => Some(e6c_table(umc_suite(), &e6_budget())),
         "e7" => Some(e7_table()),
         "e8" => Some(e8_table()),
         "smoke" => Some(smoke_table()),
@@ -1423,33 +1246,60 @@ mod tests {
     }
 
     #[test]
-    fn registry_engines_complete_the_e6_kernel() {
-        // One tiny circuit through every registered engine, budgeted the
-        // same way as the full table.
-        let net = generators::mutex();
-        for spec in registry() {
-            let run = (spec.build)().check(&net, &Budget::unlimited().with_steps(100));
-            assert_eq!(run.stats.engine, spec.name);
-            assert!(
-                !run.verdict.is_unsafe(),
-                "{}: mutex is safe, got {}",
-                spec.name,
-                run.verdict
-            );
+    fn every_engine_experiment_runs_on_tiny_models_without_conflicts() {
+        // Every column key must resolve in its run's record (a missing
+        // key panics), and no two conclusive verdicts may disagree.
+        for id in EXPERIMENTS.iter().filter(|id| id.starts_with("e6")) {
+            let tiny = vec![generators::mutex(), generators::mutex_bug()];
+            let t = match grid(id) {
+                Some(grid) => Grid {
+                    models: tiny,
+                    ..grid
+                }
+                .run(&smoke_budget()),
+                None => e6c_table(tiny, &smoke_budget()),
+            };
+            assert_eq!(t.rows.len(), 2, "{id}");
+            assert!(t.rows.iter().all(|r| r.len() == t.header.len()), "{id}");
+            assert!(t.conflicts.is_empty(), "{id}: {:?}", t.conflicts);
         }
+        assert_eq!(median(&[]), 0);
+        assert_eq!(median(&[3, 1, 2]), 2);
     }
 
     #[test]
-    fn sweep_kernel_preserves_verdicts_on_a_tiny_model() {
-        let net = generators::mutex();
-        let budget = Budget::unlimited().with_steps(64);
-        let (v_off, ..) = sweep_run(&net, None, &budget);
-        let (v_on, reached_on, ..) = sweep_run(&net, Some(StateSweepConfig::eager()), &budget);
-        assert_eq!(verdict_cell(&v_off), verdict_cell(&v_on));
-        assert!(v_on.is_safe());
-        let _ = reached_on;
-        assert_eq!(median(&[]), 0);
-        assert_eq!(median(&[3, 1, 2]), 2);
+    fn only_conclusive_disagreements_are_conflicts() {
+        let safe = |iterations| Verdict::Safe { iterations };
+        let bounded = Verdict::Bounded {
+            resource: cbq_mc::Resource::WallClock,
+            limit: 30_000,
+        };
+        let cell = |rule, a: &Verdict, b: &Verdict| agreement(rule, &[a, b], b);
+        assert_eq!(
+            cell(Rule::Exact, &safe(3), &safe(4)),
+            ("safe@3 != safe@4".to_string(), true)
+        );
+        assert_eq!(
+            cell(Rule::Exact, &safe(3), &bounded),
+            ("safe@3 != bounded(wall-clock)".to_string(), false)
+        );
+        assert_eq!(
+            cell(Rule::Class, &safe(3), &safe(4)),
+            ("safe@4".to_string(), false)
+        );
+        assert_eq!(
+            cell(Rule::Class, &bounded, &bounded),
+            ("bounded(wall-clock)".to_string(), false)
+        );
+        // The runner records a conflicting row: on `mutex` the circuit
+        // engine proves safety at depth 1, IC3 at depth 2.
+        let strict = Grid {
+            models: vec![generators::mutex()],
+            vote: Some((Rule::Exact, &["circuit", "ic3"], "ic3")),
+            ..grid("e6pdr").expect("e6pdr is a grid")
+        };
+        let t = strict.run(&smoke_budget());
+        assert_eq!(t.conflicts, ["mutex: safe@1 != safe@2"]);
     }
 
     #[test]
@@ -1468,47 +1318,6 @@ mod tests {
         }
         assert!(t.rows.iter().any(|r| r[2].starts_with("safe")));
         assert!(t.rows.iter().any(|r| r[2].starts_with("cex")));
-    }
-
-    #[test]
-    fn ic3_kernel_proves_and_refutes_tiny_models() {
-        let budget = Budget::unlimited().with_steps(100);
-        let (v, frames, _, clauses, _, _, _) =
-            ic3_run(&generators::mutex(), GenMode::default(), &budget);
-        assert!(v.is_safe(), "mutex should be safe, got {v:?}");
-        assert!(frames >= 1);
-        let _ = clauses;
-        let (v, ..) = ic3_run(&generators::mutex_bug(), GenMode::Core, &budget);
-        assert!(v.is_unsafe(), "mutex_bug should be unsafe, got {v:?}");
-    }
-
-    #[test]
-    fn ic3_gen_kernel_agrees_across_the_ladder() {
-        let budget = Budget::unlimited().with_steps(100);
-        for net in [generators::mutex(), generators::mutex_bug()] {
-            let runs: Vec<GenRunRow> = GenMode::ALL
-                .iter()
-                .map(|&gen| ic3_gen_run(&net, gen, &budget))
-                .collect();
-            for (v, checks, ..) in &runs {
-                assert_eq!(v.is_safe(), runs[0].0.is_safe(), "{}", net.name());
-                assert!(*checks > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn e6i_kernels_run_on_tiny_models() {
-        let budget = Budget::unlimited().with_steps(100);
-        let (v, frames, ..) = itp_run(&generators::mutex(), &budget);
-        assert!(v.is_safe(), "mutex should be safe, got {v:?}");
-        assert!(frames >= 1);
-        let (v, ..) = itp_run(&generators::mutex_bug(), &budget);
-        assert!(v.is_unsafe(), "mutex_bug should be unsafe, got {v:?}");
-        // The overhead probe must agree across modes on both a SAT and
-        // an UNSAT unrolling (it asserts internally).
-        let _ = proof_overhead_run(&generators::mutex(), 4);
-        let _ = proof_overhead_run(&generators::mutex_bug(), 4);
     }
 
     #[test]

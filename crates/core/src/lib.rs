@@ -136,8 +136,9 @@ pub struct QuantConfig {
     pub node_limit: Option<usize>,
     /// Cooperative cancellation by a shared flag: once another thread
     /// raises it, the elimination loop stops exactly as if the deadline
-    /// had passed. Parallel portfolio members share one flag per member
-    /// so a first conclusive answer cancels the losers' hot loops.
+    /// had passed. The circuit traversals of `cbq-mc` set it to their
+    /// budget's cancel flag, so a parallel portfolio member cancelled
+    /// mid-quantification stops between two eliminations.
     pub cancel: Option<Arc<AtomicBool>>,
 }
 

@@ -401,7 +401,9 @@ impl Engine for Bmc {
             reason: format!("no counterexample up to depth {}", self.max_depth),
         };
         for d in 0..=self.max_depth {
-            if let Some(bounded) = meter.exceeded(d, u.aig.num_nodes(), u.cnf.stats().checks) {
+            let bus_checks = consumer.as_ref().map_or(0, |(c, _)| c.checks());
+            let checks = u.cnf.stats().checks + bus_checks;
+            if let Some(bounded) = meter.exceeded(d, u.aig.num_nodes(), checks) {
                 verdict = bounded;
                 break;
             }
@@ -610,6 +612,32 @@ mod tests {
         assert_eq!(d.bus.lemmas_admitted, 3, "stats: {d:?}");
         assert_eq!(d.bus.lemmas_rejected, 0, "stats: {d:?}");
         assert_eq!(d.coi_lemmas_skipped, 2, "stats: {d:?}");
+    }
+
+    #[test]
+    fn bus_validation_counts_against_the_sat_check_budget() {
+        // Five untagged pair cubes make the consumer's validator issue
+        // its batch queries before the depth-0 check; the next depth must
+        // see them on the meter.
+        let bus = Arc::new(LemmaBus::new());
+        for i in 0..5 {
+            bus.publish_cube(vec![(i, true), ((i + 1) % 5, true)]);
+        }
+        let run = Bmc {
+            bus: Some(bus),
+            ..Bmc::default()
+        }
+        .check(
+            &generators::counter_bug(5, 7),
+            &Budget::unlimited().with_sat_checks(5),
+        );
+        let limit = Verdict::Bounded {
+            resource: crate::verdict::Resource::SatChecks,
+            limit: 5,
+        };
+        assert_eq!(run.verdict, limit, "after {} checks", run.stats.sat_checks);
+        let d = run.detail::<BmcStats>().expect("stats");
+        assert_eq!(d.depth_reached, 0, "stats: {d:?}");
     }
 
     /// A random network: three latches with the given resets and two

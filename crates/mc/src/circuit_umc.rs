@@ -170,8 +170,8 @@ fn quant_perf(s: &cbq_core::QuantStats) -> AigPerfCounters {
 
 /// Quantifies `vars` out of `f` inside partition `p`, honouring the
 /// partial-quantification growth budget and the partition's cooperative
-/// deadline/node budget. Growth-budget residuals are finished by the
-/// naive cofactor disjunction.
+/// deadline, node budget and cancel flag. Growth-budget residuals are
+/// finished by the naive cofactor disjunction.
 fn quantify_in_partition(
     p: &mut Partition,
     f: Lit,
@@ -185,6 +185,9 @@ fn quantify_in_partition(
     let mut cfg = quant.clone().with_deadline(deadline);
     if cfg.node_limit.is_none() {
         cfg.node_limit = p.node_limit;
+    }
+    if cfg.cancel.is_none() {
+        cfg.cancel = p.cancel.clone();
     }
     let q = exists_many(&mut p.aig, f, vars, &mut p.cnf, &cfg);
     let mut out = PartQuant {
@@ -202,7 +205,9 @@ fn quantify_in_partition(
         out.complete = false;
         return out;
     }
-    let naive = QuantConfig::naive().with_deadline(deadline);
+    let naive = QuantConfig::naive()
+        .with_deadline(deadline)
+        .with_cancel(cfg.cancel.clone());
     let q2 = exists_many(&mut p.aig, q.lit, &q.remaining, &mut p.cnf, &naive);
     out.perf.add(quant_perf(&q2.stats));
     out.lit = q2.lit;
@@ -279,6 +284,7 @@ impl CircuitUmc {
             self.sweep.clone(),
             meter.deadline(),
             meter.node_limit(),
+            meter.cancel_flag(),
         );
         stats.peak_nodes = ss.total_nodes();
         if let Some(bounded) = meter.exceeded(0, ss.total_nodes(), 0) {
@@ -808,6 +814,35 @@ mod tests {
                     "{what}: never actually partitioned"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_stops_quantification() {
+        // The flag goes up after the state set is built but before the
+        // backward prologue quantifies ∃i. bad, with no meter check in
+        // between: only the elimination loop can notice it. A complete
+        // quantification would install F₀ and return `None`.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let net = generators::counter_bug(4, 5);
+        let flag = Arc::new(AtomicBool::new(false));
+        let meter = Meter::start(&Budget::unlimited().with_cancel(flag.clone()));
+        let engine = CircuitUmc::default();
+        let mut ss = StateSet::new(
+            &net,
+            Direction::Backward,
+            engine.partition,
+            None,
+            meter.deadline(),
+            meter.node_limit(),
+            meter.cancel_flag(),
+        );
+        flag.store(true, Ordering::Relaxed);
+        let mut stats = CircuitUmcStats::default();
+        match engine.install_bad_frontier(&mut ss, &net, &meter, &mut stats) {
+            Some(Verdict::Unknown { reason }) => assert!(reason.contains("cancelled"), "{reason}"),
+            other => panic!("expected a cancelled quantification, got {other:?}"),
         }
     }
 }

@@ -146,8 +146,10 @@ impl Meter {
         self.budget.max_nodes
     }
 
-    /// The budget's cooperative-cancellation flag, if any — engines hand
-    /// it to the quantification/sweep kernels alongside the deadline.
+    /// The budget's cooperative-cancellation flag, if any. The circuit
+    /// traversals hand it to every partition's quantification alongside
+    /// [`Meter::deadline`] and [`Meter::node_limit`], so a raised flag
+    /// stops the elimination loop between two variables.
     pub fn cancel_flag(&self) -> Option<Arc<AtomicBool>> {
         self.budget.cancel.clone()
     }

@@ -133,7 +133,8 @@ impl KInduction {
         let step_extra: Vec<SatLit> = consumer.iter().map(|&(_, _, g)| g).collect();
         for k in 1..=self.max_k {
             let nodes = base.aig.num_nodes() + step.aig.num_nodes();
-            let checks = base.cnf.stats().checks + step.cnf.stats().checks;
+            let bus_checks = consumer.as_ref().map_or(0, |(c, _, _)| c.checks());
+            let checks = base.cnf.stats().checks + step.cnf.stats().checks + bus_checks;
             if let Some(bounded) = meter.exceeded(k - 1, nodes, checks) {
                 return bounded;
             }
@@ -326,5 +327,28 @@ mod tests {
         let d = run.detail::<KInductionStats>().expect("stats");
         assert_eq!(d.bus.lemmas_admitted, 1, "stats: {d:?}");
         assert_eq!(d.bus.lemmas_rejected, 1, "stats: {d:?}");
+    }
+
+    #[test]
+    fn bus_validation_counts_against_the_sat_check_budget() {
+        // The consumer's batch queries on five untagged pair cubes are
+        // part of the run's `sat_checks`, so the meter must see them.
+        let bus = Arc::new(LemmaBus::new());
+        for i in 0..5 {
+            bus.publish_cube(vec![(i, true), ((i + 1) % 5, true)]);
+        }
+        let run = KInduction {
+            bus: Some(bus),
+            ..KInduction::default()
+        }
+        .check(
+            &generators::counter_bug(5, 7),
+            &Budget::unlimited().with_sat_checks(12),
+        );
+        let limit = Verdict::Bounded {
+            resource: crate::verdict::Resource::SatChecks,
+            limit: 12,
+        };
+        assert_eq!(run.verdict, limit, "after {} checks", run.stats.sat_checks);
     }
 }

@@ -20,12 +20,15 @@
 //! so the winner — the smallest-index conclusive member — is exactly the
 //! member that wins the sequential race, verdict and trace included;
 //! wall clock drops from the *sum* of the members up to the winner to
-//! their *max*. On top, the members share a [`LemmaBus`]: IC3 publishes
-//! pushed frame clauses that BMC/k-induction re-validate and assume, and
-//! a sweep **scout** thread publishes SAT-proven node merges of the
-//! original next-state/bad cones that IC3 absorbs. Every consumer
-//! re-validates everything it reads (see [`crate::bus`]), so bus traffic
-//! can cost queries but never a verdict.
+//! their *max*. A cancelled member stops at its next budget check; the
+//! `circuit` and `forward` members also poll the flag inside every
+//! quantification, between two variable eliminations. On top, the
+//! members share a [`LemmaBus`]: IC3 publishes pushed frame clauses that
+//! BMC/k-induction re-validate and assume, and a sweep **scout** thread
+//! publishes SAT-proven node merges of the original next-state/bad
+//! cones that IC3 absorbs. Every consumer re-validates everything it
+//! reads (see [`crate::bus`]), so bus traffic can cost queries but never
+//! a verdict.
 //!
 //! The standard lineup — BMC for quick refutation, k-induction for quick
 //! proofs, IC3 for convergence on deep non-inductive properties, then

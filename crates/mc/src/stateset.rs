@@ -36,6 +36,8 @@
 //! verdicts, fixpoint iteration counts, and minimal counterexample
 //! depths are identical for any partition count.
 
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Instant;
 
 use cbq_aig::{Aig, Lit, Node, Var};
@@ -140,6 +142,9 @@ pub struct Partition {
     pub deadline: Option<Instant>,
     /// Cooperative per-partition node budget for quantification.
     pub node_limit: Option<usize>,
+    /// The run's cooperative-cancellation flag, polled by quantification
+    /// between variable eliminations.
+    pub cancel: Option<Arc<AtomicBool>>,
     sweeper: Option<StateSetSweeper>,
 }
 
@@ -150,6 +155,7 @@ impl Partition {
         sweep: Option<StateSweepConfig>,
         deadline: Option<Instant>,
         node_limit: Option<usize>,
+        cancel: Option<Arc<AtomicBool>>,
     ) -> Partition {
         let mut aig = net.aig().clone();
         let forward = direction == Direction::Forward;
@@ -193,6 +199,7 @@ impl Partition {
             frontiers,
             deadline,
             node_limit,
+            cancel,
             sweeper,
         }
     }
@@ -218,6 +225,7 @@ impl Partition {
             frontiers: self.frontiers.clone(),
             deadline: self.deadline,
             node_limit: self.node_limit,
+            cancel: self.cancel.clone(),
             sweeper: self.sweeper.as_ref().map(|s| {
                 let mut fresh = StateSetSweeper::new(s.config().clone());
                 fresh.set_deadline(self.deadline);
@@ -351,7 +359,9 @@ impl StateSet {
     /// tiles into `count` partitions. Backward, its reached set and
     /// frontier start empty (the engine installs F₀ before splitting);
     /// forward, both start as the initial states, and the partition
-    /// carries the transition relation and next-state variables.
+    /// carries the transition relation and next-state variables. The
+    /// deadline, node limit and cancel flag reach every partition's
+    /// quantification.
     pub fn new(
         net: &Network,
         direction: Direction,
@@ -359,6 +369,7 @@ impl StateSet {
         sweep: Option<StateSweepConfig>,
         deadline: Option<Instant>,
         node_limit: Option<usize>,
+        cancel: Option<Arc<AtomicBool>>,
     ) -> StateSet {
         // An explicit count of 1 stays genuinely monolithic.
         let resplit_watermark = match count {
@@ -366,7 +377,9 @@ impl StateSet {
             _ => Some(RESPLIT_WATERMARK),
         };
         StateSet {
-            parts: vec![Partition::seed(net, direction, sweep, deadline, node_limit)],
+            parts: vec![Partition::seed(
+                net, direction, sweep, deadline, node_limit, cancel,
+            )],
             stats: PartitionStats::default(),
             count,
             resplit_watermark,
@@ -774,6 +787,7 @@ mod tests {
             None,
             None,
             None,
+            None,
         );
         // Install a frontier so the split has something to balance.
         let p = &mut ss.parts[0];
@@ -838,6 +852,7 @@ mod tests {
             None,
             None,
             None,
+            None,
         );
         let p = &mut ss.parts[0];
         let (l0, l3) = (p.latches[0].lit(), p.latches[3].lit());
@@ -876,6 +891,7 @@ mod tests {
             &net,
             Direction::Backward,
             PartitionCount::Fixed(2),
+            None,
             None,
             None,
             None,
