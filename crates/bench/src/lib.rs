@@ -877,10 +877,9 @@ fn grid(id: &str) -> Option<Grid> {
         "e6pp" => Grid {
             title: "E6pp — portfolio: sequential vs parallel+bus (E6 suite)",
             // The E6 suite plus a gap counter padded with 256 shadow bits
-            // outside the property's cone: k-induction alone burns all its
-            // simple-path frames over the full state vector, while IC3's
-            // cone-directed clauses converge fast and, on the bus, hand
-            // k-induction the invariant mid-run.
+            // outside the property's cone: IC3's cone-directed clauses
+            // converge fast, and on the bus they reach k-induction if it
+            // is still unrolling when they are published.
             models: {
                 let mut models = umc_suite();
                 models.push(generators::shadowed_counter_gap(7, 50, 100, 256));

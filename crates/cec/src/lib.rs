@@ -56,6 +56,8 @@
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use cbq_aig::sim::BitSim;
@@ -101,6 +103,9 @@ pub struct SweepConfig {
     /// loop stops issuing new checks and applies the merges proven so far
     /// (a sweep result is always sound, however early it stops).
     pub deadline: Option<Instant>,
+    /// Cooperative cancellation by flag, polled where the deadline is: a
+    /// caller's run whose answer is no longer wanted raises it.
+    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Default for SweepConfig {
@@ -115,14 +120,19 @@ impl Default for SweepConfig {
             order: MergeOrder::Forward,
             max_rounds: 16,
             deadline: None,
+            cancel: None,
         }
     }
 }
 
 impl SweepConfig {
-    /// Whether the cooperative deadline has passed.
-    fn past_deadline(&self) -> bool {
-        matches!(self.deadline, Some(d) if Instant::now() >= d)
+    /// Whether the cooperative deadline has passed or the cancel flag is
+    /// raised.
+    pub fn interrupted(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+            || matches!(self.deadline, Some(d) if Instant::now() >= d)
     }
 }
 
@@ -401,7 +411,7 @@ impl<'a> Sweeper<'a> {
             for class in classes {
                 // Cooperative cancellation between candidate classes: stop
                 // issuing checks, keep the merges already proven.
-                if self.cfg.past_deadline() {
+                if self.cfg.interrupted() {
                     cancelled = true;
                     break;
                 }
@@ -445,7 +455,7 @@ impl<'a> Sweeper<'a> {
                         pending_pairs += 1;
                         continue;
                     }
-                    if self.cfg.past_deadline() {
+                    if self.cfg.interrupted() {
                         cancelled = true;
                         break;
                     }
@@ -531,6 +541,21 @@ mod tests {
         let nand = !aig.and(a, b);
         let x2 = aig.and(or, nand);
         (a, b, x1, x2)
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_stops_before_the_first_check() {
+        let mut aig = Aig::new();
+        let (_, _, x1, x2) = xor_two_ways(&mut aig);
+        let mut cnf = AigCnf::new();
+        let cfg = SweepConfig {
+            use_bdd_sweep: false,
+            cancel: Some(Arc::new(AtomicBool::new(true))),
+            ..SweepConfig::default()
+        };
+        let res = sweep(&mut aig, &[x1, x2], &mut cnf, &cfg);
+        assert_ne!(res.roots[0], res.roots[1], "a cancelled sweep merged");
+        assert_eq!(cnf.stats().checks, 0);
     }
 
     #[test]

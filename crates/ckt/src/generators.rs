@@ -134,10 +134,10 @@ pub fn bounded_counter_gap(n: usize, bound: u64, bad_value: u64) -> Network {
 /// latches of input-driven scrambler state that the property never
 /// observes. This models the classic cone-of-influence-heavy industrial
 /// design: most of the state is irrelevant to the property, but methods
-/// that reason over the *full* state vector — k-induction's simple-path
-/// distinctness constraints, BDD reachability — pay for every shadow
-/// bit at every frame, while cone-directed methods (IC3's lazy clause
-/// encoding) never touch them.
+/// that reason over the *full* state vector — BDD reachability, or
+/// simple-path constraints encoded eagerly over every pair of frames —
+/// pay for every shadow bit at every frame, while cone-directed methods
+/// (IC3's lazy clause encoding) never touch them.
 ///
 /// The shadow block is a shift register with XOR feedback scrambled by
 /// a free input, so it has no short cycles to collapse the simple-path

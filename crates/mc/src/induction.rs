@@ -13,12 +13,19 @@
 //! holds. Simple-path constraints (pairwise state disequality) make the
 //! method complete: `k` need never exceed the recurrence diameter.
 //!
+//! The simple-path pairs are added lazily (Eén and Sörensson, *Temporal
+//! Induction by Incremental SAT Solving*, BMC 2003): only the state pairs
+//! a step model repeats are asserted before the step is solved again.
+//! Verdicts and `k` are those of asserting every pair up front.
+//!
 //! Both unrollings are the crate's one functional [`Unroller`]: the base
 //! starts from the reset constants, the step from fresh free state
 //! variables.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use cbq_aig::sim::BitSim;
 use cbq_aig::Lit;
 use cbq_ckt::Network;
 use cbq_sat::{SatLit, SatResult};
@@ -81,6 +88,32 @@ fn assert_distinct(step: &mut Unroller, a: usize, b: usize) {
     step.cnf.assert_lit(&step.aig, any);
 }
 
+/// The pairs `(a, t)`, `a < t ≤ k`, where step state `t` repeats state `a`
+/// (the first with its values) on the path simulated from the model's
+/// inputs, unencoded ones false: it agrees with every encoded node.
+fn repeated_states(step: &Unroller, k: usize) -> Vec<(usize, usize)> {
+    let mut sim = BitSim::new(&step.aig, 1);
+    sim.set_pattern(&step.aig, 0, &step.cnf.model_inputs(&step.aig));
+    sim.run(&step.aig);
+    let mut first: HashMap<Vec<bool>, usize> = HashMap::new();
+    let mut repeats = Vec::new();
+    for (t, state) in step.states[..=k].iter().enumerate() {
+        let values = state.iter().map(|l| sim.lit_word(*l, 0) & 1 != 0).collect();
+        let a = *first.entry(values).or_insert(t);
+        if a < t {
+            repeats.push((a, t));
+        }
+    }
+    repeats
+}
+
+/// Unrolled nodes and SAT checks spent so far, bus validation included.
+fn spent(base: &Unroller, step: &Unroller, consumer: &Option<Consumer>) -> (usize, u64) {
+    let bus = consumer.as_ref().map_or(0, |(c, _, _)| c.checks());
+    let checks = base.cnf.stats().checks + step.cnf.stats().checks + bus;
+    (base.aig.num_nodes() + step.aig.num_nodes(), checks)
+}
+
 impl Engine for KInduction {
     fn name(&self) -> &'static str {
         "kind"
@@ -131,14 +164,17 @@ impl KInduction {
     ) -> Verdict {
         let base_extra: Vec<SatLit> = consumer.iter().map(|&(_, g, _)| g).collect();
         let step_extra: Vec<SatLit> = consumer.iter().map(|&(_, _, g)| g).collect();
+        // Asserted pairs stay asserted for every later `k`.
+        let mut distinct: HashSet<(usize, usize)> = HashSet::new();
         for k in 1..=self.max_k {
-            let nodes = base.aig.num_nodes() + step.aig.num_nodes();
-            let bus_checks = consumer.as_ref().map_or(0, |(c, _, _)| c.checks());
-            let checks = base.cnf.stats().checks + step.cnf.stats().checks + bus_checks;
+            let (nodes, checks) = spent(base, step, consumer);
             if let Some(bounded) = meter.exceeded(k - 1, nodes, checks) {
                 return bounded;
             }
             stats.k = k;
+            let unknown = |case| Verdict::Unknown {
+                reason: format!("{case} budget at k={k}"),
+            };
             if let Some((c, base_guard, step_guard)) = consumer {
                 base.bad_at(net, k - 1);
                 step.bad_at(net, k);
@@ -169,31 +205,35 @@ impl KInduction {
                         trace: base.extract_trace(k - 1),
                     }
                 }
-                SatResult::Unknown => {
-                    return Verdict::Unknown {
-                        reason: format!("base budget at k={k}"),
-                    }
-                }
+                SatResult::Unknown => return unknown("base"),
                 SatResult::Unsat => {}
             }
-            // Step: ¬bad₀ … ¬bad_{k-1} ∧ bad_k over a loop-free path.
+            // Step: ¬bad₀ … ¬bad_{k-1} ∧ bad_k, refined to a loop-free path.
             let bad_k = step.bad_at(net, k);
-            for a in 0..k {
-                assert_distinct(step, a, k);
-            }
             let mut assumptions: Vec<Lit> = step.bads[..k].iter().map(|b| !*b).collect();
             assumptions.push(bad_k);
-            match step
-                .cnf
-                .solve_under_assuming(&step.aig, &assumptions, &step_extra)
-            {
-                SatResult::Unsat => return Verdict::Safe { iterations: k },
-                SatResult::Unknown => {
-                    return Verdict::Unknown {
-                        reason: format!("step budget at k={k}"),
-                    }
+            loop {
+                match step
+                    .cnf
+                    .solve_under_assuming(&step.aig, &assumptions, &step_extra)
+                {
+                    SatResult::Unsat => return Verdict::Safe { iterations: k },
+                    SatResult::Unknown => return unknown("step"),
+                    SatResult::Sat => {}
                 }
-                SatResult::Sat => {}
+                let repeats = repeated_states(step, k);
+                if repeats.is_empty() {
+                    break;
+                }
+                for (a, t) in repeats {
+                    let fresh = distinct.insert((a, t));
+                    debug_assert!(fresh, "asserted pair ({a}, {t}) repeated at k={k}");
+                    assert_distinct(step, a, t);
+                }
+                let (nodes, checks) = spent(base, step, consumer);
+                if let Some(bounded) = meter.exceeded(k - 1, nodes, checks) {
+                    return bounded;
+                }
             }
         }
         Verdict::Unknown {
@@ -205,7 +245,125 @@ impl KInduction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbq_aig::Var;
     use cbq_ckt::generators;
+    use proptest::prelude::*;
+
+    /// The eager reference: every simple-path pair `(a, k)` is asserted
+    /// before the step query at `k`, as the engine did before it added
+    /// them lazily. No bus and no budget. Returns the verdict and the
+    /// `k` it concluded at.
+    fn eager_kind(net: &Network, max_k: usize) -> (Verdict, usize) {
+        let mut base = Unroller::new(net);
+        let mut step = Unroller::free_state(net);
+        for k in 1..=max_k {
+            if base.check_depth_assuming(net, k - 1, &[]) == SatResult::Sat {
+                let trace = base.extract_trace(k - 1);
+                return (Verdict::Unsafe { trace }, k);
+            }
+            let bad_k = step.bad_at(net, k);
+            for a in 0..k {
+                assert_distinct(&mut step, a, k);
+            }
+            let mut assumptions: Vec<Lit> = step.bads[..k].iter().map(|b| !*b).collect();
+            assumptions.push(bad_k);
+            if step.cnf.solve_under(&step.aig, &assumptions) == SatResult::Unsat {
+                return (Verdict::Safe { iterations: k }, k);
+            }
+        }
+        let reason = format!("no proof or counterexample up to k={max_k}");
+        (Verdict::Unknown { reason }, max_k)
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        And(usize, bool, usize, bool),
+        Xor(usize, bool, usize, bool),
+    }
+
+    fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                (any::<usize>(), any::<bool>(), any::<usize>(), any::<bool>())
+                    .prop_map(|(a, pa, b, pb)| Op::And(a, pa, b, pb)),
+                (any::<usize>(), any::<bool>(), any::<usize>(), any::<bool>())
+                    .prop_map(|(a, pa, b, pb)| Op::Xor(a, pa, b, pb)),
+            ],
+            1..=max_ops,
+        )
+    }
+
+    /// Builds one function over the AIG inputs `base` by `ops`.
+    fn emit(aig: &mut cbq_aig::Aig, base: &[Lit], ops: &[Op]) -> Lit {
+        let mut pool = base.to_vec();
+        for op in ops {
+            let pick = |i: usize| pool[i % pool.len()];
+            let l = match *op {
+                Op::And(a, pa, b, pb) => aig.and(pick(a).xor_sign(pa), pick(b).xor_sign(pb)),
+                Op::Xor(a, pa, b, pb) => aig.xor(pick(a).xor_sign(pa), pick(b).xor_sign(pb)),
+            };
+            pool.push(l);
+        }
+        *pool.last().expect("non-empty")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3_000))]
+
+        /// Random 2–5-latch, 1–2-input networks: the lazy simple-path
+        /// loop gives the eager reference's verdict at the same `k`.
+        #[test]
+        fn lazy_simple_paths_match_the_eager_reference(
+            latches in 2..=5usize,
+            inputs in 1..=2usize,
+            next_ops in prop::collection::vec(ops_strategy(10), 5..=5),
+            bad_ops in ops_strategy(8),
+            inits in prop::collection::vec(any::<bool>(), 5..=5),
+        ) {
+            let mut b = Network::builder("random");
+            let vars: Vec<Var> = inits[..latches].iter().map(|i| b.add_latch(*i)).collect();
+            for _ in 0..inputs {
+                b.add_input();
+            }
+            let aig = b.aig_mut();
+            let base: Vec<Lit> = aig.inputs().iter().map(|v| v.lit()).collect();
+            let nexts: Vec<Lit> = next_ops[..latches].iter().map(|ops| emit(aig, &base, ops)).collect();
+            let bad = emit(aig, &base, &bad_ops);
+            for (v, n) in vars.iter().zip(nexts) {
+                b.set_next(*v, n);
+            }
+            let net = b.build(bad);
+            let run = KInduction { max_k: 24, ..KInduction::default() }
+                .check(&net, &Budget::unlimited());
+            let k = run.detail::<KInductionStats>().expect("stats").k;
+            prop_assert_eq!((run.verdict, k), eager_kind(&net, 24));
+        }
+    }
+
+    #[test]
+    fn a_budget_trips_between_two_refinement_solves() {
+        // The step model of a counter with an enable input stutters, so
+        // most k take two step solves: the first repeats a state, the
+        // refinement does not. The budgets below run out right after such
+        // a first solve (k = 1, 3 and 6; the base case costs no check
+        // while `bad` is constant at its depth), so the run must stop
+        // before the refinement solve, having spent exactly the limit.
+        let net = generators::counter_bug(6, 20);
+        let run = KInduction::default().check(&net, &Budget::unlimited());
+        let d = run.detail::<KInductionStats>().expect("stats");
+        assert!(run.verdict.is_unsafe(), "got {}", run.verdict);
+        assert!(d.step_checks > d.k as u64 * 3 / 2, "stats: {d:?}");
+        for limit in [1, 5, 12] {
+            let run =
+                KInduction::default().check(&net, &Budget::unlimited().with_sat_checks(limit));
+            let bounded = Verdict::Bounded {
+                resource: crate::verdict::Resource::SatChecks,
+                limit,
+            };
+            assert_eq!(run.verdict, bounded);
+            assert_eq!(run.stats.sat_checks, limit);
+        }
+    }
 
     #[test]
     fn proves_inductive_properties_quickly() {

@@ -180,7 +180,7 @@ impl Partition {
         };
         let mut sweeper = sweep.map(StateSetSweeper::new);
         if let Some(sw) = &mut sweeper {
-            sw.set_deadline(deadline);
+            sw.set_deadline(deadline, cancel.clone());
         }
         Partition {
             aig,
@@ -228,7 +228,7 @@ impl Partition {
             cancel: self.cancel.clone(),
             sweeper: self.sweeper.as_ref().map(|s| {
                 let mut fresh = StateSetSweeper::new(s.config().clone());
-                fresh.set_deadline(self.deadline);
+                fresh.set_deadline(self.deadline, self.cancel.clone());
                 fresh
             }),
         }
@@ -775,6 +775,34 @@ mod tests {
         // Constants survive too.
         let c = import_cone(&mut b, &export_cone(&a, Lit::TRUE));
         assert_eq!(c, Lit::TRUE);
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_skips_a_due_sweep() {
+        // An eager sweeper is due at its first opportunity. The flag goes
+        // up after the state set is built, with no meter check in between:
+        // only the sweeper's own poll can notice it. A sweep that ran would
+        // count a run and, on these cones, SAT checks.
+        use std::sync::atomic::Ordering;
+        let net = generators::counter_bug(4, 5);
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut ss = StateSet::new(
+            &net,
+            Direction::Forward,
+            PartitionCount::Fixed(1),
+            Some(StateSweepConfig::eager()),
+            None,
+            None,
+            Some(flag.clone()),
+        );
+        flag.store(true, Ordering::Relaxed);
+        let p = &mut ss.parts[0];
+        let mut twin = p.clone_for_split();
+        for part in [p, &mut twin] {
+            assert!(!part.sweep_if_due(&mut []), "a cancelled sweep ran");
+            assert_eq!(part.sweep_stats().runs, 0);
+            assert_eq!(part.sat_checks(), 0);
+        }
     }
 
     #[test]

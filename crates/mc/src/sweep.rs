@@ -32,6 +32,7 @@
 //! negated activation literal instead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use cbq_aig::sim::BitSim;
@@ -56,11 +57,6 @@ pub struct SweepConfig {
     /// holding only live cones and retires the SAT bridge's cone
     /// generation).
     pub gc: bool,
-    /// Per-traversal budget deadline: a sweep that would start after this
-    /// instant is skipped entirely, and the fraig candidate loop stops
-    /// early once it passes (cooperative cancellation, so a sweep can
-    /// never push an engine far past its wall-clock budget).
-    pub deadline: Option<Instant>,
 }
 
 impl Default for SweepConfig {
@@ -75,7 +71,6 @@ impl Default for SweepConfig {
             growth_factor: 1.5,
             min_nodes: 256,
             gc: true,
-            deadline: None,
         }
     }
 }
@@ -197,15 +192,19 @@ impl StateSetSweeper {
         &self.cfg
     }
 
-    /// Sets the cooperative cancellation deadline (both the skip check and
-    /// the fraig candidate loop honour it).
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.cfg.deadline = deadline;
+    /// Sets the per-traversal cooperative cancellation: the budget's
+    /// deadline and cancel flag. A sweep due after the deadline or with
+    /// the flag raised is skipped, and the fraig candidate loop stops
+    /// early once either trips, so a sweep never pushes an engine far past
+    /// its budget or keeps a cancelled one running.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>, cancel: Option<Arc<AtomicBool>>) {
         self.cfg.fraig.deadline = deadline;
+        self.cfg.fraig.cancel = cancel;
     }
 
     /// Runs the sweep if [`StateSetSweeper::due`]; returns whether it ran.
-    /// A sweep that would start past the configured deadline is skipped.
+    /// A sweep that would start past the configured deadline, or with the
+    /// cancel flag raised, is skipped.
     pub fn run_if_due(
         &mut self,
         aig: &mut Aig,
@@ -213,10 +212,8 @@ impl StateSetSweeper {
         lits: Vec<&mut Lit>,
         vars: Vec<&mut Var>,
     ) -> bool {
-        if let Some(deadline) = self.cfg.deadline {
-            if Instant::now() >= deadline {
-                return false;
-            }
+        if self.cfg.fraig.interrupted() {
+            return false;
         }
         if !self.due(aig) {
             return false;
