@@ -7,11 +7,12 @@
 //! 1. **BDD sweeping** (merge-phase tier 2): candidate equivalences between
 //!    cofactor sub-circuits are confirmed by building *size-bounded* BDDs
 //!    bottom-up from the AIG — two nodes with the same BDD are equivalent,
-//!    canonically. A sweep keeps one manager and one [`AigBdds`] memo
-//!    (AIG node → BDD) for all its candidate classes, so each cone node's
-//!    BDD is built once, from its fanins' BDDs, under a per-node and a
-//!    total node cap. [`BddManager::from_aig`] runs the same walk with a
-//!    fresh memo and a caller-given variable order.
+//!    canonically. One manager and one [`AigBdds`] memo (AIG node → BDD)
+//!    serve many sweeps over a growing AIG, so each cone node's BDD is
+//!    built once, from its fanins' BDDs, under a per-node and a total node
+//!    cap; [`AigBdds::remap`] carries the memo across a compaction of the
+//!    AIG. [`BddManager::from_aig`] runs the same walk with a fresh memo
+//!    and a caller-given variable order.
 //! 2. **Baseline model checker**: the canonical state-set representation
 //!    the paper argues against; backward reachability over BDDs uses
 //!    [`BddManager::vector_compose`] (functional pre-image) and
@@ -711,7 +712,9 @@ enum Slot {
 /// above it aborts too, while cones that avoid it still resolve. The
 /// memo is sparse (keyed by [`Var`]), so its cost follows the cones
 /// built, not the manager's size. It holds one manager's `BddRef`s for
-/// one AIG's nodes: keep each memo to one manager and one AIG.
+/// the nodes of one AIG generation: the AIG may grow between builds, but
+/// no node may change its function. A compaction starts a new
+/// generation, and [`AigBdds::remap`] carries the memo into it.
 ///
 /// ```
 /// use cbq_aig::Aig;
@@ -735,6 +738,8 @@ enum Slot {
 #[derive(Clone, Debug, Default)]
 pub struct AigBdds {
     memo: FastMap<Var, Slot>,
+    /// AIG nodes whose BDD this memo has built, ever.
+    built: u64,
     /// Scratch: the unbuilt part of the cone being built.
     todo: Vec<Var>,
     stack: Vec<Var>,
@@ -744,6 +749,53 @@ impl AigBdds {
     /// An empty memo.
     pub fn new() -> AigBdds {
         AigBdds::default()
+    }
+
+    /// The memoised BDD of node `v`, if one was built.
+    pub fn get(&self, v: Var) -> Option<BddRef> {
+        match self.memo.get(&v) {
+            Some(&Slot::Built(b)) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// Nodes the memo holds a BDD or an abort for.
+    pub fn len(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// Whether the memo holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.memo.is_empty()
+    }
+
+    /// AIG nodes whose BDD this memo has built since it was created; the
+    /// difference across a sweep is that sweep's work.
+    pub fn built(&self) -> u64 {
+        self.built
+    }
+
+    /// Carries the memo across a compaction of its AIG:
+    /// `old_to_new[v.index()]` is the new AIG's literal for old node `v`,
+    /// as [`Aig::compact_with_map`] returns it. A built node with an image
+    /// keeps its BDD under the image's variable, negated in `mgr` when the
+    /// image is complemented; nodes without an image, and aborted ones,
+    /// drop out. Two nodes with one image compute one function, so their
+    /// BDDs agree by canonicity.
+    pub fn remap(&mut self, mgr: &mut BddManager, old_to_new: &[Option<Lit>]) {
+        let old = std::mem::take(&mut self.memo);
+        self.memo.reserve(old.len());
+        for (v, slot) in old {
+            let (Slot::Built(b), Some(Some(image))) = (slot, old_to_new.get(v.index())) else {
+                continue;
+            };
+            let b = if image.is_complemented() {
+                mgr.not(b)
+            } else {
+                b
+            };
+            self.memo.insert(image.var(), Slot::Built(b));
+        }
     }
 
     /// The BDD of `root` in `mgr`, over input ordinals as levels, or
@@ -804,6 +856,7 @@ impl AigBdds {
                 },
             };
             self.memo.insert(v, slot);
+            self.built += u64::from(slot != Slot::Aborted);
             if slot == Slot::Aborted {
                 // Unqueue the rest: later cones may still build them.
                 for w in &self.todo[i + 1..] {

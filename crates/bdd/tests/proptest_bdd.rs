@@ -1,8 +1,8 @@
 //! Property-based tests of the BDD package: canonicity, Boolean algebra,
 //! quantification semantics, AIG conversion agreement and the shared
-//! AIG→BDD memo.
+//! AIG→BDD memo, kept across compactions.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -69,6 +69,13 @@ fn build(mgr: &mut BddManager, ops: &[Op]) -> BddRef {
 fn aig_from_ops(n: usize, ops: &[Op]) -> (Aig, Lit) {
     let mut aig = Aig::new();
     let mut pool: Vec<Lit> = (0..n).map(|_| aig.add_input().lit()).collect();
+    push_ops(&mut aig, &mut pool, ops);
+    let root = *pool.last().expect("non-empty");
+    (aig, root)
+}
+
+/// Builds `ops` over `pool` in `aig`, appending each result to `pool`.
+fn push_ops(aig: &mut Aig, pool: &mut Vec<Lit>, ops: &[Op]) {
     for op in ops {
         let pick = |i: usize| pool[i % pool.len()];
         let l = match *op {
@@ -92,8 +99,6 @@ fn aig_from_ops(n: usize, ops: &[Op]) -> (Aig, Lit) {
         };
         pool.push(l);
     }
-    let root = *pool.last().expect("non-empty");
-    (aig, root)
 }
 
 fn truth_table(mgr: &BddManager, f: BddRef) -> u64 {
@@ -224,6 +229,91 @@ proptest! {
                     prop_assert_eq!(mgr.eval(b, &asg), aig.eval(l, &asg));
                 }
             }
+        }
+    }
+}
+
+/// One round of [`remap_carries_the_memo_across_compactions`]: ops that
+/// grow the AIG, nodes whose BDDs the kept memo builds, the compaction's
+/// roots (indices into the pool), the bits choosing which images are sent
+/// onto a complement, and the per-node cap of the builds.
+type Round = (Vec<Op>, Vec<usize>, Vec<usize>, u64, usize);
+
+fn round_strategy() -> impl Strategy<Value = Round> {
+    (
+        ops_strategy(24),
+        prop::collection::vec(any::<usize>(), 1..=16),
+        prop::collection::vec(any::<usize>(), 1..=4),
+        any::<u64>(),
+        1..=8usize,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A memo kept across several compactions. Each round grows the AIG,
+    /// builds the BDDs of random nodes under a small per-node cap (so some
+    /// abort), compacts around random roots with `compact_with_map` and
+    /// remaps. Compaction alone never complements an image, so the round
+    /// also sends chosen old nodes onto the complement of a survivor that
+    /// computes their negation, as a compaction that merged complementary
+    /// nodes would. Afterwards the memo holds exactly the images of the
+    /// nodes it had built, each with the `BddRef` a fresh memo builds in
+    /// the same manager.
+    #[test]
+    fn remap_carries_the_memo_across_compactions(
+        n in 1..=8usize,
+        rounds in prop::collection::vec(round_strategy(), 1..=4),
+    ) {
+        let mut aig = Aig::new();
+        let mut pool: Vec<Lit> = (0..n).map(|_| aig.add_input().lit()).collect();
+        let mut mgr = BddManager::new(n);
+        let mut kept = AigBdds::new();
+        for (ops, fill, roots, flips, cap) in rounds {
+            push_ops(&mut aig, &mut pool, &ops);
+            for pick in fill {
+                let v = Var::from_index(pick % aig.num_nodes());
+                kept.build(&mut mgr, &aig, v.lit(), cap, usize::MAX);
+            }
+            let roots: Vec<Lit> = roots.iter().map(|r| pool[r % pool.len()]).collect();
+            let (packed, packed_roots, mut map) = aig.compact_with_map(&roots);
+            let mut fresh_memo = AigBdds::new();
+            let fresh: Vec<BddRef> = (0..packed.num_nodes())
+                .map(|i| {
+                    let l = Var::from_index(i).lit();
+                    fresh_memo.build(&mut mgr, &packed, l, usize::MAX, usize::MAX)
+                })
+                .collect::<Option<_>>()
+                .expect("uncapped builds resolve");
+            let mut survivor: HashMap<BddRef, Var> = HashMap::new();
+            for (i, &b) in fresh.iter().enumerate() {
+                survivor.entry(b).or_insert(Var::from_index(i));
+            }
+            for (i, image) in map.iter_mut().enumerate() {
+                let Some(img) = *image else { continue };
+                if (flips >> (i % 64)) & 1 == 0 {
+                    continue;
+                }
+                let f = fresh[img.var().index()];
+                let f = if img.is_complemented() { mgr.not(f) } else { f };
+                let nf = mgr.not(f);
+                if let Some(&w) = survivor.get(&nf) {
+                    *image = Some(!w.lit());
+                }
+            }
+            let images: HashSet<Var> = (0..aig.num_nodes())
+                .filter(|&i| kept.get(Var::from_index(i)).is_some())
+                .filter_map(|i| map[i].map(Lit::var))
+                .collect();
+            kept.remap(&mut mgr, &map);
+            prop_assert_eq!(kept.len(), images.len());
+            for w in images {
+                prop_assert_eq!(kept.get(w), Some(fresh[w.index()]));
+            }
+            aig = packed;
+            pool = (0..n).map(|i| aig.input_var(i).lit()).collect();
+            pool.extend(packed_roots);
         }
     }
 }

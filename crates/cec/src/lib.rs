@@ -10,13 +10,17 @@
 //!    scheme to early detect functionally equivalent map points").
 //! 2. **BDD sweeping** — size-bounded BDDs built bottom-up confirm or
 //!    refute candidate equivalences canonically (Kuehlmann & Krohm,
-//!    DAC 1997). One sweep keeps one [`BddManager`] and one
-//!    [`cbq_bdd::AigBdds`] memo for all its candidate classes, with each
-//!    input at the level of its input ordinal, so every cone node's BDD
-//!    is built once, from its fanins'. [`SweepConfig::bdd_cap`] bounds the
-//!    nodes one AND may add; a node past it, and every node above it,
-//!    stays unresolved and goes to SAT. A backstop of 64 × `bdd_cap`
-//!    manager nodes ends BDD building for the rest of the sweep.
+//!    DAC 1997). A [`BddTier`] — one [`BddManager`] and one
+//!    [`cbq_bdd::AigBdds`] memo, each input at the level of its input
+//!    ordinal — serves every candidate class of a sweep and, through
+//!    [`sweep_with`], every later sweep over the same growing AIG, so a
+//!    cone node's BDD is built once, from its fanins'. The tier's owner
+//!    carries it across a compaction with [`BddTier::remap`].
+//!    [`SweepConfig::bdd_cap`] bounds the nodes one AND may add; a node
+//!    past it, and every node above it, stays unresolved and goes to SAT.
+//!    A backstop of 64 × `bdd_cap` manager nodes ends BDD building for the
+//!    rest of the sweep, and a sweep that starts with the kept manager
+//!    past 4 × `bdd_cap` nodes replaces the tier.
 //! 3. **SAT checks** — remaining compare points go to the shared-database
 //!    incremental solver ([`cbq_cnf::AigCnf`]) as assumption queries on
 //!    one persistent arena solver; counterexamples are fed back into
@@ -88,8 +92,9 @@ pub struct SweepConfig {
     /// Enable the BDD sweeping tier.
     pub use_bdd_sweep: bool,
     /// Node cap per AIG node in the BDD tier: one node's AND may add at
-    /// most this many nodes to the sweep's BDD manager, and the manager
-    /// stops building once it holds 64 × `bdd_cap` nodes.
+    /// most this many nodes to the tier's BDD manager. The manager stops
+    /// building once it holds 64 × `bdd_cap` nodes, and a sweep that
+    /// starts with it past 4 × `bdd_cap` replaces the tier.
     pub bdd_cap: usize,
     /// Enable the SAT tier.
     pub use_sat: bool,
@@ -158,6 +163,27 @@ pub struct SweepStats {
     pub skipped_out_of_cone: u64,
     /// Simulate–refine rounds executed.
     pub rounds: usize,
+    /// AIG nodes whose BDD the BDD tier built (memo hits excluded).
+    pub bdd_built: u64,
+    /// Kept BDD tiers replaced because they had outgrown the bound.
+    pub bdd_resets: u64,
+}
+
+impl SweepStats {
+    /// Adds another sweep's counters to these.
+    pub fn absorb(&mut self, other: &SweepStats) {
+        self.classes_initial += other.classes_initial;
+        self.merged_bdd += other.merged_bdd;
+        self.merged_sat += other.merged_sat;
+        self.refuted_bdd += other.refuted_bdd;
+        self.sat_checks += other.sat_checks;
+        self.sat_cex += other.sat_cex;
+        self.sat_unknown += other.sat_unknown;
+        self.skipped_out_of_cone += other.skipped_out_of_cone;
+        self.rounds += other.rounds;
+        self.bdd_built += other.bdd_built;
+        self.bdd_resets += other.bdd_resets;
+    }
 }
 
 /// Result of [`sweep`]: translated roots plus statistics.
@@ -173,10 +199,51 @@ pub struct SweepResult {
 /// literals on the original graph).
 type Merges = HashMap<Var, Lit>;
 
-/// The sweep's BDD manager stops building once it holds this many times
+/// The BDD manager stops building once it holds this many times
 /// [`SweepConfig::bdd_cap`] nodes: under the per-node cap alone, the
 /// manager would grow with the size of the swept cone.
 const BDD_BACKSTOP_FACTOR: usize = 64;
+
+/// A sweep that starts with its tier's manager past this many times
+/// [`SweepConfig::bdd_cap`] nodes replaces the tier: a kept manager never
+/// frees a node, and a small bound keeps its memory near one sweep's.
+const BDD_KEEP_FACTOR: usize = 4;
+
+/// The merge phase's BDD tier: one [`BddManager`] and its
+/// [`cbq_bdd::AigBdds`] memo (AIG node → BDD), kept across the sweeps of
+/// one AIG so each node's BDD is built once.
+///
+/// A tier belongs to one AIG generation, and its merges are trusted
+/// without SAT: between two sweeps the AIG may only grow. When the AIG is
+/// compacted, [`BddTier::remap`] must carry the tier into the new
+/// manager; a tier used with any other AIG merges unsound pairs.
+#[derive(Clone, Debug)]
+pub struct BddTier {
+    mgr: BddManager,
+    memo: AigBdds,
+}
+
+impl Default for BddTier {
+    fn default() -> BddTier {
+        BddTier {
+            mgr: BddManager::new(0),
+            memo: AigBdds::new(),
+        }
+    }
+}
+
+impl BddTier {
+    /// An empty tier.
+    pub fn new() -> BddTier {
+        BddTier::default()
+    }
+
+    /// Carries the tier across a compaction of its AIG, with the old → new
+    /// map of [`Aig::compact_with_map`] (see [`AigBdds::remap`]).
+    pub fn remap(&mut self, old_to_new: &[Option<Lit>]) {
+        self.memo.remap(&mut self.mgr, old_to_new);
+    }
+}
 
 /// Builds the miter `a ⊕ b` (satisfiable iff the functions differ).
 pub fn miter(aig: &mut Aig, a: Lit, b: Lit) -> Lit {
@@ -204,9 +271,23 @@ pub fn check_equiv(
 /// complementation) are merged to a single representative.
 ///
 /// This is the paper's merge phase, exposed as a standalone operation
-/// (also known as *fraiging*). Returns the rebuilt roots and statistics.
+/// (also known as *fraiging*), on a fresh [`BddTier`]. Returns the
+/// rebuilt roots and statistics.
 pub fn sweep(aig: &mut Aig, roots: &[Lit], cnf: &mut AigCnf, cfg: &SweepConfig) -> SweepResult {
-    Sweeper::new(aig, roots, cnf, cfg).run()
+    sweep_with(aig, roots, cnf, &mut BddTier::new(), cfg)
+}
+
+/// [`sweep`] on a kept [`BddTier`]: the BDDs earlier sweeps of `aig`
+/// built are reused, and this sweep's stay in the tier for later ones. A
+/// tier past 4 × [`SweepConfig::bdd_cap`] nodes is replaced first.
+pub fn sweep_with(
+    aig: &mut Aig,
+    roots: &[Lit],
+    cnf: &mut AigCnf,
+    bdds: &mut BddTier,
+    cfg: &SweepConfig,
+) -> SweepResult {
+    Sweeper::new(aig, roots, cnf, bdds, cfg).run()
 }
 
 struct Sweeper<'a> {
@@ -215,8 +296,9 @@ struct Sweeper<'a> {
     cnf: &'a mut AigCnf,
     cfg: &'a SweepConfig,
     sim: BitSim,
-    bdds: BddManager,
-    bdd_memo: AigBdds,
+    bdds: &'a mut BddTier,
+    /// The tier's build count when the sweep started.
+    built_before: u64,
     merges: Merges,
     refuted: HashSet<(Var, Var)>,
     stats: SweepStats,
@@ -224,9 +306,20 @@ struct Sweeper<'a> {
 }
 
 impl<'a> Sweeper<'a> {
-    fn new(aig: &'a mut Aig, roots: &[Lit], cnf: &'a mut AigCnf, cfg: &'a SweepConfig) -> Self {
+    fn new(
+        aig: &'a mut Aig,
+        roots: &[Lit],
+        cnf: &'a mut AigCnf,
+        bdds: &'a mut BddTier,
+        cfg: &'a SweepConfig,
+    ) -> Self {
         let sim = BitSim::random(aig, cfg.sim_words.max(1), cfg.seed);
-        let bdds = BddManager::new(aig.num_inputs());
+        let mut stats = SweepStats::default();
+        if cfg.use_bdd_sweep && bdds.mgr.num_nodes() > cfg.bdd_cap.saturating_mul(BDD_KEEP_FACTOR) {
+            *bdds = BddTier::new();
+            stats.bdd_resets += 1;
+        }
+        let built_before = bdds.memo.built();
         Sweeper {
             aig,
             roots: roots.to_vec(),
@@ -234,10 +327,10 @@ impl<'a> Sweeper<'a> {
             cfg,
             sim,
             bdds,
-            bdd_memo: AigBdds::new(),
+            built_before,
             merges: HashMap::new(),
             refuted: HashSet::new(),
-            stats: SweepStats::default(),
+            stats,
             next_cex_slot: 0,
         }
     }
@@ -311,9 +404,9 @@ impl<'a> Sweeper<'a> {
         }
     }
 
-    /// Tier 2: BDD sweeping inside one candidate class, on the sweep's
-    /// shared manager and memo. Returns the members that remain
-    /// unresolved (BDD construction aborted).
+    /// Tier 2: BDD sweeping inside one candidate class, on the kept
+    /// tier. Returns the members that remain unresolved (BDD construction
+    /// aborted).
     fn bdd_tier(&mut self, members: &[Lit]) -> Vec<Lit> {
         let cap = self.cfg.bdd_cap;
         let backstop = cap.saturating_mul(BDD_BACKSTOP_FACTOR);
@@ -321,10 +414,8 @@ impl<'a> Sweeper<'a> {
         let mut unresolved = Vec::new();
         for &m in members {
             let resolved = self.find(m);
-            match self
-                .bdd_memo
-                .build(&mut self.bdds, self.aig, resolved, cap, backstop)
-            {
+            let BddTier { mgr, memo } = &mut *self.bdds;
+            match memo.build(mgr, self.aig, resolved, cap, backstop) {
                 None => unresolved.push(m),
                 Some(b) => {
                     if let Some(&repr) = by_bdd.get(&b) {
@@ -472,6 +563,7 @@ impl<'a> Sweeper<'a> {
                 break;
             }
         }
+        self.stats.bdd_built = self.bdds.memo.built() - self.built_before;
         let roots = apply_merges(self.aig, &self.roots, &self.merges);
         SweepResult {
             roots,
@@ -556,6 +648,37 @@ mod tests {
         let res = sweep(&mut aig, &[x1, x2], &mut cnf, &cfg);
         assert_ne!(res.roots[0], res.roots[1], "a cancelled sweep merged");
         assert_eq!(cnf.stats().checks, 0);
+    }
+
+    #[test]
+    fn a_kept_tier_past_the_bound_is_replaced() {
+        let mut aig = Aig::new();
+        let (_, _, x1, x2) = xor_two_ways(&mut aig);
+        let cfg = SweepConfig {
+            bdd_cap: 4,
+            use_sat: false,
+            ..SweepConfig::default()
+        };
+        let bound = BDD_KEEP_FACTOR * cfg.bdd_cap;
+        // A kept tier that holds x1's cone and has outgrown the bound.
+        let mut bdds = BddTier::new();
+        for level in 8..8 + bound as u32 {
+            bdds.mgr.var(level);
+        }
+        let BddTier { mgr, memo } = &mut bdds;
+        assert!(memo.build(mgr, &aig, x1, usize::MAX, usize::MAX).is_some());
+        assert!(bdds.mgr.num_nodes() > bound);
+        let mut cnf = AigCnf::new();
+        let res = sweep_with(&mut aig, &[x1, x2], &mut cnf, &mut bdds, &cfg);
+        assert_eq!(res.stats.bdd_resets, 1);
+        assert_eq!(res.roots[0], res.roots[1]);
+        assert_eq!(res.stats.merged_bdd, 1);
+        assert!(res.stats.bdd_built > 0);
+        assert!(bdds.mgr.num_nodes() <= bound, "the stale manager was kept");
+        // Under the bound the tier is kept: both cones are memoised.
+        let again = sweep_with(&mut aig, &[x1, x2], &mut cnf, &mut bdds, &cfg);
+        assert_eq!(again.roots[0], again.roots[1]);
+        assert_eq!((again.stats.bdd_resets, again.stats.bdd_built), (0, 0));
     }
 
     #[test]

@@ -61,7 +61,7 @@ use std::time::Instant;
 
 use cbq_aig::{Aig, Lit, Var};
 use cbq_bdd::BddManager;
-use cbq_cec::{sweep, SweepConfig, SweepStats};
+use cbq_cec::{sweep_with, BddTier, SweepConfig, SweepStats};
 use cbq_cnf::AigCnf;
 use cbq_synth::{optimize_disjunction, restrash, OptConfig, OptStats};
 
@@ -399,17 +399,19 @@ pub fn exists_one(
     cnf: &mut AigCnf,
     cfg: &QuantConfig,
 ) -> (Option<Lit>, VarQuantRecord) {
-    let (res, record, _sweep, _opt) = exists_one_full(aig, f, v, cnf, cfg);
+    let (res, record, _sweep, _opt) = exists_one_full(aig, f, v, cnf, &mut BddTier::new(), cfg);
     (res, record)
 }
 
-/// Like [`exists_one`], additionally returning the merge- and
+/// Like [`exists_one`], with the merge phase on the kept BDD tier `bdds`
+/// (see [`cbq_cec::sweep_with`]), additionally returning the merge- and
 /// optimisation-phase statistics of this variable's elimination.
 pub fn exists_one_full(
     aig: &mut Aig,
     f: Lit,
     v: Var,
     cnf: &mut AigCnf,
+    bdds: &mut BddTier,
     cfg: &QuantConfig,
 ) -> (Option<Lit>, VarQuantRecord, SweepStats, OptStats) {
     let size_before = aig.cone_size_cached(f);
@@ -436,7 +438,7 @@ pub fn exists_one_full(
     }
 
     let (m1, m0) = if cfg.use_merge {
-        let swept = sweep(aig, &[f1, f0], cnf, &cfg.sweep);
+        let swept = sweep_with(aig, &[f1, f0], cnf, bdds, &cfg.sweep);
         sweep_stats = swept.stats;
         (swept.roots[0], swept.roots[1])
     } else {
@@ -465,18 +467,6 @@ pub fn exists_one_full(
     (Some(result), record, sweep_stats, opt_stats)
 }
 
-fn accumulate_sweep(total: &mut SweepStats, s: SweepStats) {
-    total.classes_initial += s.classes_initial;
-    total.merged_bdd += s.merged_bdd;
-    total.merged_sat += s.merged_sat;
-    total.refuted_bdd += s.refuted_bdd;
-    total.sat_checks += s.sat_checks;
-    total.sat_cex += s.sat_cex;
-    total.sat_unknown += s.sat_unknown;
-    total.skipped_out_of_cone += s.skipped_out_of_cone;
-    total.rounds += s.rounds;
-}
-
 fn accumulate_opt(total: &mut OptStats, s: OptStats) {
     total.const_applied += s.const_applied;
     total.merge_applied += s.merge_applied;
@@ -496,11 +486,28 @@ fn accumulate_opt(total: &mut OptStats, s: OptStats) {
 /// Aborted variables are retried once after all others (their cost may
 /// have collapsed); whatever still exceeds the budget is returned in
 /// [`QuantResult::remaining`].
+///
+/// Every merge-phase sweep of the call shares one fresh BDD tier;
+/// [`exists_many_with`] takes a kept one.
 pub fn exists_many(
     aig: &mut Aig,
     f: Lit,
     vars: &[Var],
     cnf: &mut AigCnf,
+    cfg: &QuantConfig,
+) -> QuantResult {
+    exists_many_with(aig, f, vars, cnf, &mut BddTier::new(), cfg)
+}
+
+/// [`exists_many`] with the merge phase on the kept BDD tier `bdds`: the
+/// BDDs that earlier sweeps of `aig` built are reused (see
+/// [`cbq_cec::BddTier`] for what keeping a tier requires).
+pub fn exists_many_with(
+    aig: &mut Aig,
+    f: Lit,
+    vars: &[Var],
+    cnf: &mut AigCnf,
+    bdds: &mut BddTier,
     cfg: &QuantConfig,
 ) -> QuantResult {
     let perf_start = aig.perf_counters();
@@ -561,8 +568,8 @@ pub fn exists_many(
                 }
             };
             let v = pending.remove(idx);
-            let (res, record, sw, op) = exists_one_full(aig, current, v, cnf, cfg);
-            accumulate_sweep(&mut stats.sweep, sw);
+            let (res, record, sw, op) = exists_one_full(aig, current, v, cnf, bdds, cfg);
+            stats.sweep.absorb(&sw);
             accumulate_opt(&mut stats.opt, op);
             stats.per_var.push(record);
             match res {

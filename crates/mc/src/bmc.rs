@@ -14,8 +14,8 @@ use std::sync::Arc;
 use cbq_aig::sim::TernSim;
 use cbq_aig::{Aig, Lit, Var};
 use cbq_ckt::{Network, Trace};
-use cbq_cnf::AigCnf;
-use cbq_sat::{SatLit, SatResult};
+use cbq_cnf::{AigCnf, AigCnfStats};
+use cbq_sat::{SatLit, SatResult, SolverStats};
 
 use crate::bus::{BusClientStats, BusConsumer, LemmaBus};
 use crate::engine::{Budget, Engine, Meter};
@@ -353,6 +353,10 @@ pub struct BmcStats {
     pub coi_lemmas_skipped: u64,
     /// Lemma-bus traffic (cubes admitted/rejected after re-validation).
     pub bus: BusClientStats,
+    /// Solver-core counters of the unrolling's bridge.
+    pub solver: SolverStats,
+    /// SAT-bridge counters of the unrolling's bridge.
+    pub cnf: AigCnfStats,
 }
 
 /// Bundles the typed stats into the uniform run record.
@@ -451,6 +455,8 @@ impl Engine for Bmc {
         }
         stats.unrolled_nodes = u.aig.num_nodes();
         stats.sat_checks = u.cnf.stats().checks;
+        stats.solver = u.cnf.solver_stats();
+        stats.cnf = u.cnf.stats();
         if let Some((c, _)) = &consumer {
             stats.sat_checks += c.checks();
             stats.bus = c.stats();

@@ -20,9 +20,10 @@
 //! window in its own manager, in parallel.
 
 use cbq_aig::{AigPerfCounters, Lit, Var};
+use cbq_cec::SweepStats as MergeStats;
 use cbq_ckt::{Network, Trace};
 use cbq_cnf::AigCnfStats;
-use cbq_core::{exists_many, QuantConfig};
+use cbq_core::{exists_many, exists_many_with, QuantConfig};
 use cbq_sat::{SatResult, SolverStats};
 
 use crate::engine::{Budget, Direction, Engine, Meter};
@@ -112,6 +113,9 @@ pub struct CircuitUmcStats {
     pub sat_checks: u64,
     /// Variables aborted by partial quantification, total.
     pub quant_aborts: usize,
+    /// Merge-phase counters of every quantification sweep (all
+    /// partitions); the state-set sweeps' BDD counters are in `sweep`.
+    pub quant_merge: MergeStats,
     /// AIG-manager hot-path counters accumulated over every
     /// quantification (all partitions): strash probes, scratchpad walk
     /// nodes, cofactor-cache hits.
@@ -141,6 +145,19 @@ impl CircuitUmcStats {
     fn absorb(&mut self, q: &PartQuant) {
         self.quant_aborts += q.aborts;
         self.quant_perf.add(q.perf);
+        self.quant_merge.absorb(&q.merge);
+    }
+
+    /// AIG nodes whose BDD a merge-phase sweep built: quantification and
+    /// state-set sweeps, all partitions.
+    pub fn bdd_built(&self) -> u64 {
+        self.quant_merge.bdd_built + self.sweep.bdd_built
+    }
+
+    /// Kept BDD tiers a merge-phase sweep replaced: quantification and
+    /// state-set sweeps, all partitions.
+    pub fn bdd_resets(&self) -> u64 {
+        self.quant_merge.bdd_resets + self.sweep.bdd_resets
     }
 }
 
@@ -156,6 +173,8 @@ struct PartQuant {
     /// Hot-path counter deltas of this quantification's `exists_many`
     /// calls (residual passes included).
     perf: AigPerfCounters,
+    /// Merge-phase counters of this quantification's sweeps.
+    merge: MergeStats,
 }
 
 /// The manager hot-path counters an [`exists_many`] run charged to its
@@ -189,12 +208,13 @@ fn quantify_in_partition(
     if cfg.cancel.is_none() {
         cfg.cancel = p.cancel.clone();
     }
-    let q = exists_many(&mut p.aig, f, vars, &mut p.cnf, &cfg);
+    let q = exists_many_with(&mut p.aig, f, vars, &mut p.cnf, &mut p.bdds, &cfg);
     let mut out = PartQuant {
         lit: q.lit,
         aborts: q.remaining.len(),
         complete: true,
         perf: quant_perf(&q.stats),
+        merge: q.stats.sweep,
     };
     if q.remaining.is_empty() {
         return out;

@@ -28,7 +28,8 @@ use std::sync::Arc;
 use cbq_aig::sim::BitSim;
 use cbq_aig::Lit;
 use cbq_ckt::Network;
-use cbq_sat::{SatLit, SatResult};
+use cbq_cnf::AigCnfStats;
+use cbq_sat::{SatLit, SatResult, SolverStats};
 
 use crate::bmc::Unroller;
 use crate::bus::{BusClientStats, BusConsumer, LemmaBus};
@@ -71,6 +72,10 @@ pub struct KInductionStats {
     pub unrolled_nodes: usize,
     /// Lemma-bus traffic (cubes admitted/rejected after re-validation).
     pub bus: BusClientStats,
+    /// Solver-core counters of the base and step bridges, summed.
+    pub solver: SolverStats,
+    /// SAT-bridge counters of the base and step bridges, summed.
+    pub cnf: AigCnfStats,
 }
 
 /// The bus consumer with the lemma guards of the base and step
@@ -136,6 +141,10 @@ impl Engine for KInduction {
         stats.base_checks = base.cnf.stats().checks;
         stats.step_checks = step.cnf.stats().checks;
         stats.unrolled_nodes = base.aig.num_nodes() + step.aig.num_nodes();
+        stats.solver = base.cnf.solver_stats();
+        stats.solver.absorb(&step.cnf.solver_stats());
+        stats.cnf = base.cnf.stats();
+        stats.cnf.absorb(&step.cnf.stats());
         if let Some((c, _, _)) = &consumer {
             stats.step_checks += c.checks();
             stats.bus = c.stats();

@@ -509,6 +509,10 @@ pub fn run_fields(run: &McRun) -> Vec<(String, Json)> {
             field("splits", p.splits),
             field("worker_panics", p.worker_panics.as_slice()),
         ]);
+        let merge = Json::Obj(vec![
+            field("bdd_built", d.bdd_built()),
+            field("bdd_resets", d.bdd_resets()),
+        ]);
         out.extend([
             field("frontier_sizes", d.frontier_sizes.as_slice()),
             field("reached_size", d.reached_size),
@@ -516,6 +520,7 @@ pub fn run_fields(run: &McRun) -> Vec<(String, Json)> {
             field("ganai_cofactors", d.ganai_cofactors),
             field("quant_perf", &d.quant_perf),
             field("sweep_runs", d.sweep.runs),
+            field("merge", merge),
             field("partitions", partitions),
             field("solver", &d.solver),
             field("cnf", &d.cnf),
@@ -561,6 +566,8 @@ pub fn run_fields(run: &McRun) -> Vec<(String, Json)> {
             field("latches_pruned", d.latches_pruned),
             field("coi_lemmas_skipped", d.coi_lemmas_skipped),
             field("bus", &d.bus),
+            field("solver", &d.solver),
+            field("cnf", &d.cnf),
         ]);
     } else if let Some(d) = run.detail::<KInductionStats>() {
         out.extend([
@@ -569,6 +576,8 @@ pub fn run_fields(run: &McRun) -> Vec<(String, Json)> {
             field("step_checks", d.step_checks),
             field("unrolled_nodes", d.unrolled_nodes),
             field("bus", &d.bus),
+            field("solver", &d.solver),
+            field("cnf", &d.cnf),
         ]);
     } else if let Some(d) = run.detail::<BddUmcStats>() {
         out.extend([
@@ -771,14 +780,29 @@ mod tests {
             assert!(json.contains("\"scratch_walk_nodes\":"), "got {json}");
             assert!(json.contains("\"cofactor_cache_hits\":"), "got {json}");
             assert!(json.contains("\"reached_size\":"), "got {json}");
+            let d = run.detail::<CircuitUmcStats>().expect("circuit stats");
+            let merge = format!(
+                "\"merge\":{{\"bdd_built\":{},\"bdd_resets\":{}}}",
+                d.bdd_built(),
+                d.bdd_resets()
+            );
+            assert!(json.contains(&merge), "{merge} missing from {json}");
         }
         let run = Bmc::default().check(&generators::mutex_bug(), &Budget::unlimited());
+        let d = run.detail::<BmcStats>().expect("bmc stats");
         let json = run_to_json(&run);
         assert!(json.contains("\"verdict\":\"unsafe\""), "got {json}");
         assert!(json.contains("\"depth_reached\":2"), "got {json}");
         assert!(json.contains("\"latches_stuck\":"), "got {json}");
         assert!(json.contains("\"latches_pruned\":"), "got {json}");
         assert!(json.contains("\"coi_lemmas_skipped\":"), "got {json}");
+        assert!(d.solver.solves > 0 && d.cnf.checks == d.sat_checks, "{d:?}");
+        for field in [
+            format!("\"solver\":{}", Json::from(&d.solver)),
+            format!("\"cnf\":{}", Json::from(&d.cnf)),
+        ] {
+            assert!(json.contains(&field), "{field} missing from {json}");
+        }
     }
 
     #[test]
@@ -796,9 +820,14 @@ mod tests {
             format!("\"step_checks\":{}", d.step_checks),
             format!("\"unrolled_nodes\":{}", d.unrolled_nodes),
             format!("\"bus\":{}", Json::from(&d.bus)),
+            format!("\"solver\":{}", Json::from(&d.solver)),
+            format!("\"cnf\":{}", Json::from(&d.cnf)),
         ] {
             assert!(json.contains(&field), "{field} missing from {json}");
         }
+        // Both bridges are summed: without a bus, every check is theirs.
+        assert_eq!(d.cnf.checks, d.base_checks + d.step_checks, "{d:?}");
+        assert!(d.solver.solves > 0, "{d:?}");
         for direction in [Direction::Backward, Direction::Forward] {
             let engine = BddUmc {
                 direction,

@@ -141,6 +141,14 @@ impl Portfolio {
                 max_depth: 32,
                 bus: bus.clone(),
             }),
+            // The cap trades one E6 row for another. Against
+            // `KInduction::default()`'s 64 (`--engine portfolio`, one run
+            // each, 2-vCPU VM): `shctr7_50_100_s256` takes 197 ms at 40
+            // and 15.7 ms at 64, where k-induction proves it at k = 51;
+            // `cntbug8_60` takes 168 ms at 40 and 459 ms at 64, where
+            // k-induction refutes it at depth 60 after 426 ms and IC3
+            // needs 12.5 ms. No cap wins both; interleaving the members
+            // by work would.
             Box::new(KInduction {
                 max_k: 40,
                 bus: bus.clone(),

@@ -41,6 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cbq_aig::{Aig, Lit, Node, Var};
+use cbq_cec::BddTier;
 use cbq_ckt::Network;
 use cbq_cnf::{AigCnf, AigCnfStats};
 use cbq_sat::{SatResult, SolverStats};
@@ -111,6 +112,10 @@ pub struct Partition {
     pub aig: Aig,
     /// The partition-private incremental SAT bridge.
     pub cnf: AigCnf,
+    /// The partition-private merge-phase BDD tier: every quantification
+    /// and state-set sweep of the partition builds on it, and the
+    /// state-set GC remaps it with the bridge.
+    pub(crate) bdds: BddTier,
     /// Primary-input variables, in network order.
     pub pis: Vec<Var>,
     /// Latch variables, in network order (the latch-to-partition-input
@@ -185,6 +190,7 @@ impl Partition {
         Partition {
             aig,
             cnf: AigCnf::new(),
+            bdds: BddTier::new(),
             pis: net.primary_inputs().to_vec(),
             latches: net.latch_vars(),
             next_vars,
@@ -204,13 +210,14 @@ impl Partition {
         }
     }
 
-    /// A twin for splitting: same manager image, fresh clause database and
-    /// fresh sweeper (so SAT-check and sweep counters are not double
-    /// counted across siblings).
+    /// A twin for splitting: same manager image and BDD tier, fresh
+    /// clause database and fresh sweeper (so SAT-check and sweep counters
+    /// are not double counted across siblings).
     fn clone_for_split(&self) -> Partition {
         Partition {
             aig: self.aig.clone(),
             cnf: AigCnf::new(),
+            bdds: self.bdds.clone(),
             pis: self.pis.clone(),
             latches: self.latches.clone(),
             next_vars: self.next_vars.clone(),
@@ -309,7 +316,7 @@ impl Partition {
             .chain(self.latches.iter_mut())
             .chain(self.next_vars.iter_mut())
             .collect();
-        let ran = sweeper.run_if_due(&mut self.aig, &mut self.cnf, lits, vars);
+        let ran = sweeper.run_if_due(&mut self.aig, &mut self.cnf, &mut self.bdds, lits, vars);
         self.sweeper = Some(sweeper);
         ran
     }

@@ -29,7 +29,9 @@
 //! activities, phases, and every counter — outlives the collection with
 //! nothing re-encoded; orphaned cones are released and purged, and under
 //! memory pressure the whole generation is retired by asserting the
-//! negated activation literal instead.
+//! negated activation literal instead. The merge phase's kept BDD tier
+//! crosses the compaction the same way ([`cbq_cec::BddTier::remap`]):
+//! surviving nodes keep their BDDs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,7 +39,7 @@ use std::time::Instant;
 
 use cbq_aig::sim::BitSim;
 use cbq_aig::{Aig, Lit, Var};
-use cbq_cec::{sweep as fraig, SweepConfig as FraigConfig};
+use cbq_cec::{sweep_with as fraig, BddTier, SweepConfig as FraigConfig};
 use cbq_cnf::AigCnf;
 
 use crate::bus::LemmaBus;
@@ -107,6 +109,10 @@ pub struct SweepStats {
     /// when the memory-pressure valve tripped (the bridge itself always
     /// persists; see [`cbq_cnf::AigCnf::migrate`]).
     pub cnf_gcs: usize,
+    /// AIG nodes whose BDD the fraig sweeps built.
+    pub bdd_built: u64,
+    /// Kept BDD tiers the fraig sweeps replaced.
+    pub bdd_resets: u64,
 }
 
 impl SweepStats {
@@ -125,6 +131,8 @@ impl SweepStats {
         self.live_before += other.live_before;
         self.live_after += other.live_after;
         self.cnf_gcs += other.cnf_gcs;
+        self.bdd_built += other.bdd_built;
+        self.bdd_resets += other.bdd_resets;
     }
 }
 
@@ -136,6 +144,7 @@ impl SweepStats {
 ///
 /// ```
 /// use cbq_aig::Aig;
+/// use cbq_cec::BddTier;
 /// use cbq_cnf::AigCnf;
 /// use cbq_mc::sweep::{StateSetSweeper, SweepConfig};
 ///
@@ -151,8 +160,9 @@ impl SweepStats {
 /// let mut x1 = x1;
 ///
 /// let mut cnf = AigCnf::new();
+/// let mut bdds = BddTier::new();
 /// let mut sweeper = StateSetSweeper::new(SweepConfig::eager());
-/// sweeper.run(&mut aig, &mut cnf, vec![&mut x1, &mut x2], vec![]);
+/// sweeper.run(&mut aig, &mut cnf, &mut bdds, vec![&mut x1, &mut x2], vec![]);
 /// assert_eq!(x1, x2); // merged
 /// assert_eq!(aig.num_ands(), 3); // one xor cone, garbage collected
 /// ```
@@ -209,6 +219,7 @@ impl StateSetSweeper {
         &mut self,
         aig: &mut Aig,
         cnf: &mut AigCnf,
+        bdds: &mut BddTier,
         lits: Vec<&mut Lit>,
         vars: Vec<&mut Var>,
     ) -> bool {
@@ -218,15 +229,16 @@ impl StateSetSweeper {
         if !self.due(aig) {
             return false;
         }
-        self.run(aig, cnf, lits, vars);
+        self.run(aig, cnf, bdds, lits, vars);
         true
     }
 
-    /// Unconditionally sweeps: fraigs the union cone of `lits`, applies
-    /// the proven merges, and (if configured) garbage-collects the
-    /// manager. All `lits` are rewritten to their post-sweep form and all
-    /// `vars` (which must be primary inputs) to their post-collection
-    /// variables; the SAT bridge is replaced when the manager is.
+    /// Unconditionally sweeps: fraigs the union cone of `lits` on the
+    /// kept BDD tier `bdds`, applies the proven merges, and (if
+    /// configured) garbage-collects the manager. All `lits` are rewritten
+    /// to their post-sweep form and all `vars` (which must be primary
+    /// inputs) to their post-collection variables; the SAT bridge and the
+    /// BDD tier are carried into the new manager.
     ///
     /// # Panics
     ///
@@ -235,6 +247,7 @@ impl StateSetSweeper {
         &mut self,
         aig: &mut Aig,
         cnf: &mut AigCnf,
+        bdds: &mut BddTier,
         mut lits: Vec<&mut Lit>,
         mut vars: Vec<&mut Var>,
     ) {
@@ -243,8 +256,10 @@ impl StateSetSweeper {
         self.stats.nodes_before += aig.num_nodes();
         self.stats.live_before += aig.cone_size_many(&roots);
 
-        let swept = fraig(aig, &roots, cnf, &self.cfg.fraig);
+        let swept = fraig(aig, &roots, cnf, bdds, &self.cfg.fraig);
         self.stats.merged += swept.stats.merged_bdd + swept.stats.merged_sat;
+        self.stats.bdd_built += swept.stats.bdd_built;
+        self.stats.bdd_resets += swept.stats.bdd_resets;
         let mut new_roots = swept.roots;
 
         if self.cfg.gc {
@@ -254,10 +269,12 @@ impl StateSetSweeper {
                 .map(|v| aig.input_index(**v).expect("sweep var must be an input"))
                 .collect();
             let (packed, packed_roots, var_map) = aig.compact_with_map(&new_roots);
-            // Carry the bridge across the compaction: surviving cones keep
-            // their SAT variables, so the solver's learnt clauses stay
-            // live and nothing re-encodes.
+            // Carry the bridge and the BDD tier across the compaction:
+            // surviving cones keep their SAT variables and their BDDs, so
+            // the solver's learnt clauses stay live and nothing re-encodes
+            // or rebuilds.
             cnf.migrate(&var_map, packed.num_nodes());
+            bdds.remap(&var_map);
             self.stats.cnf_gcs += 1;
             *aig = packed;
             new_roots = packed_roots;
@@ -358,7 +375,13 @@ mod tests {
         let nodes_before = aig.num_nodes();
         let mut cnf = AigCnf::new();
         let mut sweeper = StateSetSweeper::new(SweepConfig::eager());
-        sweeper.run(&mut aig, &mut cnf, vec![&mut f, &mut g], vec![]);
+        sweeper.run(
+            &mut aig,
+            &mut cnf,
+            &mut BddTier::new(),
+            vec![&mut f, &mut g],
+            vec![],
+        );
         assert_eq!(f, g, "equivalent roots must merge");
         assert!(aig.num_nodes() < nodes_before, "gc must reclaim nodes");
         assert_eq!(sweeper.stats.runs, 1);
@@ -397,7 +420,13 @@ mod tests {
         let mut sweeper = StateSetSweeper::new(cfg);
         let (mut f, mut g) = (f, g);
         let nodes_before = aig.num_nodes();
-        sweeper.run(&mut aig, &mut cnf, vec![&mut f, &mut g], vec![]);
+        sweeper.run(
+            &mut aig,
+            &mut cnf,
+            &mut BddTier::new(),
+            vec![&mut f, &mut g],
+            vec![],
+        );
         assert_ne!(f, g, "budgeted check must stay undecided");
         assert!(
             aig.num_nodes() < nodes_before,
@@ -436,7 +465,13 @@ mod tests {
         let mut v2 = aig.input_var(2);
         let mut cnf = AigCnf::new();
         let mut sweeper = StateSetSweeper::new(SweepConfig::eager());
-        sweeper.run(&mut aig, &mut cnf, vec![&mut f, &mut g], vec![&mut v2]);
+        sweeper.run(
+            &mut aig,
+            &mut cnf,
+            &mut BddTier::new(),
+            vec![&mut f, &mut g],
+            vec![&mut v2],
+        );
         assert_eq!(aig.input_index(v2), Some(2), "ordinal must survive");
         for mask in 0..16u32 {
             let asg: Vec<bool> = (0..4).map(|i| (mask >> i) & 1 != 0).collect();
@@ -454,7 +489,13 @@ mod tests {
             ..SweepConfig::eager()
         };
         let mut sweeper = StateSetSweeper::new(cfg);
-        sweeper.run(&mut aig, &mut cnf, vec![&mut f, &mut g], vec![]);
+        sweeper.run(
+            &mut aig,
+            &mut cnf,
+            &mut BddTier::new(),
+            vec![&mut f, &mut g],
+            vec![],
+        );
         assert_eq!(f, g);
         assert_eq!(sweeper.stats.cnf_gcs, 0);
         // Live size still shrinks even though the manager is kept.

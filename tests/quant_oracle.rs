@@ -8,6 +8,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use cbq::cec::BddTier;
 use cbq::mc::ganai::all_solutions_exists;
 use cbq::mc::sweep::{StateSetSweeper, SweepConfig};
 use cbq::prelude::*;
@@ -223,7 +224,7 @@ fn swept_aigs_are_equivalent_on_all_assignments() {
             let mut sweeper = StateSetSweeper::new(cfg);
             let lit_refs: Vec<&mut Lit> = work_roots.iter_mut().collect();
             let var_refs: Vec<&mut Var> = work_vars.iter_mut().collect();
-            sweeper.run(&mut work, &mut cnf, lit_refs, var_refs);
+            sweeper.run(&mut work, &mut cnf, &mut BddTier::new(), lit_refs, var_refs);
             for mask in 0..1u32 << n {
                 let asg: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 != 0).collect();
                 for (orig, swept) in ref_roots.iter().zip(&work_roots) {
