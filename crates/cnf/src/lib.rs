@@ -19,7 +19,13 @@
 //!   manager the bridge **retires** the dead cones by asserting the
 //!   negated activator ([`AigCnf::retire_cones`]) instead of discarding
 //!   the solver — learnt clauses, variable activities, and phases survive
-//!   across GCs, reachability iterations, and partition re-splits.
+//!   across GCs, reachability iterations, and partition re-splits;
+//! * every answer is **query-local**: the bridge records each AND's
+//!   Tseitin definition and each guarded constraint with the solver
+//!   ([`cbq_sat::Solver::set_query_local`]), and a solve decides only the
+//!   closure of its assumptions over them. A satisfiable answer leaves
+//!   everything else unassigned; reading unassigned inputs as `false`
+//!   ([`AigCnf::model_of`]) and evaluating the AIG completes it.
 //!
 //! ## Example
 //!
@@ -115,7 +121,7 @@ impl AigCnfStats {
 /// garbage collection), [`AigCnf::retire_cones`] ends the current cone
 /// generation by negating its activation literal — the solver and
 /// everything it has learnt persist.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AigCnf {
     solver: Solver,
     /// AIG variable index → the SAT literal computing that node's
@@ -137,10 +143,26 @@ pub struct AigCnf {
     live_guards: usize,
 }
 
+impl Default for AigCnf {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl AigCnf {
-    /// Creates an empty bridge.
+    /// Creates an empty bridge whose solver answers query-locally.
     pub fn new() -> AigCnf {
-        AigCnf::default()
+        let mut solver = Solver::new();
+        solver.set_query_local();
+        AigCnf {
+            solver,
+            map: Vec::new(),
+            stats: AigCnfStats::default(),
+            act: None,
+            gen_clauses: 0,
+            retired_guards: Vec::new(),
+            live_guards: 0,
+        }
     }
 
     /// The current generation's activation literal, created on first use.
@@ -157,7 +179,8 @@ impl AigCnf {
     }
 
     /// Adds `clause` guarded by the current activation literal and counts
-    /// it against the generation.
+    /// it against the generation. The clause is not registered with the
+    /// query-local domain: it must be a definition or implied by them.
     fn add_guarded(&mut self, clause: &[SatLit]) -> bool {
         self.gen_clauses += 1;
         let act = self.activator();
@@ -193,15 +216,14 @@ impl AigCnf {
             // learnt alike: `act` occurs positively in no clause, so
             // resolution preserves the `!act` tag), so after the purge
             // their slots can be recycled together with the activator.
+            let mut dead: Vec<SatLit> = self.map.iter().flatten().copied().collect();
+            dead.sort_unstable_by_key(|sl| sl.var().index());
+            dead.dedup_by_key(|sl| sl.var().index());
             if self.live_guards == 0 {
-                let mut dead: Vec<SatLit> = self.map.iter().flatten().copied().collect();
-                dead.sort_unstable_by_key(|sl| sl.var().index());
-                dead.dedup_by_key(|sl| sl.var().index());
                 self.retired_guards.extend(dead);
             } else {
-                for sl in self.map.iter().flatten() {
-                    self.solver.set_decision(sl.var(), false);
-                }
+                let vars: Vec<_> = dead.iter().map(|sl| sl.var()).collect();
+                self.solver.retire_vars(&vars);
             }
             self.retired_guards.push(act);
             self.reclaim_guards();
@@ -281,15 +303,11 @@ impl AigCnf {
         self.stats.learnts_retained += self.solver.stats().learnts;
     }
 
-    /// Read access to the underlying solver (e.g. for statistics).
+    /// Read access to the underlying solver (e.g. for statistics). There
+    /// is no mutable access: every clause reaches the solver through the
+    /// bridge, which registers what query-local answers need.
     pub fn solver(&self) -> &Solver {
         &self.solver
-    }
-
-    /// Mutable access to the underlying solver, for advanced uses such as
-    /// adding blocking clauses during all-solutions enumeration.
-    pub fn solver_mut(&mut self) -> &mut Solver {
-        &mut self.solver
     }
 
     /// Selects the solver's proof mode. Must be called before any clause
@@ -311,11 +329,6 @@ impl AigCnf {
     /// Bridge statistics.
     pub fn stats(&self) -> AigCnfStats {
         self.stats
-    }
-
-    /// Sets the conflict budget for subsequent checks (`None` = unlimited).
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.solver.set_conflict_budget(budget);
     }
 
     /// Allocates a fresh SAT variable for AIG variable `v` and records its
@@ -373,6 +386,7 @@ impl AigCnf {
                     self.add_guarded(&[!c, a]);
                     self.add_guarded(&[!c, b]);
                     self.add_guarded(&[c, !a, !b]);
+                    self.solver.define(c.var(), [a.var(), b.var()]);
                     self.stats.encoded_ands += 1;
                 }
             }
@@ -409,12 +423,10 @@ impl AigCnf {
     /// only while `guard` is assumed). The literals must already be SAT
     /// literals (e.g. from [`AigCnf::ensure`]); the clause is *not* tied
     /// to the bridge's own cone generation and survives
-    /// [`AigCnf::retire_cones`] until its guard is retired.
+    /// [`AigCnf::retire_cones`] until its guard is retired. Its variables
+    /// join the domain of every solve that assumes `guard`.
     pub fn add_guarded_by(&mut self, guard: SatLit, clause: &[SatLit]) -> bool {
-        let mut guarded = Vec::with_capacity(clause.len() + 1);
-        guarded.push(!guard);
-        guarded.extend_from_slice(clause);
-        self.solver.add_clause(&guarded)
+        self.solver.add_clause_under(guard, clause)
     }
 
     /// Adds a guarded clause given as *AIG* literals: each literal is
@@ -503,9 +515,11 @@ impl AigCnf {
     /// Asserts `l` for the lifetime of the current cone generation (a unit
     /// clause under the generation's activation guard, so it dies with
     /// [`AigCnf::retire_cones`], exactly like the cones it constrains).
+    /// Every solve assumes the activation literal, so `l` joins every
+    /// solve's domain.
     ///
-    /// Used by engines that constrain the whole enumeration, e.g. blocking
-    /// already-covered state cubes.
+    /// Used by engines that constrain the whole enumeration, e.g.
+    /// k-induction's simple-path pairs.
     pub fn assert_lit(&mut self, aig: &Aig, l: Lit) -> bool {
         if l == Lit::TRUE {
             return true;
@@ -519,20 +533,28 @@ impl AigCnf {
             return false;
         }
         let sl = self.ensure(aig, l);
-        self.add_guarded(&[sl])
+        self.gen_clauses += 1;
+        let act = self.activator();
+        self.solver.add_clause_under(act, &[sl])
     }
 
     /// Learns `a ≡ b` as clauses on the shared database, guarded by the
     /// current activation literal — the sweeping engines call this for
     /// every proven merge so later checks simplify, and retirement cleans
     /// the equivalences up together with the cones they refer to.
+    ///
+    /// The equivalence must be proved under the definitions and the
+    /// asserted literals ([`AigCnf::assert_lit`]) alone, with no guard of
+    /// [`AigCnf::new_guard`] assumed: it is not registered with the
+    /// query-local domain, so a partial model's completion satisfies it
+    /// only because the definitions and asserted literals imply it.
     pub fn learn_equiv(&mut self, a: SatLit, b: SatLit) {
         self.add_guarded(&[!a, b]);
         self.add_guarded(&[a, !b]);
     }
 
-    /// Extracts the model's values for every AIG input (unconstrained
-    /// inputs default to `false`).
+    /// Extracts the model's values for every AIG input (unassigned inputs
+    /// read `false`, see [`AigCnf::model_of`]).
     ///
     /// Only meaningful immediately after a [`SatResult::Sat`] answer.
     pub fn model_inputs(&self, aig: &Aig) -> Vec<bool> {
@@ -540,7 +562,17 @@ impl AigCnf {
     }
 
     /// The model's values of `vars`, in order, read straight from the
-    /// bridge's map; a variable the bridge never encoded reads `false`.
+    /// bridge's map; a variable the bridge never encoded, or that the
+    /// answer left unassigned, reads `false`.
+    ///
+    /// A satisfiable answer is query-local: it assigns the closure of the
+    /// query's assumptions, active constraints and asserted literals, and
+    /// nothing else. For AIG inputs (latches included), reading unassigned
+    /// ones as `false` and evaluating the AIG from them completes the
+    /// answer to a model of the whole database, so the query's root and
+    /// every active constraint hold on the evaluated values. Read inputs
+    /// only: an unassigned AND node also reads `false` here, which need
+    /// not be its evaluated value.
     ///
     /// Only meaningful immediately after a [`SatResult::Sat`] answer.
     pub fn model_of(&self, vars: &[Var]) -> Vec<bool> {

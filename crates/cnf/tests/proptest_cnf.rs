@@ -1,13 +1,18 @@
 //! Property-based differential tests of the activation-literal cone
 //! lifetimes: a persistent [`AigCnf`] driven through add/solve/retire
 //! cycles must answer exactly like a fresh bridge at every step, across
-//! manager compactions.
+//! manager compactions. A second workload checks query-local answers:
+//! every satisfiable answer, completed by reading unassigned inputs as
+//! `false` and evaluating the AIG, satisfies the query and every active
+//! constraint.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use cbq_aig::{Aig, Lit};
+use cbq_aig::{Aig, Lit, Node, Var};
 use cbq_cnf::{AigCnf, EquivResult};
-use cbq_sat::SatResult;
+use cbq_sat::{SatLit, SatResult};
 
 /// A recipe for building a random combinational cone over `N` inputs.
 #[derive(Clone, Debug)]
@@ -33,6 +38,14 @@ const N: usize = 6;
 /// Materialises a recipe; returns the AIG and the last three literals
 /// built (the roots the workload checks and the GC keeps alive).
 fn build(ops: &[GateOp]) -> (Aig, Vec<Lit>) {
+    let (aig, pool) = build_pool(ops);
+    let roots: Vec<Lit> = pool[pool.len().saturating_sub(3)..].to_vec();
+    (aig, roots)
+}
+
+/// Materialises a recipe; returns the AIG and every literal of the pool
+/// (the inputs, then one literal per gate).
+fn build_pool(ops: &[GateOp]) -> (Aig, Vec<Lit>) {
     let mut aig = Aig::new();
     let mut pool: Vec<Lit> = (0..N).map(|_| aig.add_input().lit()).collect();
     for op in ops {
@@ -51,8 +64,7 @@ fn build(ops: &[GateOp]) -> (Aig, Vec<Lit>) {
         };
         pool.push(l);
     }
-    let roots: Vec<Lit> = pool[pool.len().saturating_sub(3)..].to_vec();
-    (aig, roots)
+    (aig, pool)
 }
 
 /// Exhaustive satisfiability of `root` over all 2^N input assignments.
@@ -141,6 +153,207 @@ fn drive(mut aig: Aig, mut roots: Vec<Lit>, handoff: GcHandoff) {
     }
 }
 
+/// Truth table of every node over the `N` inputs: bit `m` is the node's
+/// value under the input assignment whose bit `k` is input `k`.
+fn truth_tables(aig: &Aig) -> Vec<u64> {
+    let mut tt = vec![0u64; aig.num_nodes()];
+    for i in 0..aig.num_nodes() {
+        let v = Var::from_index(i);
+        tt[i] = match aig.node(v) {
+            Node::Const => 0,
+            Node::Input { .. } => {
+                let k = aig.input_index(v).expect("input ordinal");
+                (0..1u64 << N)
+                    .filter(|m| (m >> k) & 1 == 1)
+                    .fold(0, |t, m| t | 1 << m)
+            }
+            Node::And { f0, f1 } => lit_table(&tt, f0) & lit_table(&tt, f1),
+        };
+    }
+    tt
+}
+
+fn lit_table(tt: &[u64], l: Lit) -> u64 {
+    let t = tt[l.var().index()];
+    if l.is_complemented() {
+        !t
+    } else {
+        t
+    }
+}
+
+/// The sweep-GC step with merges: rebuilds the cone of `roots` in a new
+/// manager and maps every node whose function (or its complement, or a
+/// constant) already has an image onto that image, as a functional sweep
+/// followed by compaction does. So the old-to-new map has
+/// strash-collision losers and constant-mapped nodes, and nodes outside
+/// the cone have no image.
+fn merge_compact(aig: &Aig, roots: &[Lit]) -> (Aig, Vec<Option<Lit>>) {
+    let tt = truth_tables(aig);
+    let mut out = Aig::new();
+    let mut map = vec![None; aig.num_nodes()];
+    map[Var::CONST.index()] = Some(Lit::FALSE);
+    let mut image: HashMap<u64, Lit> = HashMap::from([(0, Lit::FALSE), (!0, Lit::TRUE)]);
+    for i in 0..aig.num_inputs() {
+        let v = aig.input_var(i);
+        let l = out.add_input().lit();
+        map[v.index()] = Some(l);
+        image.insert(tt[v.index()], l);
+        image.insert(!tt[v.index()], !l);
+    }
+    for v in aig.collect_cone(roots) {
+        let Node::And { f0, f1 } = aig.node(v) else {
+            continue;
+        };
+        let t = tt[v.index()];
+        let l = match image.get(&t) {
+            Some(&l) => l,
+            None => {
+                let fanin = |f: Lit| {
+                    map[f.var().index()]
+                        .expect("fanin mapped")
+                        .xor_sign(f.is_complemented())
+                };
+                let l = out.and(fanin(f0), fanin(f1));
+                image.insert(t, l);
+                image.insert(!t, !l);
+                l
+            }
+        };
+        map[v.index()] = Some(l);
+    }
+    (out, map)
+}
+
+/// Number of guards of a query-local workload.
+const G: usize = 3;
+
+/// A pool literal: an index (taken modulo the pool size) and a phase.
+type PoolLit = (usize, bool);
+
+/// A query-local workload over one random AIG.
+#[derive(Clone, Debug)]
+struct LocalWorkload {
+    ops: Vec<GateOp>,
+    /// Constraint clauses, each under one of the `G` guards.
+    clauses: Vec<(usize, Vec<PoolLit>)>,
+    /// Asserted literals.
+    units: Vec<PoolLit>,
+    /// Per round, the queries: a root and a mask of the guards assumed.
+    rounds: Vec<Vec<(PoolLit, u8)>>,
+}
+
+fn local_strategy() -> impl Strategy<Value = LocalWorkload> {
+    let lit = || (any::<usize>(), any::<bool>());
+    (
+        ops_strategy(20),
+        prop::collection::vec((0..G, prop::collection::vec(lit(), 1..=3)), 0..=6),
+        prop::collection::vec(lit(), 0..=2),
+        prop::collection::vec(prop::collection::vec((lit(), any::<u8>()), 1..=6), 3),
+    )
+        .prop_map(|(ops, clauses, units, rounds)| LocalWorkload {
+            ops,
+            clauses,
+            units,
+            rounds,
+        })
+}
+
+/// Poses every round's queries to one bridge, with a merging migration
+/// between rounds. Each answer must match the exhaustive oracle, and a
+/// satisfiable one, completed by reading unassigned inputs as `false`
+/// and evaluating the AIG, must satisfy the root, every clause under an
+/// assumed guard, and every asserted literal.
+fn drive_local(w: &LocalWorkload) {
+    let (mut aig, pool) = build_pool(&w.ops);
+    let mut pool: Vec<Option<Lit>> = pool.into_iter().map(Some).collect();
+    let pick = |pool: &[Option<Lit>], (i, phase): PoolLit| {
+        pool[i % pool.len()]
+            .expect("live pool literal")
+            .xor_sign(phase)
+    };
+    let mut cnf = AigCnf::new();
+    let guards: Vec<SatLit> = (0..G).map(|_| cnf.new_guard()).collect();
+    // An identically false clause is not added (see
+    // `add_guarded_clause_lits`), so the oracle skips it too.
+    let mut clauses: Vec<&(usize, Vec<PoolLit>)> = Vec::new();
+    for c in &w.clauses {
+        let lits: Vec<Lit> = c.1.iter().map(|&l| pick(&pool, l)).collect();
+        cnf.add_guarded_clause_lits(&aig, guards[c.0], &lits);
+        if lits.iter().any(|&l| l != Lit::FALSE) {
+            clauses.push(c);
+        }
+    }
+    for &u in &w.units {
+        cnf.assert_lit(&aig, pick(&pool, u));
+    }
+    for (round, queries) in w.rounds.iter().enumerate() {
+        let tt = truth_tables(&aig);
+        for &(root, mask) in queries {
+            let root = pick(&pool, root);
+            let active: Vec<&Vec<PoolLit>> = clauses
+                .iter()
+                .filter(|(g, _)| mask >> g & 1 == 1)
+                .map(|(_, lits)| lits)
+                .collect();
+            let extra: Vec<SatLit> = (0..G)
+                .filter(|g| mask >> g & 1 == 1)
+                .map(|g| guards[g])
+                .collect();
+            let mut want = lit_table(&tt, root);
+            for lits in &active {
+                want &= lits
+                    .iter()
+                    .fold(0, |t, &l| t | lit_table(&tt, pick(&pool, l)));
+            }
+            for &u in &w.units {
+                want &= lit_table(&tt, pick(&pool, u));
+            }
+            let got = cnf.solve_under_assuming(&aig, &[root], &extra);
+            assert_eq!(
+                got.is_sat(),
+                want != 0,
+                "round {round}: answer disagrees with the oracle on {root:?} under mask {mask:#b}"
+            );
+            if got == SatResult::Sat {
+                let inputs = cnf.model_inputs(&aig);
+                let holds = |l: PoolLit| aig.eval(pick(&pool, l), &inputs);
+                assert!(
+                    aig.eval(root, &inputs),
+                    "round {round}: completion misses the root"
+                );
+                for lits in &active {
+                    assert!(
+                        lits.iter().any(|&l| holds(l)),
+                        "round {round}: completion violates a clause under an assumed guard"
+                    );
+                }
+                for &u in &w.units {
+                    assert!(
+                        holds(u),
+                        "round {round}: completion violates an asserted literal"
+                    );
+                }
+            }
+        }
+        // Keep what later rounds name alive; merge and migrate.
+        let live: Vec<Lit> = clauses
+            .iter()
+            .flat_map(|(_, lits)| lits.iter().copied())
+            .chain(w.units.iter().copied())
+            .chain(w.rounds[round + 1..].iter().flatten().map(|&(l, _)| l))
+            .map(|l| pick(&pool, l))
+            .collect();
+        let (merged, map) = merge_compact(&aig, &live);
+        cnf.migrate(&map, merged.num_nodes());
+        assert_eq!(cnf.stats().retirements, 0, "asserted literals must survive");
+        for l in pool.iter_mut() {
+            *l = l.and_then(|l| map[l.var().index()].map(|n| n.xor_sign(l.is_complemented())));
+        }
+        aig = merged;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -181,5 +394,19 @@ proptest! {
             let expect_neg = oracle_sat(&aig, !root);
             assert_eq!(cnf.solve_under(&aig, &[!root]).is_sat(), expect_neg);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Query-local answers: random constraint clauses under random
+    /// guards, asserted literals, and queries of a root plus a subset of
+    /// the guards, with merging migrations between rounds. Every answer
+    /// matches the exhaustive oracle, and every satisfiable one completes
+    /// by evaluation to a model of the query and its active constraints.
+    #[test]
+    fn query_local_answers_complete_by_evaluation(w in local_strategy()) {
+        drive_local(&w);
     }
 }

@@ -95,7 +95,9 @@ fn assert_distinct(step: &mut Unroller, a: usize, b: usize) {
 
 /// The pairs `(a, t)`, `a < t ≤ k`, where step state `t` repeats state `a`
 /// (the first with its values) on the path simulated from the model's
-/// inputs, unencoded ones false: it agrees with every encoded node.
+/// inputs, unencoded and unassigned ones false. The answer is
+/// query-local, so the simulation is its completion: it agrees with every
+/// node the solver assigned and satisfies every asserted pair.
 fn repeated_states(step: &Unroller, k: usize) -> Vec<(usize, usize)> {
     let mut sim = BitSim::new(&step.aig, 1);
     sim.set_pattern(&step.aig, 0, &step.cnf.model_inputs(&step.aig));

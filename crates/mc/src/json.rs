@@ -419,6 +419,8 @@ impl From<&SolverStats> for Json {
     fn from(s: &SolverStats) -> Json {
         Json::Obj(vec![
             field("solves", s.solves),
+            field("sat_answers", s.sat_answers),
+            field("unsat_answers", s.unsat_answers),
             field("decisions", s.decisions),
             field("propagations", s.propagations),
             field("conflicts", s.conflicts),

@@ -20,6 +20,12 @@
 //! * **Per-call conflict budgets** — [`Solver::set_conflict_budget`]
 //!   bounds each `solve`/`solve_with` call independently: every call gets
 //!   the full budget, nothing leaks from earlier calls.
+//! * **Query-local answers** — with [`Solver::set_query_local`], a solve
+//!   decides only its *domain*: the closure of its assumptions over the
+//!   recorded definitions ([`Solver::define`]) and the clauses of assumed
+//!   guards ([`Solver::add_clause_under`]). It answers SAT once the domain
+//!   is assigned without conflict and leaves every other variable
+//!   unassigned; a domain over half the variables widens to all of them.
 
 use crate::arena::{CRef, ClauseArena};
 use crate::proof::{ClauseId, ProofLog, ProofMode};
@@ -52,6 +58,10 @@ pub struct SolverStats {
     pub deleted: u64,
     /// Number of `solve`/`solve_with` calls.
     pub solves: u64,
+    /// Calls answered [`SatResult::Sat`].
+    pub sat_answers: u64,
+    /// Calls answered [`SatResult::Unsat`].
+    pub unsat_answers: u64,
     /// Reduce-DB (arena compaction) rounds executed.
     pub reduces: u64,
     /// Clauses purged as satisfied at level 0 ([`Solver::purge_satisfied`]).
@@ -85,6 +95,8 @@ impl SolverStats {
         self.learnts += other.learnts;
         self.deleted += other.deleted;
         self.solves += other.solves;
+        self.sat_answers += other.sat_answers;
+        self.unsat_answers += other.unsat_answers;
         self.reduces += other.reduces;
         self.purged += other.purged;
         self.released_vars += other.released_vars;
@@ -92,6 +104,71 @@ impl SolverStats {
         self.arena_words += other.arena_words;
         for (slot, n) in self.lbd_hist.iter_mut().zip(other.lbd_hist.iter()) {
             *slot += n;
+        }
+    }
+}
+
+/// [`QueryLocal::defs`] entry of a variable with no recorded definition.
+const NO_DEF: u32 = u32::MAX;
+
+/// The registry behind query-local answers ([`Solver::set_query_local`])
+/// and the domain of the solve in progress.
+///
+/// A solve's domain is the closure of its assumption variables under two
+/// kinds of edge: a defined variable brings in its fanins, and a guard
+/// brings in the variables of the clauses it guards. Once the domain is
+/// assigned without conflict, evaluating the definitions from any values
+/// of the unassigned undefined variables completes the assignment to a
+/// model of every clause.
+#[derive(Clone, Debug, Default)]
+struct QueryLocal {
+    /// Per variable: the fanins of its recorded definition, or
+    /// [`NO_DEF`] twice.
+    defs: Vec<[u32; 2]>,
+    /// Per guard variable: the sorted variables of the clauses it guards.
+    guarded: Vec<Vec<u32>>,
+    /// The current solve's domain in discovery order, built at its first
+    /// decision; empty between solves.
+    members: Vec<u32>,
+    /// Membership flags of `members`.
+    member: Vec<bool>,
+}
+
+impl QueryLocal {
+    /// Unmarks every variable marked in `dead` that the recorded
+    /// definition of an unmarked variable names, transitively.
+    fn spare_fanins(&self, dead: &mut Vec<bool>) {
+        dead.resize(self.defs.len(), false);
+        let mut stack: Vec<usize> = (0..self.defs.len())
+            .filter(|&v| !dead[v] && self.defs[v][0] != NO_DEF)
+            .collect();
+        while let Some(v) = stack.pop() {
+            for &f in &self.defs[v] {
+                if f != NO_DEF && dead[f as usize] {
+                    dead[f as usize] = false;
+                    stack.push(f as usize);
+                }
+            }
+        }
+    }
+
+    /// Drops every registry entry of the variables marked in `dead`: their
+    /// own definitions and guard lists, any definition that names one (its
+    /// clauses are gone with the dead variable), and their places in every
+    /// guard list.
+    fn forget(&mut self, dead: &[bool]) {
+        let is_dead = |u: u32| u != NO_DEF && dead.get(u as usize).copied().unwrap_or(false);
+        for (v, def) in self.defs.iter_mut().enumerate() {
+            if is_dead(v as u32) || def.iter().any(|&f| is_dead(f)) {
+                *def = [NO_DEF; 2];
+            }
+        }
+        for (v, list) in self.guarded.iter_mut().enumerate() {
+            if is_dead(v as u32) {
+                *list = Vec::new();
+            } else {
+                list.retain(|&u| !is_dead(u));
+            }
         }
     }
 }
@@ -143,6 +220,9 @@ pub struct Solver {
     /// Resolution provenance, allocated only when a [`ProofMode`] other
     /// than `Off` is selected — the hot path pays one `is_some` branch.
     proof: Option<Box<ProofLog>>,
+    /// Query-local answers, when switched on: the decision heap then holds
+    /// only the domain of the solve in progress.
+    local: Option<Box<QueryLocal>>,
 }
 
 impl Default for Solver {
@@ -186,7 +266,146 @@ impl Solver {
             model: Vec::new(),
             stats: SolverStats::default(),
             proof: None,
+            local: None,
         }
+    }
+
+    /// Switches on query-local answers: from now on a solve decides only
+    /// its domain, the closure of its assumption variables under the
+    /// definitions recorded with [`Solver::define`] and the clauses added
+    /// with [`Solver::add_clause_under`] whose guard it reaches. It
+    /// answers [`SatResult::Sat`] once the domain is assigned without
+    /// conflict and leaves every other variable unassigned. A domain that
+    /// holds more than half the variables widens to all of them.
+    ///
+    /// The caller guarantees that every clause outside the domain is
+    /// completed by evaluation: each clause is a recorded definition, a
+    /// constraint added under a guard, or implied by the definitions and
+    /// the constraints under guards that every solve assumes. Then
+    /// evaluating the definitions from any values of the unassigned
+    /// undefined variables (unassigned guards read false) completes the
+    /// partial model to a model of the whole database. Without this call
+    /// (raw use) nothing is registered and every decision variable is
+    /// assigned by a satisfiable answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any variable exists already: a registry that missed a
+    /// clause would make partial models unsound.
+    pub fn set_query_local(&mut self) {
+        assert_eq!(
+            self.num_vars(),
+            0,
+            "query-local answers must be selected first"
+        );
+        self.local = Some(Box::default());
+    }
+
+    /// Records that `v` is defined as a function of `fanins` (a Tseitin
+    /// AND; its clauses are added separately). Under query-local answers a
+    /// domain that holds `v` also holds its fanins. A no-op otherwise.
+    pub fn define(&mut self, v: SatVar, fanins: [SatVar; 2]) {
+        if let Some(q) = self.local.as_deref_mut() {
+            q.defs[v.index()] = [fanins[0].0, fanins[1].0];
+        }
+    }
+
+    /// Adds the clause `¬guard ∨ clause`, a constraint active while
+    /// `guard` is assumed. Under query-local answers its variables join
+    /// the domain of every solve that reaches `guard`'s variable. Returns
+    /// what [`Solver::add_clause`] returns.
+    pub fn add_clause_under(&mut self, guard: SatLit, clause: &[SatLit]) -> bool {
+        if let Some(q) = self.local.as_deref_mut() {
+            let list = &mut q.guarded[guard.var().index()];
+            for l in clause {
+                if let Err(i) = list.binary_search(&l.var().0) {
+                    list.insert(i, l.var().0);
+                }
+            }
+        }
+        let mut guarded = Vec::with_capacity(clause.len() + 1);
+        guarded.push(!guard);
+        guarded.extend_from_slice(clause);
+        self.add_clause(&guarded)
+    }
+
+    /// Whether `v` belongs in the decision heap: a decision variable and,
+    /// under query-local answers, a member of the current domain.
+    fn orderable(&self, v: usize) -> bool {
+        self.decision[v] && self.local.as_ref().is_none_or(|q| q.member[v])
+    }
+
+    /// Builds the current solve's domain from its assumptions and fills
+    /// the (empty) decision heap with its unassigned decision variables.
+    /// A domain that holds more than half the variables widens to all of
+    /// them.
+    fn build_domain(&mut self, assumptions: &[SatLit]) {
+        let q = self.local.as_deref_mut().expect("query-local answers");
+        let QueryLocal {
+            defs,
+            guarded,
+            members,
+            member,
+        } = q;
+        for a in assumptions {
+            let v = a.var().0;
+            if !member[v as usize] {
+                member[v as usize] = true;
+                members.push(v);
+            }
+        }
+        let mut next = 0;
+        while let Some(&v) = members.get(next) {
+            next += 1;
+            let v = v as usize;
+            let fanins = defs[v].iter().filter(|&&f| f != NO_DEF);
+            for &u in fanins.chain(&guarded[v]) {
+                if !member[u as usize] {
+                    member[u as usize] = true;
+                    members.push(u);
+                }
+            }
+        }
+        // A domain over half the variables widens to all of them: on
+        // unrollings it is nearly everything anyway, and itp's
+        // interpolants converge faster from total searches there (E6i
+        // gray10: 111 refinements widened, 1,023 domain-only).
+        if members.len() * 2 > member.len() {
+            for (v, m) in member.iter_mut().enumerate() {
+                if !*m {
+                    *m = true;
+                    members.push(v as u32);
+                }
+            }
+        }
+        debug_assert!(self.heap.is_empty());
+        for &v in members.iter() {
+            let i = v as usize;
+            if self.decision[i] && self.assigns[i] == Lbool::Undef {
+                self.heap_pos[i] = self.heap.len() as i32;
+                self.heap.push(v);
+            }
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.heap_down(i);
+        }
+    }
+
+    /// Ends the current solve's domain: clears the membership flags and
+    /// empties the decision heap, so the closing backtrack inserts
+    /// nothing.
+    fn end_domain(&mut self) {
+        let Some(q) = self.local.as_deref_mut() else {
+            return;
+        };
+        for &v in &q.members {
+            q.member[v as usize] = false;
+        }
+        q.members.clear();
+        for &v in &self.heap {
+            self.heap_pos[v as usize] = -1;
+        }
+        self.heap.clear();
     }
 
     /// Selects the proof mode. Must be called on a pristine solver (no
@@ -250,10 +469,17 @@ impl Solver {
         if let Some(i) = self.free.pop() {
             let v = SatVar::from_index(i as usize);
             self.decision[i as usize] = true;
-            self.heap_insert(i);
+            if self.orderable(i as usize) {
+                self.heap_insert(i);
+            }
             return v;
         }
         let v = SatVar::from_index(self.assigns.len());
+        if let Some(q) = self.local.as_deref_mut() {
+            q.defs.push([NO_DEF; 2]);
+            q.guarded.push(Vec::new());
+            q.member.push(false);
+        }
         self.assigns.push(Lbool::Undef);
         self.phase.push(false);
         self.decision.push(true);
@@ -266,7 +492,9 @@ impl Solver {
         self.lbd_stamp.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap_insert(v.0);
+        if self.orderable(v.index()) {
+            self.heap_insert(v.0);
+        }
         v
     }
 
@@ -771,7 +999,7 @@ impl Solver {
             self.phase[v] = !l.is_negative();
             self.assigns[v] = Lbool::Undef;
             self.reason[v] = None;
-            if self.decision[v] && self.heap_pos[v] < 0 {
+            if self.heap_pos[v] < 0 && self.orderable(v) {
                 self.heap_insert(v as u32);
             }
         }
@@ -789,17 +1017,20 @@ impl Solver {
         None
     }
 
-    /// Includes or excludes `v` from branching. Released (non-decision)
-    /// variables may be left unassigned by a [`SatResult::Sat`] answer,
-    /// so the caller must guarantee one of two invariants for every
-    /// released variable: either all its clauses are already satisfied at
-    /// level 0 (a retired cone generation), or its value is fully
+    /// Includes or excludes `v` from branching. A satisfiable answer may
+    /// leave a released (non-decision) variable unassigned, so the caller
+    /// must guarantee one of three invariants for every released variable:
+    /// all its clauses are already satisfied at level 0 (a retired cone
+    /// generation, see [`Solver::retire_vars`]); or its value is fully
     /// determined by unit propagation once the decision variables are
     /// assigned — e.g. a Tseitin-defined node whose definition clauses
     /// stay intact and whose fanin chain grounds out in decision
     /// variables (a migrated bridge's strash-collision losers and
-    /// constant-mapped nodes). Anything weaker can make a `Sat` answer
-    /// unsound.
+    /// constant-mapped nodes, whose definitions stay recorded so a
+    /// query-local domain reaches their fanins); or it occurs only
+    /// negated in clauses and positively only as an assumption (a guard),
+    /// so reading it false satisfies its clauses. Anything weaker can make
+    /// a `Sat` answer unsound.
     pub fn set_decision(&mut self, v: SatVar, decision: bool) {
         let i = v.index();
         if self.decision[i] == decision {
@@ -807,7 +1038,7 @@ impl Solver {
         }
         self.decision[i] = decision;
         if decision {
-            if self.heap_pos[i] < 0 {
+            if self.heap_pos[i] < 0 && self.orderable(i) {
                 self.heap_insert(i as u32);
             }
         } else {
@@ -815,6 +1046,23 @@ impl Solver {
         }
         // A released variable still in the heap is skipped lazily by
         // `pick_branch_var`.
+    }
+
+    /// Releases variables whose clauses are all satisfied at level 0 (a
+    /// retired cone generation that live guarded clauses may still name,
+    /// so the slots cannot be recycled yet) from branching and from the
+    /// query-local registry.
+    pub fn retire_vars(&mut self, vars: &[SatVar]) {
+        for &v in vars {
+            self.set_decision(v, false);
+        }
+        if let Some(q) = self.local.as_deref_mut() {
+            let mut dead = vec![false; q.defs.len()];
+            for v in vars {
+                dead[v.index()] = true;
+            }
+            q.forget(&dead);
+        }
     }
 
     /// Returns retired variables to a free list so later
@@ -871,6 +1119,9 @@ impl Solver {
         // Scrub the recycled variables' level-0 assignments.
         self.trail.retain(|l| !mark[l.var().index()]);
         self.qhead = self.trail.len();
+        if let Some(q) = self.local.as_deref_mut() {
+            q.forget(&mark);
+        }
     }
 
     /// Deletes every clause satisfied at level 0 (problem and learnt) and
@@ -949,6 +1200,12 @@ impl Solver {
     /// what a retired/orphaned Tseitin cone is: removing such clauses
     /// changes no verdict of any query over the surviving variables.
     ///
+    /// Under query-local answers a marked variable that the recorded
+    /// definition of a surviving variable names is spared, with its own
+    /// fanins: its clauses still define a live variable (a migrated
+    /// bridge's strash-collision loser keeps its old definition, whose
+    /// fanins can lose their images at a later compaction).
+    ///
     /// # Panics
     ///
     /// Panics if called mid-search (must be at decision level 0).
@@ -957,6 +1214,12 @@ impl Solver {
         if !self.ok {
             return;
         }
+        let mut dead = dead.to_vec();
+        if let Some(q) = self.local.as_deref_mut() {
+            q.spare_fanins(&mut dead);
+            q.forget(&dead);
+        }
+        let dead = &dead[..];
         let purge_list =
             |ca: &mut ClauseArena, list: &mut Vec<CRef>, purged: &mut u64, gone: &mut Vec<CRef>| {
                 list.retain(|&c| {
@@ -1109,6 +1372,16 @@ impl Solver {
     /// [`Solver::failed_assumptions`] holds a subset of the assumptions
     /// sufficient for unsatisfiability.
     pub fn solve_with(&mut self, assumptions: &[SatLit]) -> SatResult {
+        let r = self.solve_inner(assumptions);
+        match r {
+            SatResult::Sat => self.stats.sat_answers += 1,
+            SatResult::Unsat => self.stats.unsat_answers += 1,
+            SatResult::Unknown => {}
+        }
+        r
+    }
+
+    fn solve_inner(&mut self, assumptions: &[SatLit]) -> SatResult {
         self.stats.solves += 1;
         self.failed.clear();
         if let Some(p) = self.proof.as_mut() {
@@ -1131,6 +1404,7 @@ impl Solver {
             let limit = RESTART_BASE * luby(2, restarts);
             match self.search(limit, assumptions) {
                 Some(r) => {
+                    self.end_domain();
                     self.backtrack(0);
                     return r;
                 }
@@ -1225,9 +1499,12 @@ impl Solver {
                 if decided {
                     continue;
                 }
+                if self.local.as_ref().is_some_and(|q| q.members.is_empty()) {
+                    self.build_domain(assumptions);
+                }
                 match self.pick_branch_var() {
                     None => {
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.assigns);
                         return Some(SatResult::Sat);
                     }
                     Some(v) => {
@@ -1243,8 +1520,12 @@ impl Solver {
 
     /// The model value of `v` after a [`SatResult::Sat`] answer.
     ///
-    /// Returns `None` for variables the model leaves unconstrained or if no
-    /// model is available.
+    /// Returns `None` for a variable the answer left unassigned, or if no
+    /// model is available. A raw solver assigns every decision variable;
+    /// under query-local answers ([`Solver::set_query_local`]) only the
+    /// solve's domain and what propagation reached are assigned, and the
+    /// model is completed by evaluating the recorded definitions from the
+    /// unassigned undefined variables read as false.
     pub fn value(&self, v: SatVar) -> Option<bool> {
         self.model.get(v.index()).and_then(|l| l.to_bool())
     }
@@ -1593,6 +1874,7 @@ mod tests {
         let mut a = SolverStats {
             conflicts: 3,
             arena_words: 10,
+            sat_answers: 2,
             ..SolverStats::default()
         };
         a.lbd_hist[0] = 2;
@@ -1603,11 +1885,111 @@ mod tests {
         };
         b.lbd_hist[0] = 1;
         b.lbd_hist[7] = 6;
+        b.sat_answers = 5;
+        b.unsat_answers = 1;
         a.absorb(&b);
         assert_eq!(a.conflicts, 7);
+        assert_eq!((a.sat_answers, a.unsat_answers), (7, 1));
         assert_eq!(a.arena_words, 15);
         assert_eq!(a.lbd_hist[0], 3);
         assert_eq!(a.lbd_hist[7], 6);
+    }
+
+    #[test]
+    fn raw_sat_answers_assign_every_decision_variable() {
+        // Without query-local answers every decision variable is decided,
+        // even those no clause and no assumption mentions.
+        let mut s = Solver::new();
+        let v = vars(&mut s, 8);
+        s.add_clause(&[v[0].pos(), v[1].pos()]);
+        s.add_clause(&[v[1].neg(), v[2].pos()]);
+        for assumptions in [vec![], vec![v[0].neg()], vec![v[2].pos(), v[5].neg()]] {
+            assert_eq!(s.solve_with(&assumptions), SatResult::Sat);
+            for &x in &v {
+                assert!(
+                    s.value(x).is_some(),
+                    "{x:?} unassigned under {assumptions:?}"
+                );
+            }
+        }
+        assert_eq!(s.stats().sat_answers, 3);
+    }
+
+    #[test]
+    fn query_local_answers_decide_only_the_domain() {
+        // c = a & b is defined, x and y are constrained only by a clause
+        // under guard g, and z by nothing.
+        let mut s = Solver::new();
+        s.set_query_local();
+        let [a, b, c, x, y, z, g] = [(); 7].map(|_| s.new_var());
+        s.add_clause(&[c.neg(), a.pos()]);
+        s.add_clause(&[c.neg(), b.pos()]);
+        s.add_clause(&[c.pos(), a.neg(), b.neg()]);
+        s.define(c, [a, b]);
+        s.add_clause_under(g.pos(), &[x.pos(), y.pos()]);
+        s.set_decision(g, false);
+        assert_eq!(s.solve_with(&[c.neg()]), SatResult::Sat);
+        assert!(s.value(a).is_some() && s.value(b).is_some());
+        assert_eq!(s.value(c), Some(false));
+        for out in [x, y, z, g] {
+            assert_eq!(s.value(out), None, "{out:?} lies outside the domain");
+        }
+        // Assuming the guard brings its clause's variables in.
+        assert_eq!(s.solve_with(&[g.pos(), x.neg()]), SatResult::Sat);
+        assert_eq!(s.value(y), Some(true));
+        assert_eq!(s.value(z), None);
+        assert_eq!(s.solve_with(&[g.pos(), x.neg(), y.neg()]), SatResult::Unsat);
+        let st = s.stats();
+        assert_eq!((st.sat_answers, st.unsat_answers), (2, 1));
+    }
+
+    #[test]
+    fn query_local_registry_forgets_recycled_and_purged_vars() {
+        let mut s = Solver::new();
+        s.set_query_local();
+        let [a, b, c, g, h] = [(); 5].map(|_| s.new_var());
+        s.define(c, [a, b]);
+        s.add_clause(&[c.neg(), a.pos()]);
+        s.add_clause(&[c.neg(), b.pos()]);
+        s.add_clause(&[c.pos(), a.neg(), b.neg()]);
+        // The guard list is sorted and deduplicated.
+        s.add_clause_under(g.pos(), &[c.pos(), a.neg()]);
+        s.add_clause_under(g.pos(), &[a.pos(), b.pos(), c.neg()]);
+        s.add_clause_under(h.pos(), &[b.pos()]);
+        let q = s.local.as_deref().unwrap();
+        assert_eq!(q.guarded[g.index()], vec![a.0, b.0, c.0]);
+        // Retire and recycle g: its list goes.
+        s.add_clause(&[g.neg()]);
+        s.purge_satisfied();
+        s.recycle_vars(&[g]);
+        assert!(s.local.as_deref().unwrap().guarded[g.index()].is_empty());
+        // Purge b: its place in h's list and c's definition (which names
+        // it) go with it.
+        let mut dead = vec![false; s.num_vars()];
+        dead[b.index()] = true;
+        dead[c.index()] = true;
+        s.purge_referencing(&dead);
+        let q = s.local.as_deref().unwrap();
+        assert_eq!(q.defs[c.index()], [NO_DEF; 2]);
+        assert!(q.guarded[h.index()].is_empty());
+    }
+
+    #[test]
+    fn purge_spares_the_fanins_of_a_live_definition() {
+        // c = a & b survives a purge that marks its fanin b: the clauses
+        // defining c stay, so c still follows a and b.
+        let mut s = Solver::new();
+        s.set_query_local();
+        let [a, b, c] = [(); 3].map(|_| s.new_var());
+        s.define(c, [a, b]);
+        s.add_clause(&[c.neg(), a.pos()]);
+        s.add_clause(&[c.neg(), b.pos()]);
+        s.add_clause(&[c.pos(), a.neg(), b.neg()]);
+        let mut dead = vec![false; s.num_vars()];
+        dead[b.index()] = true;
+        s.purge_referencing(&dead);
+        assert_eq!(s.stats().purged, 0);
+        assert_eq!(s.solve_with(&[c.pos(), b.neg()]), SatResult::Unsat);
     }
 
     #[test]

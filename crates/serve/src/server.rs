@@ -2,7 +2,8 @@
 //! scoped-thread worker pool, and a shared [`StructuralCache`].
 //!
 //! One thread accepts connections; each connection gets a reader thread
-//! that parses requests and enqueues jobs; `workers` pool threads drain
+//! that parses requests (lines of at most [`MAX_LINE_BYTES`]) and
+//! enqueues jobs; `workers` pool threads drain
 //! the queue through [`crate::job::process_check`]. Responses go back
 //! through a per-connection `Mutex<TcpStream>` clone so concurrent
 //! writers cannot interleave partial lines. Shutdown is cooperative: the
@@ -10,7 +11,7 @@
 //! the pool, and the scope joins everything.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -45,9 +46,67 @@ impl Default for ServeConfig {
     }
 }
 
+/// The longest request line the server reads, in bytes (16 MiB, well
+/// above the megabyte models a check carries). A longer line is answered
+/// with an `error` event and discarded up to its newline, so one client
+/// that never sends a newline cannot exhaust the server's memory.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 struct Job {
     request: CheckRequest,
     out: Mutex<TcpStream>,
+}
+
+/// What one [`read_line_capped`] call ended on.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum LineEnd {
+    /// A whole line of at most `cap` bytes is in the buffer.
+    Line,
+    /// A line longer than `cap` bytes ended; its bytes were discarded.
+    Overlong,
+    /// The stream ended.
+    Eof,
+}
+
+/// Reads the next `\n`-terminated line into `buf` (newline excluded),
+/// storing at most `cap` bytes: once a line outgrows the cap, `buf` is
+/// emptied and the rest of the line is skipped. Like `read_until`, it
+/// keeps its progress in `buf` and `overlong` when the read times out, so
+/// the caller retries with the same pair. A final line without a newline
+/// counts as a line.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    overlong: &mut bool,
+    cap: usize,
+) -> io::Result<LineEnd> {
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(match (*overlong, buf.is_empty()) {
+                (false, false) => LineEnd::Line,
+                _ => LineEnd::Eof,
+            });
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let content = &chunk[..newline.unwrap_or(chunk.len())];
+        if !*overlong && buf.len() + content.len() > cap {
+            *overlong = true;
+            *buf = Vec::new();
+        }
+        if !*overlong {
+            buf.extend_from_slice(content);
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            return Ok(if std::mem::take(overlong) {
+                LineEnd::Overlong
+            } else {
+                LineEnd::Line
+            });
+        }
+    }
 }
 
 /// A bound model-checking service; [`Server::run`] blocks until a
@@ -170,21 +229,26 @@ impl Server {
         let _ = reader.set_read_timeout(Some(Duration::from_millis(200)));
         let out = Mutex::new(stream);
         let mut reader = BufReader::new(reader);
-        // `buf` persists across timeouts: `read_until` keeps partial
-        // bytes it already copied when the clock runs out mid-line.
+        // `buf` and `overlong` persist across timeouts: the reader keeps
+        // the partial line it already copied when the clock runs out.
         let mut buf = Vec::new();
+        let mut overlong = false;
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return;
             }
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => return, // EOF
-                Ok(_) => {
+            match read_line_capped(&mut reader, &mut buf, &mut overlong, MAX_LINE_BYTES) {
+                Ok(LineEnd::Eof) => return,
+                Ok(LineEnd::Line) => {
                     let line = String::from_utf8_lossy(&buf).trim().to_string();
                     buf.clear();
                     if !line.is_empty() && !self.dispatch(&line, &out) {
                         return;
                     }
+                }
+                Ok(LineEnd::Overlong) => {
+                    let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                    send_line(&out, &error_line(0, &message));
                 }
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
                 Err(_) => return,
@@ -272,4 +336,35 @@ fn send_line(out: &Mutex<TcpStream>, line: &str) {
     let _ = stream.write_all(line.as_bytes());
     let _ = stream.write_all(b"\n");
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capped_reader_skips_overlong_lines_and_keeps_the_rest() {
+        // A tiny buffer forces the line to span several `fill_buf` chunks.
+        let input: &[u8] = b"abcd\nabcdefgh\nxy\nlast";
+        let mut reader = BufReader::with_capacity(3, input);
+        let (mut buf, mut overlong) = (Vec::new(), false);
+        let mut ends = Vec::new();
+        loop {
+            let end = read_line_capped(&mut reader, &mut buf, &mut overlong, 4).expect("read");
+            ends.push((end, String::from_utf8_lossy(&buf).to_string()));
+            if ends.last().is_some_and(|(e, _)| *e == LineEnd::Eof) {
+                break;
+            }
+            buf.clear();
+        }
+        let want = [
+            (LineEnd::Line, "abcd"),
+            (LineEnd::Overlong, ""),
+            (LineEnd::Line, "xy"),
+            (LineEnd::Line, "last"),
+            (LineEnd::Eof, ""),
+        ];
+        let got: Vec<(LineEnd, &str)> = ends.iter().map(|(e, s)| (*e, s.as_str())).collect();
+        assert_eq!(got, want);
+    }
 }

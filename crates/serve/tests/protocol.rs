@@ -182,6 +182,49 @@ fn protocol_errors_are_reported_not_fatal() {
 }
 
 #[test]
+fn overlong_line_is_an_error_and_the_connection_stays_open() {
+    let server = start(1);
+    let stream = TcpStream::connect(&server.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut next = || -> Json {
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("receive");
+        Json::parse(&response).expect("parseable response")
+    };
+
+    // One byte past the cap, then a normal check on the same connection.
+    let mut s = stream.try_clone().expect("clone");
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..cbq_serve::server::MAX_LINE_BYTES / chunk.len() {
+        s.write_all(&chunk).expect("send");
+    }
+    s.write_all(b"x\n").expect("send");
+    let net = generators::token_ring_bug(4);
+    s.write_all(check(&net, "bmc", 7).to_json_line().as_bytes())
+        .expect("send");
+    s.write_all(b"\n").expect("send");
+
+    let error = next();
+    assert_eq!(error.get("event").and_then(Json::as_str), Some("error"));
+    assert!(error
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("message")
+        .contains("longer than"));
+    let accepted = next();
+    assert_eq!(
+        accepted.get("event").and_then(Json::as_str),
+        Some("accepted")
+    );
+    let result = next();
+    assert_eq!(result.get("event").and_then(Json::as_str), Some("result"));
+    assert_eq!(result.get("verdict").and_then(Json::as_str), Some("unsafe"));
+    drop(s);
+    drop(stream);
+    server.stop();
+}
+
+#[test]
 fn concurrent_submissions_all_complete() {
     let server = start(3);
     let addr = server.addr.clone();
