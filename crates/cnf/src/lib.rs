@@ -244,11 +244,13 @@ impl AigCnf {
     /// equivalences, and everything CDCL derived — stay live and
     /// immediately apply to post-GC checks; nothing is re-encoded.
     ///
-    /// Orphaned variables (dead cones) keep their clauses until the
-    /// memory-pressure valve trips: once the solver carries more than
-    /// ~4× the live variables, the whole generation is retired via
-    /// [`AigCnf::retire_cones`] (re-encoding from scratch, bounded
-    /// memory).
+    /// Orphaned variables (dead cones) lose their clauses at once, and
+    /// so do strash-collision losers and constant-mapped nodes once no
+    /// live definition reaches them ([`Solver::purge_referencing`]).
+    /// Their slots stay until the memory-pressure valve trips: once the
+    /// solver carries more than ~4× the live variables, the whole
+    /// generation is retired via [`AigCnf::retire_cones`] (re-encoding
+    /// from scratch, bounded memory).
     pub fn migrate(&mut self, old_to_new: &[Option<Lit>], new_num_nodes: usize) {
         let mut new_map: Vec<Option<SatLit>> = vec![None; new_num_nodes];
         let mut live = 0usize;
@@ -796,6 +798,59 @@ mod tests {
         assert_eq!(cnf.solve_under(&aig2, &[roots2[0]]), SatResult::Sat);
         let m = cnf.model_inputs(&aig2);
         assert!(aig2.eval(roots2[0], &m));
+    }
+
+    /// A manager over four inputs holding `(a & b) & c` and, unless
+    /// `with_p` is false, `((a & b) & c) & d`: the inputs, `a & b`,
+    /// `x` and `p`.
+    fn merged(with_p: bool) -> (Aig, [Lit; 4], Lit, Lit, Option<Lit>) {
+        let mut aig = Aig::new();
+        let ins = [(); 4].map(|_| aig.add_input().lit());
+        let ab = aig.and(ins[0], ins[1]);
+        let x = aig.and(ab, ins[2]);
+        let p = with_p.then(|| aig.and(x, ins[3]));
+        (aig, ins, ab, x, p)
+    }
+
+    #[test]
+    fn migration_purges_a_loser_cone_once_its_parents_die() {
+        // x1 = (a & b) & c and x2 = a & (b & c) compute one function. A
+        // merging compaction keeps x1 and maps x2 onto it, so x2 becomes
+        // a strash-collision loser that p = x2 & d's definition still
+        // names, and b & c loses its image.
+        let (mut aig, ins, ab, x1, _) = merged(false);
+        let bc = aig.and(ins[1], ins[2]);
+        let x2 = aig.and(ins[0], bc);
+        let p = aig.and(x2, ins[3]);
+        let mut cnf = AigCnf::new();
+        assert_eq!(cnf.solve_under(&aig, &[x1, p]), SatResult::Sat);
+        let (aig1, ins1, ab1, x11, p1) = merged(true);
+        let p1 = p1.unwrap();
+        let mut map = vec![None; aig.num_nodes()];
+        let pairs = ins.iter().zip(&ins1).map(|(&o, &n)| (o, n));
+        for (old, new) in pairs.chain([(ab, ab1), (x1, x11), (x2, x11), (p, p1)]) {
+            map[old.var().index()] = Some(new);
+        }
+        cnf.migrate(&map, aig1.num_nodes());
+        // p still reaches b & c through x2, so nothing is purged.
+        assert_eq!(cnf.solver_stats().purged, 0);
+        assert_eq!(cnf.solve_under(&aig1, &[p1, !ins1[1]]), SatResult::Unsat);
+        assert_eq!(cnf.solve_under(&aig1, &[p1]), SatResult::Sat);
+        assert!(aig1.eval(p1, &cnf.model_inputs(&aig1)));
+        // A second compaction drops p: nothing live reaches x2 any more,
+        // so the definitions of p, x2 and b & c all go.
+        let (aig2, ins2, ab2, x12, _) = merged(false);
+        let mut map = vec![None; aig1.num_nodes()];
+        let pairs = ins1.iter().zip(&ins2).map(|(&o, &n)| (o, n));
+        for (old, new) in pairs.chain([(ab1, ab2), (x11, x12)]) {
+            map[old.var().index()] = Some(new);
+        }
+        let clauses = cnf.solver().num_clauses();
+        cnf.migrate(&map, aig2.num_nodes());
+        assert_eq!(cnf.solver().num_clauses(), clauses - 9);
+        assert_eq!(cnf.solve_under(&aig2, &[x12, !ins2[2]]), SatResult::Unsat);
+        assert_eq!(cnf.solve_under(&aig2, &[x12]), SatResult::Sat);
+        assert!(aig2.eval(x12, &cnf.model_inputs(&aig2)));
     }
 
     #[test]

@@ -249,7 +249,7 @@ fn local_strategy() -> impl Strategy<Value = LocalWorkload> {
         ops_strategy(20),
         prop::collection::vec((0..G, prop::collection::vec(lit(), 1..=3)), 0..=6),
         prop::collection::vec(lit(), 0..=2),
-        prop::collection::vec(prop::collection::vec((lit(), any::<u8>()), 1..=6), 3),
+        prop::collection::vec(prop::collection::vec((lit(), any::<u8>()), 1..=6), 4),
     )
         .prop_map(|(ops, clauses, units, rounds)| LocalWorkload {
             ops,
@@ -260,7 +260,10 @@ fn local_strategy() -> impl Strategy<Value = LocalWorkload> {
 }
 
 /// Poses every round's queries to one bridge, with a merging migration
-/// between rounds. Each answer must match the exhaustive oracle, and a
+/// between rounds. A node dies once no later round names it, so a
+/// strash-collision loser made by one migration can lose its last parent
+/// at the next, with queries still to come; the purge then takes the
+/// loser's cone too. Each answer must match the exhaustive oracle, and a
 /// satisfiable one, completed by reading unassigned inputs as `false`
 /// and evaluating the AIG, must satisfy the root, every clause under an
 /// assumed guard, and every asserted literal.

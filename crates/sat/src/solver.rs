@@ -25,7 +25,7 @@
 //!   recorded definitions ([`Solver::define`]) and the clauses of assumed
 //!   guards ([`Solver::add_clause_under`]). It answers SAT once the domain
 //!   is assigned without conflict and leaves every other variable
-//!   unassigned; a domain over half the variables widens to all of them.
+//!   unassigned.
 
 use crate::arena::{CRef, ClauseArena};
 use crate::proof::{ClauseId, ProofLog, ProofMode};
@@ -135,20 +135,39 @@ struct QueryLocal {
 }
 
 impl QueryLocal {
-    /// Unmarks every variable marked in `dead` that the recorded
-    /// definition of an unmarked variable names, transitively.
-    fn spare_fanins(&self, dead: &mut Vec<bool>) {
-        dead.resize(self.defs.len(), false);
-        let mut stack: Vec<usize> = (0..self.defs.len())
-            .filter(|&v| !dead[v] && self.defs[v][0] != NO_DEF)
-            .collect();
+    /// Settles a purge's dead set by reachability over the recorded
+    /// definitions. The roots are the unmarked defined decision variables
+    /// (a bridge's live map) and the unmarked variables of every guard's
+    /// clauses. Every variable a root's definition reaches, through
+    /// released ones too, is unmarked: its clauses still define a live
+    /// variable. Every released definition no root reaches (a
+    /// strash-collision loser or constant-mapped node whose parents died)
+    /// is marked: it is garbage, like the dead cone below it.
+    fn settle_dead(&self, decision: &[bool], dead: &mut Vec<bool>) {
+        let n = self.defs.len();
+        dead.resize(n, false);
+        let defined = |v: usize| self.defs[v][0] != NO_DEF;
+        let mut reached = vec![false; n];
+        let mut stack = Vec::new();
+        let roots = (0..n)
+            .filter(|&v| decision[v] && defined(v))
+            .chain(self.guarded.iter().flatten().map(|&u| u as usize));
+        for v in roots {
+            if !dead[v] && !reached[v] {
+                reached[v] = true;
+                stack.push(v);
+            }
+        }
         while let Some(v) = stack.pop() {
             for &f in &self.defs[v] {
-                if f != NO_DEF && dead[f as usize] {
-                    dead[f as usize] = false;
+                if f != NO_DEF && !reached[f as usize] {
+                    reached[f as usize] = true;
                     stack.push(f as usize);
                 }
             }
+        }
+        for v in 0..n {
+            dead[v] = !reached[v] && (dead[v] || (!decision[v] && defined(v)));
         }
     }
 
@@ -275,8 +294,7 @@ impl Solver {
     /// definitions recorded with [`Solver::define`] and the clauses added
     /// with [`Solver::add_clause_under`] whose guard it reaches. It
     /// answers [`SatResult::Sat`] once the domain is assigned without
-    /// conflict and leaves every other variable unassigned. A domain that
-    /// holds more than half the variables widens to all of them.
+    /// conflict and leaves every other variable unassigned.
     ///
     /// The caller guarantees that every clause outside the domain is
     /// completed by evaluation: each clause is a recorded definition, a
@@ -337,8 +355,6 @@ impl Solver {
 
     /// Builds the current solve's domain from its assumptions and fills
     /// the (empty) decision heap with its unassigned decision variables.
-    /// A domain that holds more than half the variables widens to all of
-    /// them.
     fn build_domain(&mut self, assumptions: &[SatLit]) {
         let q = self.local.as_deref_mut().expect("query-local answers");
         let QueryLocal {
@@ -363,18 +379,6 @@ impl Solver {
                 if !member[u as usize] {
                     member[u as usize] = true;
                     members.push(u);
-                }
-            }
-        }
-        // A domain over half the variables widens to all of them: on
-        // unrollings it is nearly everything anyway, and itp's
-        // interpolants converge faster from total searches there (E6i
-        // gray10: 111 refinements widened, 1,023 domain-only).
-        if members.len() * 2 > member.len() {
-            for (v, m) in member.iter_mut().enumerate() {
-                if !*m {
-                    *m = true;
-                    members.push(v as u32);
                 }
             }
         }
@@ -1200,11 +1204,14 @@ impl Solver {
     /// what a retired/orphaned Tseitin cone is: removing such clauses
     /// changes no verdict of any query over the surviving variables.
     ///
-    /// Under query-local answers a marked variable that the recorded
-    /// definition of a surviving variable names is spared, with its own
-    /// fanins: its clauses still define a live variable (a migrated
-    /// bridge's strash-collision loser keeps its old definition, whose
-    /// fanins can lose their images at a later compaction).
+    /// Under query-local answers the dead set is settled by reachability
+    /// from the live variables: the defined decision variables and the
+    /// variables of guarded clauses. A marked variable that a live
+    /// definition reaches is spared, with its own fanins: its clauses
+    /// still define a live variable (a migrated bridge's strash-collision
+    /// loser keeps its old definition, whose fanins can lose their images
+    /// at a later compaction). A released definition that no live
+    /// definition reaches is purged with the marked ones.
     ///
     /// # Panics
     ///
@@ -1216,7 +1223,7 @@ impl Solver {
         }
         let mut dead = dead.to_vec();
         if let Some(q) = self.local.as_deref_mut() {
-            q.spare_fanins(&mut dead);
+            q.settle_dead(&self.decision, &mut dead);
             q.forget(&dead);
         }
         let dead = &dead[..];
@@ -1975,21 +1982,56 @@ mod tests {
     }
 
     #[test]
-    fn purge_spares_the_fanins_of_a_live_definition() {
-        // c = a & b survives a purge that marks its fanin b: the clauses
-        // defining c stay, so c still follows a and b.
+    fn purge_settles_the_dead_set_by_reachability() {
+        // p = l & x is live; l = a & b is released (a strash-collision
+        // loser that p's definition still names).
         let mut s = Solver::new();
         s.set_query_local();
-        let [a, b, c] = [(); 3].map(|_| s.new_var());
-        s.define(c, [a, b]);
-        s.add_clause(&[c.neg(), a.pos()]);
-        s.add_clause(&[c.neg(), b.pos()]);
-        s.add_clause(&[c.pos(), a.neg(), b.neg()]);
+        let [a, b, l, x, p] = [(); 5].map(|_| s.new_var());
+        for (c, [f, g]) in [(l, [a, b]), (p, [l, x])] {
+            s.define(c, [f, g]);
+            s.add_clause(&[c.neg(), f.pos()]);
+            s.add_clause(&[c.neg(), g.pos()]);
+            s.add_clause(&[c.pos(), f.neg(), g.neg()]);
+        }
+        s.set_decision(l, false);
+        // A purge that marks b spares it through l: the clauses defining
+        // l stay, so p still follows a, b and x.
         let mut dead = vec![false; s.num_vars()];
         dead[b.index()] = true;
         s.purge_referencing(&dead);
-        assert_eq!(s.stats().purged, 0);
-        assert_eq!(s.solve_with(&[c.pos(), b.neg()]), SatResult::Unsat);
+        assert_eq!(s.num_clauses(), 6);
+        assert_eq!(s.solve_with(&[p.pos(), b.neg()]), SatResult::Unsat);
+        // Once p dies no live definition reaches l, so l's definition
+        // goes with p's and both leave the registry.
+        s.set_decision(p, false);
+        let mut dead = vec![false; s.num_vars()];
+        dead[p.index()] = true;
+        s.purge_referencing(&dead);
+        assert_eq!(s.num_clauses(), 0);
+        let q = s.local.as_deref().unwrap();
+        assert_eq!(q.defs[l.index()], [NO_DEF; 2]);
+        assert_eq!(q.defs[p.index()], [NO_DEF; 2]);
+    }
+
+    #[test]
+    fn purge_spares_the_cone_a_guarded_clause_names() {
+        // l = a & b is released, but a clause under g names it.
+        let mut s = Solver::new();
+        s.set_query_local();
+        let [a, b, l, g] = [(); 4].map(|_| s.new_var());
+        s.define(l, [a, b]);
+        s.add_clause(&[l.neg(), a.pos()]);
+        s.add_clause(&[l.neg(), b.pos()]);
+        s.add_clause(&[l.pos(), a.neg(), b.neg()]);
+        s.add_clause_under(g.pos(), &[l.pos()]);
+        s.set_decision(l, false);
+        s.set_decision(g, false);
+        let mut dead = vec![false; s.num_vars()];
+        dead[b.index()] = true;
+        s.purge_referencing(&dead);
+        assert_eq!(s.num_clauses(), 4);
+        assert_eq!(s.solve_with(&[g.pos(), b.neg()]), SatResult::Unsat);
     }
 
     #[test]
