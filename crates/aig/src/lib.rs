@@ -24,8 +24,9 @@
 //!   quantification and of pre-image in-lining,
 //! * cone extraction, support computation and garbage-collecting
 //!   [`Aig::compact`],
-//! * 64-way parallel random simulation ([`sim::BitSim`]) used to seed
-//!   equivalence classes for sweeping,
+//! * 64-way parallel random simulation of the whole manager
+//!   ([`sim::BitSim`]) or of one cone ([`sim::ConeSim`]), whose signature
+//!   classes seed the candidate equivalences of sweeping,
 //! * ASCII AIGER (`aag`) reading/writing ([`io`]).
 //!
 //! ## Example
@@ -52,7 +53,6 @@ mod cube;
 mod dfs;
 mod lit;
 mod node;
-mod table;
 
 pub mod io;
 pub mod sim;
@@ -62,4 +62,3 @@ pub use crate::cube::{Assignment, Cube};
 pub use crate::dfs::ConeStats;
 pub use crate::lit::{Lit, Var};
 pub use crate::node::Node;
-pub use crate::table::SigClasses;

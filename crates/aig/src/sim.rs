@@ -1,14 +1,16 @@
-//! 64-way parallel bit-vector simulation — two-valued ([`BitSim`]) and
-//! ternary ([`TernSim`]).
+//! 64-way parallel bit-vector simulation — two-valued over the whole
+//! manager ([`BitSim`]) or over one cone ([`ConeSim`]), and ternary
+//! ([`TernSim`]).
 //!
 //! Because the manager is append-only, node indices are a topological
 //! order: whole-graph simulation is a single linear pass. Sweeping engines
-//! use the resulting per-node *signatures* to seed candidate equivalence
-//! classes, and feed SAT counterexamples back in as fresh patterns to
-//! refine them. The ternary simulator adds an X value for "unknown": IC3
-//! uses it to widen a concrete predecessor state into a cube by checking
-//! which latches can go to X while the bad/next-state cone stays at a
-//! definite value — structural reasoning that replaces SAT queries.
+//! simulate the cone they sweep and group its nodes by *signature* into
+//! candidate equivalence classes ([`ConeSim::classes`]), feeding SAT
+//! counterexamples back in as fresh patterns. The ternary simulator adds
+//! an X value for "unknown": IC3 uses it to widen a concrete predecessor
+//! state into a cube by checking which latches can go to X while the
+//! bad/next-state cone stays at a definite value — structural reasoning
+//! that replaces SAT queries.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -16,6 +18,17 @@ use rand::{Rng, SeedableRng};
 use crate::aig::Aig;
 use crate::lit::{Lit, Var};
 use crate::node::Node;
+
+/// Pattern word `w` of input ordinal `ordinal` in a seeded random
+/// simulation with `words` words per node: SplitMix64's output number
+/// `ordinal * words + w` for `seed`, reached in one jump. It depends on
+/// nothing else, so a simulation of any cone draws the same patterns for
+/// its inputs as one of the whole manager.
+fn random_input_word(seed: u64, words: usize, ordinal: usize, w: usize) -> u64 {
+    const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+    let k = (ordinal * words + w) as u64;
+    SmallRng::seed_from_u64(seed.wrapping_add(k.wrapping_mul(GOLDEN))).gen()
+}
 
 /// A parallel simulator holding `words * 64` patterns for every node.
 ///
@@ -48,10 +61,16 @@ impl BitSim {
         }
     }
 
-    /// Creates a simulator with uniformly random input patterns and runs it.
+    /// Creates a simulator with uniformly random input patterns, each a
+    /// function of `seed` and the input's ordinal (as in
+    /// [`ConeSim::random`]), and runs it.
     pub fn random(aig: &Aig, words: usize, seed: u64) -> BitSim {
         let mut sim = BitSim::new(aig, words);
-        sim.randomize_inputs(aig, seed);
+        for (i, v) in aig.inputs().iter().enumerate() {
+            for w in 0..words {
+                sim.vals[v.index() * words + w] = random_input_word(seed, words, i, w);
+            }
+        }
         sim.run(aig);
         sim
     }
@@ -64,18 +83,6 @@ impl BitSim {
     /// Total number of patterns (`words * 64`).
     pub fn num_patterns(&self) -> usize {
         self.words * 64
-    }
-
-    /// Fills every input with fresh random patterns (deterministic in
-    /// `seed`).
-    pub fn randomize_inputs(&mut self, aig: &Aig, seed: u64) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for v in aig.inputs() {
-            for w in 0..self.words {
-                let word: u64 = rng.gen();
-                self.vals[v.index() * self.words + w] = word;
-            }
-        }
     }
 
     /// Sets one pattern word of input number `input_index`.
@@ -138,37 +145,6 @@ impl BitSim {
         self.edge_word(l, w)
     }
 
-    /// The full signature of a literal as an owned vector of words.
-    pub fn signature(&self, l: Lit) -> Vec<u64> {
-        (0..self.words).map(|w| self.edge_word(l, w)).collect()
-    }
-
-    /// A phase-normalised signature: the signature of `l` or of `!l`,
-    /// whichever has bit 0 clear, together with the flag saying whether it
-    /// was complemented. Nodes that are equivalent *modulo complementation*
-    /// normalise to equal keys.
-    pub fn normalized_signature(&self, l: Lit) -> (Vec<u64>, bool) {
-        let flip = self.edge_word(l, 0) & 1 != 0;
-        (self.signature(l.xor_sign(flip)), flip)
-    }
-
-    /// True iff the signatures of `a` and `b` are identical.
-    pub fn same_signature(&self, a: Lit, b: Lit) -> bool {
-        (0..self.words).all(|w| self.edge_word(a, w) == self.edge_word(b, w))
-    }
-
-    /// Whether any simulated pattern distinguishes `a` from `b`; if so,
-    /// returns the bit index of one such pattern.
-    pub fn distinguishing_pattern(&self, a: Lit, b: Lit) -> Option<usize> {
-        for w in 0..self.words {
-            let diff = self.edge_word(a, w) ^ self.edge_word(b, w);
-            if diff != 0 {
-                return Some(w * 64 + diff.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
     /// Extracts the concrete input assignment of pattern bit `bit`.
     pub fn pattern_assignment(&self, aig: &Aig, bit: usize) -> Vec<bool> {
         let (word, off) = (bit / 64, bit % 64);
@@ -177,11 +153,230 @@ impl BitSim {
             .map(|v| (self.vals[v.index() * self.words + word] >> off) & 1 != 0)
             .collect()
     }
+}
 
-    /// Value of variable `v` in pattern bit `bit` (no complement).
-    pub fn var_bit(&self, v: Var, bit: usize) -> bool {
-        let (word, off) = (bit / 64, bit % 64);
-        (self.vals[v.index() * self.words + word] >> off) & 1 != 0
+/// Marks a node outside the cone, or an empty slot, in [`ConeSim`].
+const NONE: u32 = u32::MAX;
+
+/// A parallel simulator of one cone: `words * 64` patterns for the
+/// constant node and every node of the cone, stored by *cone position*
+/// (the cone's nodes in ascending index order, the constant first).
+///
+/// The input patterns are those of [`BitSim::random`] for the same seed,
+/// so every cone node's signature equals its whole-manager one, while the
+/// work and memory scale with the cone, not with the manager.
+///
+/// ```
+/// use cbq_aig::{Aig, sim::{BitSim, ConeSim}};
+/// let mut aig = Aig::new();
+/// let a = aig.add_input().lit();
+/// let b = aig.add_input().lit();
+/// let f = aig.and(a, b);
+/// let _unrelated = aig.add_input();
+/// let cone = ConeSim::random(&aig, &[f], 2, 7);
+/// let whole = BitSim::random(&aig, 2, 7);
+/// assert_eq!(cone.nodes().len(), 4); // constant, a, b, f
+/// assert_eq!(cone.lit_word(!f, 1), whole.lit_word(!f, 1));
+/// ```
+#[derive(Clone, Debug)]
+pub struct ConeSim {
+    words: usize,
+    /// The constant node, then the cone, ascending (a topological order).
+    nodes: Vec<Var>,
+    /// Cone position by node index; [`NONE`] outside the cone.
+    pos: Vec<u32>,
+    /// Per cone AND gate: its position and its fanins' positions, each
+    /// shifted left by one with the edge's complement in bit 0.
+    ands: Vec<(u32, u32, u32)>,
+    /// Per cone input: its position and its input ordinal.
+    inputs: Vec<(u32, u32)>,
+    /// `words` pattern words per cone position.
+    vals: Vec<u64>,
+}
+
+impl ConeSim {
+    /// Simulates the cone of `roots` on `words` words of the seeded random
+    /// patterns of [`BitSim::random`].
+    pub fn random(aig: &Aig, roots: &[Lit], words: usize, seed: u64) -> ConeSim {
+        assert!(words > 0, "need at least one simulation word");
+        let mut nodes = aig.collect_cone(roots);
+        if nodes.first() != Some(&Var::CONST) {
+            nodes.insert(0, Var::CONST);
+        }
+        let top = nodes.last().map_or(0, |v| v.index());
+        let mut sim = ConeSim {
+            words,
+            pos: vec![NONE; top + 1],
+            vals: vec![0; nodes.len() * words],
+            nodes,
+            ands: Vec::new(),
+            inputs: Vec::new(),
+        };
+        for p in 0..sim.nodes.len() {
+            let v = sim.nodes[p];
+            sim.pos[v.index()] = p as u32;
+            match aig.node(v) {
+                Node::And { f0, f1 } => {
+                    // Fanins precede their gate, so their positions are set.
+                    let edge = |l: Lit| sim.pos[l.var().index()] << 1 | l.is_complemented() as u32;
+                    sim.ands.push((p as u32, edge(f0), edge(f1)));
+                }
+                Node::Input { index } => {
+                    sim.inputs.push((p as u32, index));
+                    for w in 0..words {
+                        sim.vals[p * words + w] = random_input_word(seed, words, index as usize, w);
+                    }
+                }
+                Node::Const => {}
+            }
+        }
+        sim.run();
+        sim
+    }
+
+    /// Total number of patterns (`words * 64`).
+    pub fn num_patterns(&self) -> usize {
+        self.words * 64
+    }
+
+    /// The simulated nodes by cone position: the constant, then the cone
+    /// in ascending index order.
+    pub fn nodes(&self) -> &[Var] {
+        &self.nodes
+    }
+
+    /// The cone position of `v`, if the simulation covers it.
+    pub fn position(&self, v: Var) -> Option<usize> {
+        match self.pos.get(v.index()) {
+            Some(&p) if p != NONE => Some(p as usize),
+            _ => None,
+        }
+    }
+
+    /// The pattern word `w` of literal `l` (complement applied).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l`'s node lies outside the simulated cone.
+    pub fn lit_word(&self, l: Lit, w: usize) -> u64 {
+        let p = self
+            .position(l.var())
+            .expect("literal outside the simulated cone");
+        self.edge_word((p as u32) << 1 | l.is_complemented() as u32, w)
+    }
+
+    fn edge_word(&self, edge: u32, w: usize) -> u64 {
+        let raw = self.vals[(edge >> 1) as usize * self.words + w];
+        raw ^ u64::from(edge & 1).wrapping_neg()
+    }
+
+    /// Injects one input assignment, indexed by input ordinal, into
+    /// pattern bit `bit`; inputs outside the cone are ignored.
+    pub fn set_pattern(&mut self, bit: usize, assignment: &[bool]) {
+        assert!(bit < self.num_patterns());
+        let mask = 1u64 << (bit % 64);
+        for &(p, ordinal) in &self.inputs {
+            let word = &mut self.vals[p as usize * self.words + bit / 64];
+            if assignment.get(ordinal as usize).copied().unwrap_or(false) {
+                *word |= mask;
+            } else {
+                *word &= !mask;
+            }
+        }
+    }
+
+    /// Re-evaluates every cone gate from the current input patterns.
+    pub fn run(&mut self) {
+        for w in 0..self.words {
+            self.run_word(w);
+        }
+    }
+
+    /// Re-evaluates pattern word `w` alone, as after a
+    /// [`ConeSim::set_pattern`] into that word.
+    pub fn run_word(&mut self, w: usize) {
+        for i in 0..self.ands.len() {
+            let (p, a, b) = self.ands[i];
+            self.vals[p as usize * self.words + w] = self.edge_word(a, w) & self.edge_word(b, w);
+        }
+    }
+
+    /// Groups cone nodes into candidate equivalence classes by signature.
+    ///
+    /// A node's signature is its pattern words, complemented when it is 1
+    /// at the first pattern where `care` is 1 (so complementary nodes
+    /// meet), and masked with `care`'s words when a care literal is given.
+    /// Only the positions `keep` accepts take part; position 0, the
+    /// constant node, heads the all-zero class when kept. Classes come in
+    /// the order of their lowest node, and each lists its nodes as
+    /// phase-carrying literals in ascending index order; singletons are
+    /// left out.
+    ///
+    /// One open-addressing table, keyed by cone position, reads the
+    /// signatures straight from the simulation words: nothing is
+    /// allocated per node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `care` lies outside the simulated cone.
+    pub fn classes(&self, care: Option<Lit>, keep: impl Fn(usize) -> bool) -> Vec<Vec<Lit>> {
+        let (n, words) = (self.nodes.len(), self.words);
+        let mask: Vec<u64> = (0..words)
+            .map(|w| care.map_or(!0, |c| self.lit_word(c, w)))
+            .collect();
+        let first = mask
+            .iter()
+            .position(|&m| m != 0)
+            .map(|w| (w, mask[w].trailing_zeros()));
+        let flips: Vec<u64> = (0..n)
+            .map(|p| match first {
+                Some((w, bit)) => ((self.vals[p * words + w] >> bit) & 1).wrapping_neg(),
+                None => 0,
+            })
+            .collect();
+        let key = |p: usize, w: usize| (self.vals[p * words + w] ^ flips[p]) & mask[w];
+        let cap = (2 * n).next_power_of_two();
+        let mut slots = vec![NONE; cap];
+        // `next` chains a class's nodes from its head; `last` is the tail.
+        let (mut next, mut last) = (vec![NONE; n], vec![NONE; n]);
+        let mut heads: Vec<u32> = Vec::new();
+        for p in (0..n).filter(|&p| keep(p)) {
+            // FNV-1a, a word at a time.
+            let hash = (0..words).fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+                (h ^ key(p, w)).wrapping_mul(0x100_0000_01b3)
+            });
+            let mut i = hash as usize & (cap - 1);
+            loop {
+                let q = slots[i] as usize;
+                if slots[i] == NONE {
+                    slots[i] = p as u32;
+                    last[p] = p as u32;
+                    heads.push(p as u32);
+                    break;
+                }
+                if (0..words).all(|w| key(p, w) == key(q, w)) {
+                    next[last[q] as usize] = p as u32;
+                    last[q] = p as u32;
+                    break;
+                }
+                i = (i + 1) & (cap - 1);
+            }
+        }
+        let lit = |p: u32| {
+            self.nodes[p as usize]
+                .lit()
+                .xor_sign(flips[p as usize] != 0)
+        };
+        let chain = |head| {
+            std::iter::successors(Some(head), |&p| {
+                Some(next[p as usize]).filter(|&q| q != NONE)
+            })
+        };
+        heads
+            .into_iter()
+            .filter(|&head| next[head as usize] != NONE)
+            .map(|head| chain(head).map(lit).collect())
+            .collect()
     }
 }
 
@@ -468,8 +663,10 @@ mod tests {
         let mut aig = Aig::new();
         let _ = aig.add_input();
         let sim = BitSim::random(&aig, 2, 7);
-        assert_eq!(sim.signature(Lit::FALSE), vec![0, 0]);
-        assert_eq!(sim.signature(Lit::TRUE), vec![!0u64, !0u64]);
+        for w in 0..2 {
+            assert_eq!(sim.lit_word(Lit::FALSE, w), 0);
+            assert_eq!(sim.lit_word(Lit::TRUE, w), !0u64);
+        }
     }
 
     #[test]
@@ -481,25 +678,11 @@ mod tests {
         let mut sim = BitSim::new(&aig, 1);
         // All-zero patterns: f and a have identical (zero) signatures.
         sim.run(&aig);
-        assert!(sim.same_signature(f, a));
+        assert_eq!(sim.lit_word(f, 0), sim.lit_word(a, 0));
         // Inject the distinguishing assignment a=0, b=1 at bit 5.
         sim.set_pattern(&aig, 5, &[false, true]);
         sim.run(&aig);
-        assert!(!sim.same_signature(f, a));
-        assert_eq!(sim.distinguishing_pattern(f, a), Some(5));
-    }
-
-    #[test]
-    fn normalized_signature_merges_phases() {
-        let mut aig = Aig::new();
-        let a = aig.add_input().lit();
-        let b = aig.add_input().lit();
-        let f = aig.and(a, b);
-        let sim = BitSim::random(&aig, 2, 3);
-        let (sf, pf) = sim.normalized_signature(f);
-        let (sg, pg) = sim.normalized_signature(!f);
-        assert_eq!(sf, sg);
-        assert_ne!(pf, pg);
+        assert_eq!(sim.lit_word(f, 0) ^ sim.lit_word(a, 0), 1 << 5);
     }
 
     #[test]
@@ -511,6 +694,81 @@ mod tests {
         let f = aig.and(a, b);
         sim.run(&aig);
         assert_eq!(sim.lit_word(f, 0), sim.lit_word(a, 0) & sim.lit_word(b, 0));
+    }
+
+    #[test]
+    fn cone_sim_covers_the_cone_alone_and_replays_patterns() {
+        let mut aig = Aig::new();
+        let ins: Vec<Lit> = (0..4).map(|_| aig.add_input().lit()).collect();
+        let f = aig.xor(ins[0], ins[2]);
+        let unrelated = aig.and(ins[1], ins[3]);
+        let mut cone = ConeSim::random(&aig, &[!f], 2, 5);
+        let mut whole = BitSim::random(&aig, 2, 5);
+        assert_eq!(cone.position(unrelated.var()), None);
+        assert_eq!(cone.position(ins[1].var()), None);
+        assert_eq!(cone.nodes()[0], Var::CONST);
+        let asg = [true, true, false, false];
+        cone.set_pattern(70, &asg);
+        cone.run_word(1);
+        whole.set_pattern(&aig, 70, &asg);
+        whole.run(&aig);
+        for &v in cone.nodes() {
+            for w in 0..2 {
+                assert_eq!(
+                    cone.lit_word(v.lit(), w),
+                    whole.lit_word(v.lit(), w),
+                    "{v:?}"
+                );
+            }
+        }
+        assert_eq!((cone.lit_word(f, 1) >> 6) & 1, 1);
+    }
+
+    #[test]
+    fn classes_meet_complements_and_mask_with_care() {
+        let mut aig = Aig::new();
+        let a = aig.add_input().lit();
+        let b = aig.add_input().lit();
+        let x1 = aig.xor(a, b);
+        let or = aig.or(a, b);
+        let nand = !aig.and(a, b);
+        let x2 = aig.and(or, nand);
+        let xn = {
+            let both = aig.and(a, b);
+            let neither = aig.and(!a, !b);
+            aig.or(both, neither)
+        };
+        let dead = aig.and(x1, xn);
+        let sim = ConeSim::random(&aig, &[x2, !x1, dead], 4, 3);
+        let classes = sim.classes(None, |_| true);
+        let of = |l: Lit| {
+            classes
+                .iter()
+                .find(|c| c.iter().any(|m| m.var() == l.var()))
+                .map(|c| c.to_vec())
+        };
+        // The constant heads the class of the constant gate.
+        assert_eq!(of(dead), Some(vec![Lit::FALSE, dead]));
+        // Equal and complementary gates meet, phases normalised alike.
+        let xs = of(x1).expect("x1 is in a class");
+        let phase = |l: Lit| xs.iter().find(|m| m.var() == l.var()).map(|m| *m == l);
+        assert_eq!(phase(x2), phase(x1));
+        assert!(xs.iter().any(|m| m.var() == xn.var()));
+        // Dropping the constant leaves the constant gate alone.
+        assert!(sim
+            .classes(None, |p| p != 0)
+            .iter()
+            .all(|c| !c.contains(&dead)));
+        // On the care set `a`, `a & b` equals `b`; unmasked it does not.
+        let ab = aig.and(a, b);
+        let sim = ConeSim::random(&aig, &[ab, a], 4, 3);
+        let meet = |care| {
+            sim.classes(care, |_| true)
+                .iter()
+                .any(|c| c.contains(&ab) && c.contains(&b))
+        };
+        assert!(meet(Some(a)));
+        assert!(!meet(None));
     }
 
     #[test]

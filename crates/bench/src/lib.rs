@@ -15,7 +15,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use cbq_aig::sim::BitSim;
+use cbq_aig::sim::ConeSim;
 use cbq_aig::{Aig, Lit, Var};
 use cbq_cec::{sweep, MergeOrder, SweepConfig};
 use cbq_ckt::generators;
@@ -224,26 +224,12 @@ pub fn e1_table() -> Table {
 /// Candidate merge pairs of two functions' cones, by simulation
 /// signature (phase-normalised).
 pub fn candidate_pairs(aig: &Aig, f: Lit, g: Lit, words: usize, seed: u64) -> Vec<(Lit, Lit)> {
-    let sim = BitSim::random(aig, words, seed);
-    let mut groups: std::collections::HashMap<Vec<u64>, Vec<Lit>> = Default::default();
-    for v in aig.collect_cone(&[f, g]) {
-        if v == Var::CONST {
-            continue;
-        }
-        let (sig, flip) = sim.normalized_signature(v.lit());
-        groups.entry(sig).or_default().push(v.lit().xor_sign(flip));
-    }
-    let mut pairs = Vec::new();
-    for (_, mut members) in groups {
-        if members.len() < 2 {
-            continue;
-        }
-        members.sort_unstable();
-        let repr = members[0];
-        for m in &members[1..] {
-            pairs.push((repr, *m));
-        }
-    }
+    let sim = ConeSim::random(aig, &[f, g], words, seed);
+    let mut pairs: Vec<(Lit, Lit)> = sim
+        .classes(None, |p| p != 0)
+        .iter()
+        .flat_map(|c| c[1..].iter().map(move |&m| (c[0], m)))
+        .collect();
     pairs.sort_unstable();
     pairs
 }

@@ -1,6 +1,16 @@
 //! # cbq-cec — combinational equivalence checking and sweeping
 //!
-//! Implements the **merge phase** of the DATE 2005 paper (Section 2.1):
+//! The one simulate–check–refine class engine of the quantification
+//! flow. It simulates only the cone it sweeps ([`cbq_aig::sim::ConeSim`],
+//! whose patterns are fixed per input ordinal), groups the cone's nodes
+//! into candidate classes by signature in one open-addressing table
+//! ([`cbq_aig::sim::ConeSim::classes`]), confirms candidates by SAT and
+//! feeds counterexamples back into the simulation. Its two callers are
+//! the paper's two phases: the merge phase ([`sweep`], [`sweep_with`])
+//! and, through a care literal, the optimisation phase's don't-care
+//! merges ([`sweep_care`], called by `cbq_synth::dc_simplify`).
+//!
+//! It implements the **merge phase** of the DATE 2005 paper (Section 2.1):
 //! "merge together as many internal nodes of F₁ and F₀ as possible … this
 //! is essentially a combinational equivalence checking problem", using the
 //! paper's three escalating tiers:
@@ -33,7 +43,16 @@
 //! Both the **forward** (inputs-first, sweeping-like) and **backward**
 //! (outputs-first, early-exit) processing orders of the paper are
 //! implemented ([`MergeOrder`]); the backward order skips compare points
-//! that fall out of the needed cone once outputs merge.
+//! that fall out of the needed cone once outputs merge. The needed cone is
+//! kept by reference counts that each accepted merge updates, so a skip
+//! costs one lookup.
+//!
+//! A **care-masked run** ([`sweep_care`]) masks every signature with the
+//! care literal's and assumes it in every SAT check, so it merges nodes
+//! that are equal wherever the care literal holds. It visits candidates
+//! outputs-first, skips those that accepted merges cut out of the cone,
+//! and drops a pair that an earlier counterexample separates without a
+//! SAT call; it forms its classes once.
 //!
 //! ## Example
 //!
@@ -64,7 +83,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cbq_aig::sim::BitSim;
+use cbq_aig::sim::ConeSim;
 use cbq_aig::{Aig, Lit, Node, Var};
 use cbq_bdd::{AigBdds, BddManager, BddRef};
 use cbq_cnf::{AigCnf, EquivResult};
@@ -150,6 +169,8 @@ pub struct SweepStats {
     pub merged_bdd: usize,
     /// Merges proven by the SAT tier.
     pub merged_sat: usize,
+    /// Merges of either tier into the constant node.
+    pub merged_const: usize,
     /// Candidate pairs refuted canonically by BDDs.
     pub refuted_bdd: usize,
     /// SAT equivalence checks issued.
@@ -175,6 +196,7 @@ impl SweepStats {
         self.classes_initial += other.classes_initial;
         self.merged_bdd += other.merged_bdd;
         self.merged_sat += other.merged_sat;
+        self.merged_const += other.merged_const;
         self.refuted_bdd += other.refuted_bdd;
         self.sat_checks += other.sat_checks;
         self.sat_cex += other.sat_cex;
@@ -287,18 +309,63 @@ pub fn sweep_with(
     bdds: &mut BddTier,
     cfg: &SweepConfig,
 ) -> SweepResult {
-    Sweeper::new(aig, roots, cnf, bdds, cfg).run()
+    let mut stats = SweepStats::default();
+    if cfg.use_bdd_sweep && bdds.mgr.num_nodes() > cfg.bdd_cap.saturating_mul(BDD_KEEP_FACTOR) {
+        *bdds = BddTier::new();
+        stats.bdd_resets += 1;
+    }
+    let built_before = bdds.memo.built();
+    let mut sweeper = Sweeper::new(aig, roots, None, cnf, cfg, stats);
+    sweeper.rounds(bdds);
+    sweeper.stats.bdd_built = bdds.memo.built() - built_before;
+    sweeper.finish()
 }
 
+/// The care-masked run of the engine (the optimisation phase's
+/// don't-care merges, Section 2.2): merges nodes of the cones of `roots`
+/// that are equal, modulo complementation, wherever `care` holds. The
+/// rebuilt roots equal the originals on the care set and may differ
+/// anywhere else.
+///
+/// Signatures are masked with `care`'s, and every SAT check assumes it.
+/// Candidates are visited outputs-first, by descending node index across
+/// and within classes, each against its class's lowest node, so a root
+/// that is constant on the care set costs one check and the rest of its
+/// cone drops out. A candidate that accepted merges have cut out of the
+/// roots' cone is skipped, and a pair that an earlier counterexample
+/// separates on the care set is dropped without a check; classes are
+/// formed once. At most `max_checks` pairs are checked. The run reads
+/// `sim_words`, `seed`, `sat_budget`, `deadline` and `cancel` from `cfg`;
+/// no merge is learnt in the solver, since it holds only on the care set.
+pub fn sweep_care(
+    aig: &mut Aig,
+    roots: &[Lit],
+    care: Lit,
+    cnf: &mut AigCnf,
+    cfg: &SweepConfig,
+    max_checks: usize,
+) -> SweepResult {
+    let mut sweeper = Sweeper::new(aig, roots, Some(care), cnf, cfg, SweepStats::default());
+    sweeper.outputs_first(care, max_checks as u64);
+    sweeper.finish()
+}
+
+/// One run of the simulate–check–refine class engine over the cone of
+/// `roots` (and of the care literal, whose cone is only simulated).
 struct Sweeper<'a> {
     aig: &'a mut Aig,
     roots: Vec<Lit>,
+    /// The care literal of a [`sweep_care`] run.
+    care: Option<Lit>,
     cnf: &'a mut AigCnf,
     cfg: &'a SweepConfig,
-    sim: BitSim,
-    bdds: &'a mut BddTier,
-    /// The tier's build count when the sweep started.
-    built_before: u64,
+    sim: ConeSim,
+    /// Per cone position: the edges of needed nodes, and the roots, that
+    /// resolve to it under the merges so far. A node is in the cone the
+    /// roots still need iff its count is nonzero.
+    refs: Vec<u32>,
+    /// Scratch stack of [`Sweeper::record_merge`]'s cone updates.
+    walk: Vec<usize>,
     merges: Merges,
     refuted: HashSet<(Var, Var)>,
     stats: SweepStats,
@@ -309,30 +376,61 @@ impl<'a> Sweeper<'a> {
     fn new(
         aig: &'a mut Aig,
         roots: &[Lit],
+        care: Option<Lit>,
         cnf: &'a mut AigCnf,
-        bdds: &'a mut BddTier,
         cfg: &'a SweepConfig,
+        stats: SweepStats,
     ) -> Self {
-        let sim = BitSim::random(aig, cfg.sim_words.max(1), cfg.seed);
-        let mut stats = SweepStats::default();
-        if cfg.use_bdd_sweep && bdds.mgr.num_nodes() > cfg.bdd_cap.saturating_mul(BDD_KEEP_FACTOR) {
-            *bdds = BddTier::new();
-            stats.bdd_resets += 1;
-        }
-        let built_before = bdds.memo.built();
-        Sweeper {
+        let simulated: Vec<Lit> = roots.iter().copied().chain(care).collect();
+        let sim = ConeSim::random(aig, &simulated, cfg.sim_words.max(1), cfg.seed);
+        let mut refs = vec![0u32; sim.nodes().len()];
+        let mut sweeper = Sweeper {
             aig,
             roots: roots.to_vec(),
+            care,
             cnf,
             cfg,
             sim,
-            bdds,
-            built_before,
+            refs: Vec::new(),
+            walk: Vec::new(),
             merges: HashMap::new(),
             refuted: HashSet::new(),
             stats,
             next_cex_slot: 0,
+        };
+        for r in roots {
+            refs[sweeper.pos(*r)] += 1;
         }
+        for p in (1..refs.len()).rev() {
+            if refs[p] > 0 {
+                for q in sweeper.fanin_positions(p).into_iter().flatten() {
+                    refs[q] += 1;
+                }
+            }
+        }
+        sweeper.refs = refs;
+        sweeper
+    }
+
+    /// The cone position of `l`'s node.
+    fn pos(&self, l: Lit) -> usize {
+        self.sim
+            .position(l.var())
+            .expect("a swept node lies in the simulated cone")
+    }
+
+    /// The positions the fanins of the node at position `p` resolve to
+    /// under the merges so far (none for an input or the constant).
+    fn fanin_positions(&self, p: usize) -> Option<[usize; 2]> {
+        match self.aig.node(self.sim.nodes()[p]) {
+            Node::And { f0, f1 } => Some([self.pos(self.find(f0)), self.pos(self.find(f1))]),
+            _ => None,
+        }
+    }
+
+    /// Whether the roots still need `l`'s node under the merges so far.
+    fn needed(&self, l: Lit) -> bool {
+        self.refs[self.pos(l)] > 0
     }
 
     /// Follows proven merges to the current representative literal of `l`.
@@ -344,77 +442,69 @@ impl<'a> Sweeper<'a> {
         cur
     }
 
-    /// The set of variables still needed by the roots, looking through
-    /// proven merges (used by the backward order to skip dead points).
-    fn needed_cone(&self) -> HashSet<Var> {
-        let mut seen = HashSet::new();
-        let mut stack: Vec<Var> = self.roots.iter().map(|r| self.find(*r).var()).collect();
-        while let Some(v) = stack.pop() {
-            if !seen.insert(v) {
-                continue;
-            }
-            if let Node::And { f0, f1 } = self.aig.node(v) {
-                for f in [f0, f1] {
-                    stack.push(self.find(f).var());
-                }
-            }
-        }
-        seen
-    }
-
-    /// Groups cone nodes into candidate classes by normalised simulation
-    /// signature. Class members are phase-carrying literals whose
-    /// signatures are identical; the first member (lowest index) is the
-    /// representative. The constant class (all-zero signature) is seeded
-    /// with [`Lit::FALSE`].
-    fn candidate_classes(&self) -> Vec<Vec<Lit>> {
-        let cone = self.aig.collect_cone(&self.roots);
-        let mut groups = cbq_aig::SigClasses::with_capacity(cone.len());
-        // Seed the constant class so constant nodes merge to the constant.
-        groups.insert(&vec![0; self.sim.words()], Lit::FALSE);
-        for v in cone {
-            if v == Var::CONST {
-                continue;
-            }
-            let (sig, flip) = self.sim.normalized_signature(v.lit());
-            groups.insert(&sig, v.lit().xor_sign(flip));
-        }
-        let mut classes: Vec<Vec<Lit>> = groups
-            .into_entries()
-            .into_iter()
-            .map(|(_, members)| members)
-            .filter(|members| members.len() > 1)
-            .collect();
-        for c in &mut classes {
-            c.sort_unstable();
-        }
-        classes.sort_unstable_by_key(|c| c[0]);
-        classes
-    }
-
     fn record_merge(&mut self, member: Lit, repr: Lit) {
         debug_assert!(repr.var() < member.var());
         // member == repr  <=>  member.var() == repr.xor_sign(member phase)
         self.merges
             .insert(member.var(), repr.xor_sign(member.is_complemented()));
         // Learn the equivalence in the solver so later checks get simpler;
-        // the guarded form dies with the cone generation it refers to.
-        if let (Some(ms), Some(rs)) = (self.cnf.sat_lit(member), self.cnf.sat_lit(repr)) {
-            self.cnf.learn_equiv(ms, rs);
+        // the guarded form dies with the cone generation it refers to. A
+        // care-masked merge holds only on the care set.
+        if self.care.is_none() {
+            if let (Some(ms), Some(rs)) = (self.cnf.sat_lit(member), self.cnf.sat_lit(repr)) {
+                self.cnf.learn_equiv(ms, rs);
+            }
         }
+        // The member's references move to the representative: the
+        // representative's cone joins the needed cone if it was out, and
+        // the member's leaves whatever no other needed node reaches.
+        let (m, r) = (self.pos(member), self.pos(repr));
+        let moved = std::mem::take(&mut self.refs[m]);
+        if moved == 0 {
+            return;
+        }
+        self.refs[r] += moved;
+        if self.refs[r] == moved {
+            self.update_cone(r, true);
+        }
+        self.update_cone(m, false);
+    }
+
+    /// Adds (or removes) one reference to the resolved fanins of position
+    /// `p`, and recursively of every node that thereby enters (or leaves)
+    /// the needed cone.
+    fn update_cone(&mut self, p: usize, add: bool) {
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.push(p);
+        while let Some(p) = walk.pop() {
+            for q in self.fanin_positions(p).into_iter().flatten() {
+                if add {
+                    self.refs[q] += 1;
+                    if self.refs[q] == 1 {
+                        walk.push(q);
+                    }
+                } else {
+                    self.refs[q] -= 1;
+                    if self.refs[q] == 0 {
+                        walk.push(q);
+                    }
+                }
+            }
+        }
+        self.walk = walk;
     }
 
     /// Tier 2: BDD sweeping inside one candidate class, on the kept
-    /// tier. Returns the members that remain unresolved (BDD construction
-    /// aborted).
-    fn bdd_tier(&mut self, members: &[Lit]) -> Vec<Lit> {
+    /// tier. Leaves in `unresolved` the members whose BDD construction
+    /// aborted.
+    fn bdd_tier(&mut self, bdds: &mut BddTier, members: &[Lit], unresolved: &mut Vec<Lit>) {
         let cap = self.cfg.bdd_cap;
         let backstop = cap.saturating_mul(BDD_BACKSTOP_FACTOR);
         let mut by_bdd: HashMap<BddRef, Lit> = HashMap::new();
-        let mut unresolved = Vec::new();
+        unresolved.clear();
         for &m in members {
             let resolved = self.find(m);
-            let BddTier { mgr, memo } = &mut *self.bdds;
+            let BddTier { mgr, memo } = &mut *bdds;
             match memo.build(mgr, self.aig, resolved, cap, backstop) {
                 None => unresolved.push(m),
                 Some(b) => {
@@ -428,6 +518,7 @@ impl<'a> Sweeper<'a> {
                             };
                             self.record_merge(hi, lo);
                             self.stats.merged_bdd += 1;
+                            self.stats.merged_const += usize::from(lo.is_const());
                         }
                     } else {
                         by_bdd.insert(b, resolved);
@@ -445,18 +536,27 @@ impl<'a> Sweeper<'a> {
                 }
             }
         }
-        unresolved
     }
 
-    /// Tier 3: SAT check of `member ≡ repr`; on counterexample the pattern
-    /// is injected into the simulator for the next refinement round.
-    fn sat_tier_pair(&mut self, repr: Lit, member: Lit) -> bool {
+    /// Tier 3: SAT check of `member ≡ repr` (on the care set, if any). A
+    /// counterexample goes into the simulation's next pattern slot, among
+    /// the first `slots` patterns; returns whether the pair merged.
+    fn sat_check(&mut self, repr: Lit, member: Lit, slots: usize) -> bool {
         self.stats.sat_checks += 1;
-        match self
-            .cnf
-            .prove_equiv(self.aig, repr, member, self.cfg.sat_budget)
-        {
-            EquivResult::Equiv => true,
+        let budget = self.cfg.sat_budget;
+        let result = match self.care {
+            None => self.cnf.prove_equiv(self.aig, repr, member, budget),
+            Some(care) => self
+                .cnf
+                .prove_equiv_under(self.aig, care, repr, member, budget),
+        };
+        match result {
+            EquivResult::Equiv => {
+                self.record_merge(member, repr);
+                self.stats.merged_sat += 1;
+                self.stats.merged_const += usize::from(repr.is_const());
+                true
+            }
             EquivResult::Unknown => {
                 self.stats.sat_unknown += 1;
                 false
@@ -464,34 +564,33 @@ impl<'a> Sweeper<'a> {
             EquivResult::NotEquiv(cex) => {
                 self.stats.sat_cex += 1;
                 self.refuted.insert(ordered(repr.var(), member.var()));
-                let slot = self.next_cex_slot % self.sim.num_patterns();
+                let slot = self.next_cex_slot % slots;
                 self.next_cex_slot += 1;
-                self.sim.set_pattern(self.aig, slot, &cex);
+                self.sim.set_pattern(slot, &cex);
                 false
             }
         }
     }
 
-    fn run(mut self) -> SweepResult {
+    /// The merge phase: simulate–check–refine rounds over classes of the
+    /// whole cone, each class through the BDD tier (first round only) and
+    /// then SAT, with counterexamples refining the next round's classes.
+    fn rounds(&mut self, bdds: &mut BddTier) {
+        let mut unresolved = Vec::new();
+        let mut resolved: Vec<Lit> = Vec::new();
         for round in 0..self.cfg.max_rounds.max(1) {
             self.stats.rounds = round + 1;
-            // `BitSim::random` already simulated round 0's patterns.
+            // `ConeSim::random` already simulated round 0's patterns.
             if round > 0 {
-                self.sim.run(self.aig);
+                self.sim.run();
             }
-            let mut classes = self.candidate_classes();
+            let mut classes = self.sim.classes(None, |_| true);
             if round == 0 {
                 self.stats.classes_initial = classes.len();
             }
-            match self.cfg.order {
-                MergeOrder::Forward => {
-                    classes.sort_unstable_by_key(|c| c[0].var());
-                }
-                MergeOrder::Backward => {
-                    classes.sort_unstable_by_key(|c| {
-                        std::cmp::Reverse(c.iter().map(|l| l.var()).max().unwrap())
-                    });
-                }
+            if self.cfg.order == MergeOrder::Backward {
+                // Classes of the highest members first.
+                classes.sort_unstable_by_key(|c| std::cmp::Reverse(c[c.len() - 1].var()));
             }
             // BDD sweeping only in the first round: later rounds only see
             // classes the BDDs already failed on or that SAT refined.
@@ -499,38 +598,29 @@ impl<'a> Sweeper<'a> {
             let mut progress = false;
             let mut pending_pairs = 0usize;
             let mut cancelled = false;
-            for class in classes {
+            for class in &classes {
                 // Cooperative cancellation between candidate classes: stop
                 // issuing checks, keep the merges already proven.
                 if self.cfg.interrupted() {
                     cancelled = true;
                     break;
                 }
-                let class = if use_bdd {
-                    let unresolved = self.bdd_tier(&class);
-                    if unresolved.len() < class.len() {
-                        progress = true;
-                    }
-                    unresolved
-                } else {
-                    class
-                };
+                let mut class = &class[..];
+                if use_bdd {
+                    self.bdd_tier(bdds, class, &mut unresolved);
+                    progress |= unresolved.len() < class.len();
+                    class = &unresolved;
+                }
                 if !self.cfg.use_sat {
                     continue;
                 }
                 // Re-resolve members through merges accumulated so far.
-                let needed = match self.cfg.order {
-                    MergeOrder::Backward => Some(self.needed_cone()),
-                    MergeOrder::Forward => None,
-                };
-                let mut resolved: Vec<Lit> = Vec::with_capacity(class.len());
-                for m in class {
+                resolved.clear();
+                for &m in class {
                     let r = self.find(m);
-                    if let Some(n) = &needed {
-                        if !n.contains(&r.var()) && !r.is_const() {
-                            self.stats.skipped_out_of_cone += 1;
-                            continue;
-                        }
+                    if self.cfg.order == MergeOrder::Backward && !self.needed(r) && !r.is_const() {
+                        self.stats.skipped_out_of_cone += 1;
+                        continue;
                     }
                     if !resolved.contains(&r) && !resolved.contains(&!r) {
                         resolved.push(r);
@@ -550,9 +640,7 @@ impl<'a> Sweeper<'a> {
                         cancelled = true;
                         break;
                     }
-                    if self.sat_tier_pair(repr, member) {
-                        self.record_merge(member, repr);
-                        self.stats.merged_sat += 1;
+                    if self.sat_check(repr, member, self.sim.num_patterns()) {
                         progress = true;
                     } else {
                         pending_pairs += 1;
@@ -563,7 +651,43 @@ impl<'a> Sweeper<'a> {
                 break;
             }
         }
-        self.stats.bdd_built = self.bdds.memo.built() - self.built_before;
+    }
+
+    /// The care-masked pass of [`sweep_care`]: one class formation, then
+    /// every candidate outputs-first. Each counterexample is simulated
+    /// into pattern word 0: the patterns the classes were formed on never
+    /// separate two nodes of one class on the care set, so a pair the
+    /// word separates there is one a counterexample refuted.
+    fn outputs_first(&mut self, care: Lit, max_checks: u64) {
+        self.stats.rounds = 1;
+        let classes = self.sim.classes(Some(care), |p| p == 0 || self.refs[p] > 0);
+        self.stats.classes_initial = classes.len();
+        let mut candidates: Vec<(Lit, Lit)> = classes
+            .iter()
+            .flat_map(|c| c[1..].iter().map(move |&m| (m, c[0])))
+            .collect();
+        candidates.sort_unstable_by_key(|&(m, _)| std::cmp::Reverse(m.var()));
+        for (member, repr) in candidates {
+            if !self.needed(member) {
+                self.stats.skipped_out_of_cone += 1;
+                continue;
+            }
+            let apart = self.sim.lit_word(member, 0) ^ self.sim.lit_word(repr, 0);
+            if apart & self.sim.lit_word(care, 0) != 0 {
+                continue;
+            }
+            if self.stats.sat_checks >= max_checks || self.cfg.interrupted() {
+                break;
+            }
+            let refuted = self.stats.sat_cex;
+            self.sat_check(repr, member, 64);
+            if self.stats.sat_cex > refuted {
+                self.sim.run_word(0);
+            }
+        }
+    }
+
+    fn finish(self) -> SweepResult {
         let roots = apply_merges(self.aig, &self.roots, &self.merges);
         SweepResult {
             roots,
@@ -648,6 +772,49 @@ mod tests {
         let res = sweep(&mut aig, &[x1, x2], &mut cnf, &cfg);
         assert_ne!(res.roots[0], res.roots[1], "a cancelled sweep merged");
         assert_eq!(cnf.stats().checks, 0);
+    }
+
+    /// `(a & c) | (b & d)` under the care set `!a & !b`: constant false
+    /// there, but not outside it.
+    fn false_on_care(aig: &mut Aig) -> (Lit, Lit) {
+        let ins: Vec<Lit> = (0..4).map(|_| aig.add_input().lit()).collect();
+        let ac = aig.and(ins[0], ins[2]);
+        let bd = aig.and(ins[1], ins[3]);
+        let target = aig.or(ac, bd);
+        let care = aig.and(!ins[0], !ins[1]);
+        (target, care)
+    }
+
+    #[test]
+    fn a_target_constant_on_the_care_set_costs_one_check() {
+        let mut aig = Aig::new();
+        let (target, care) = false_on_care(&mut aig);
+        let mut cnf = AigCnf::new();
+        let res = sweep_care(
+            &mut aig,
+            &[target],
+            care,
+            &mut cnf,
+            &SweepConfig::default(),
+            64,
+        );
+        assert_eq!(res.roots[0], Lit::FALSE);
+        assert_eq!((res.stats.sat_checks, cnf.stats().checks), (1, 1));
+        assert_eq!((res.stats.merged_sat, res.stats.merged_const), (1, 1));
+        assert!(res.stats.skipped_out_of_cone > 0, "{:?}", res.stats);
+    }
+
+    #[test]
+    fn a_care_run_polls_the_cancel_flag() {
+        let mut aig = Aig::new();
+        let (target, care) = false_on_care(&mut aig);
+        let mut cnf = AigCnf::new();
+        let cfg = SweepConfig {
+            cancel: Some(Arc::new(AtomicBool::new(true))),
+            ..SweepConfig::default()
+        };
+        let res = sweep_care(&mut aig, &[target], care, &mut cnf, &cfg, 64);
+        assert_eq!((res.roots[0], cnf.stats().checks), (target, 0));
     }
 
     #[test]
@@ -845,6 +1012,19 @@ mod tests {
         assert_eq!(cnf.solve_under(&aig, &[m_eq]), cbq_sat::SatResult::Unsat);
         let m_diff = miter(&mut aig, a, b);
         assert_eq!(cnf.solve_under(&aig, &[m_diff]), cbq_sat::SatResult::Sat);
+    }
+
+    #[test]
+    fn apply_merges_rebuilds_through_the_replacement() {
+        let mut aig = Aig::new();
+        let a = aig.add_input().lit();
+        let b = aig.add_input().lit();
+        let c = aig.add_input().lit();
+        let ab = aig.and(a, b);
+        let f = aig.or(ab, c);
+        // ab -> c: f becomes c | c = c.
+        let merges = HashMap::from([(ab.var(), c)]);
+        assert_eq!(apply_merges(&mut aig, &[f], &merges), vec![c]);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * checks are issued as **assumption-based solves** on the shared
 //!   database ([`AigCnf::solve_under`]), so nothing needs to be retracted
 //!   between checks and everything the solver learns is kept;
-//! * equivalence and implication proofs ([`AigCnf::prove_equiv`],
-//!   [`AigCnf::prove_implies`]) return concrete counterexample input
-//!   assignments that the sweeping engines feed back into simulation;
+//! * equivalence proofs, everywhere or on a care set
+//!   ([`AigCnf::prove_equiv`], [`AigCnf::prove_equiv_under`]), return
+//!   concrete counterexample input assignments that the sweeping engines
+//!   feed back into simulation;
 //! * every cone generation is tagged with an **activation literal**
 //!   (assumed on each solve), so when a sweep garbage-collects the AIG
 //!   manager the bridge **retires** the dead cones by asserting the
@@ -59,10 +60,11 @@ use cbq_sat::{SatLit, SatResult, Solver, SolverStats};
 
 pub use cbq_sat::ProofMode;
 
-/// Outcome of an equivalence or implication proof.
+/// Outcome of an equivalence proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EquivResult {
-    /// The two functions are equivalent (or the implication holds).
+    /// The two functions are equivalent (on the care set, for
+    /// [`AigCnf::prove_equiv_under`]).
     Equiv,
     /// A distinguishing input assignment, indexed by input ordinal.
     NotEquiv(Vec<bool>),
@@ -595,40 +597,45 @@ impl AigCnf {
     ///
     /// Issues (at most) two assumption-based solves — `a ∧ ¬b` and
     /// `¬a ∧ b` — so no clause is ever added or retracted for the check
-    /// itself; the database stays clean for the next check.
+    /// itself; the database stays clean for the next check. A direction
+    /// that a constant operand makes unsatisfiable is not solved.
     pub fn prove_equiv(&mut self, aig: &Aig, a: Lit, b: Lit, budget: Option<u64>) -> EquivResult {
+        self.prove_equiv_under(aig, Lit::TRUE, a, b, budget)
+    }
+
+    /// [`AigCnf::prove_equiv`] on the care set: proves that `a ≡ b`
+    /// wherever `care` holds, or produces an input assignment where `care`
+    /// holds and the two differ. Every solve assumes `care`.
+    pub fn prove_equiv_under(
+        &mut self,
+        aig: &Aig,
+        care: Lit,
+        a: Lit,
+        b: Lit,
+        budget: Option<u64>,
+    ) -> EquivResult {
         if a == b {
             return EquivResult::Equiv;
         }
         self.solver.set_conflict_budget(budget);
-        let r = self.check_diff(aig, a, b);
-        self.solver.set_conflict_budget(None);
-        r
-    }
-
-    fn check_diff(&mut self, aig: &Aig, a: Lit, b: Lit) -> EquivResult {
-        match self.solve_under(aig, &[a, !b]) {
-            SatResult::Sat => return EquivResult::NotEquiv(self.model_inputs(aig)),
-            SatResult::Unknown => return EquivResult::Unknown,
-            SatResult::Unsat => {}
+        let mut result = EquivResult::Equiv;
+        for (x, y) in [(a, !b), (!a, b)] {
+            let query: Vec<Lit> = [care, x, y]
+                .into_iter()
+                .filter(|l| *l != Lit::TRUE)
+                .collect();
+            if query.contains(&Lit::FALSE) {
+                continue;
+            }
+            match self.solve_under(aig, &query) {
+                SatResult::Sat => result = EquivResult::NotEquiv(self.model_inputs(aig)),
+                SatResult::Unknown => result = EquivResult::Unknown,
+                SatResult::Unsat => continue,
+            }
+            break;
         }
-        match self.solve_under(aig, &[!a, b]) {
-            SatResult::Sat => EquivResult::NotEquiv(self.model_inputs(aig)),
-            SatResult::Unknown => EquivResult::Unknown,
-            SatResult::Unsat => EquivResult::Equiv,
-        }
-    }
-
-    /// Proves `a → b`, or produces an input assignment with `a ∧ ¬b`.
-    pub fn prove_implies(&mut self, aig: &Aig, a: Lit, b: Lit, budget: Option<u64>) -> EquivResult {
-        self.solver.set_conflict_budget(budget);
-        let r = match self.solve_under(aig, &[a, !b]) {
-            SatResult::Sat => EquivResult::NotEquiv(self.model_inputs(aig)),
-            SatResult::Unknown => EquivResult::Unknown,
-            SatResult::Unsat => EquivResult::Equiv,
-        };
         self.solver.set_conflict_budget(None);
-        r
+        result
     }
 
     /// Checks whether `l` is constant `value` over all inputs.
@@ -711,12 +718,21 @@ mod tests {
     }
 
     #[test]
-    fn implication_and_constant() {
+    fn care_set_equivalence_and_constant() {
         let (mut aig, ins) = setup();
         let f = aig.and(ins[0], ins[1]);
         let mut cnf = AigCnf::new();
-        assert_eq!(cnf.prove_implies(&aig, f, ins[0], None), EquivResult::Equiv);
-        assert!(!cnf.prove_implies(&aig, ins[0], f, None).is_equiv());
+        // Where ins[0] holds, f is ins[1]; elsewhere it is not.
+        let on_care = cnf.prove_equiv_under(&aig, ins[0], f, ins[1], None);
+        assert_eq!(on_care, EquivResult::Equiv);
+        match cnf.prove_equiv_under(&aig, !ins[0], f, ins[1], None) {
+            EquivResult::NotEquiv(cex) => assert!(!cex[0] && cex[1]),
+            other => panic!("expected NotEquiv, got {other:?}"),
+        }
+        // Against a constant, one solve decides.
+        let checks = cnf.stats().checks;
+        assert!(!cnf.prove_equiv(&aig, f, Lit::FALSE, None).is_equiv());
+        assert_eq!(cnf.stats().checks, checks + 1);
         let t = aig.or(ins[2], !ins[2]);
         assert_eq!(cnf.prove_constant(&aig, t, true, None), EquivResult::Equiv);
         assert!(!cnf.prove_constant(&aig, ins[3], true, None).is_equiv());
@@ -731,7 +747,7 @@ mod tests {
         let encoded_before = cnf.stats().encoded_ands;
         assert!(encoded_before > 0);
         // Same cone again: nothing new must be encoded.
-        let _ = cnf.prove_implies(&aig, f, ins[1], None);
+        let _ = cnf.prove_equiv_under(&aig, ins[0], f, ins[1], None);
         let _ = cnf.prove_equiv(&aig, f, ins[1], None);
         assert_eq!(cnf.stats().encoded_ands, encoded_before);
         assert!(cnf.stats().checks >= 3);
@@ -894,7 +910,7 @@ mod tests {
         cnf.retire_cones();
         assert_eq!(cnf.solve_under(&aig, &[!ins[0]]), SatResult::Sat);
         let f = aig.and(ins[0], ins[1]);
-        assert_eq!(cnf.prove_implies(&aig, f, ins[0], None), EquivResult::Equiv);
+        assert_eq!(cnf.solve_under(&aig, &[f, !ins[0]]), SatResult::Unsat);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!    sweeping, and factorised incremental SAT checks;
 //! 2. an **optimisation phase** ([`cbq_synth::optimize_disjunction`]) that
 //!    simplifies each cofactor under the input/observability don't-cares
-//!    provided by the other.
+//!    provided by the other, its input don't-care merges found by
+//!    care-masked runs of the merge phase's class engine
+//!    ([`cbq_cec::sweep_care`]).
 //!
 //! Multi-variable quantification ([`exists_many`]) schedules variables
 //! cheapest-first and supports the paper's **partial quantification**
@@ -137,8 +139,10 @@ pub struct QuantConfig {
     /// Cooperative cancellation by a shared flag: once another thread
     /// raises it, the elimination loop stops exactly as if the deadline
     /// had passed. The circuit traversals of `cbq-mc` set it to their
-    /// budget's cancel flag, so a parallel portfolio member cancelled
-    /// mid-quantification stops between two eliminations.
+    /// budget's cancel flag through [`QuantConfig::with_cancel`], which
+    /// also hands it to the merge and optimisation phases, so a parallel
+    /// portfolio member cancelled mid-quantification stops at its next
+    /// candidate check.
     pub cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -211,8 +215,11 @@ impl QuantConfig {
     }
 
     /// Cooperative cancellation by a shared flag (raised by another
-    /// thread, e.g. a parallel portfolio sibling that already concluded).
+    /// thread, e.g. a parallel portfolio sibling that already concluded);
+    /// also propagated to the merge- and optimisation-phase candidate
+    /// loops.
     pub fn with_cancel(mut self, cancel: Option<Arc<AtomicBool>>) -> QuantConfig {
+        self.sweep.cancel = cancel.clone();
         self.cancel = cancel;
         self
     }
@@ -448,7 +455,7 @@ pub fn exists_one_full(
     record.size_merged = aig.cone_size_cached(merged);
 
     let result = if cfg.use_opt {
-        let (o1, o0, stats) = optimize_disjunction(aig, m1, m0, cnf, &cfg.opt);
+        let (o1, o0, stats) = optimize_disjunction(aig, m1, m0, cnf, &cfg.opt, &cfg.sweep);
         opt_stats = stats;
         aig.or(o1, o0)
     } else {
@@ -465,14 +472,6 @@ pub fn exists_one_full(
         }
     }
     (Some(result), record, sweep_stats, opt_stats)
-}
-
-fn accumulate_opt(total: &mut OptStats, s: OptStats) {
-    total.const_applied += s.const_applied;
-    total.merge_applied += s.merge_applied;
-    total.odc_applied += s.odc_applied;
-    total.checks += s.checks;
-    total.rejected += s.rejected;
 }
 
 /// Existentially quantifies `vars` from `f`, scheduling cheap variables
@@ -570,7 +569,7 @@ pub fn exists_many_with(
             let v = pending.remove(idx);
             let (res, record, sw, op) = exists_one_full(aig, current, v, cnf, bdds, cfg);
             stats.sweep.absorb(&sw);
-            accumulate_opt(&mut stats.opt, op);
+            stats.opt.absorb(&op);
             stats.per_var.push(record);
             match res {
                 Some(nf) => {
@@ -926,6 +925,33 @@ mod tests {
         let res = exists_many(&mut aig, f, &vars[..4], &mut cnf, &cfg);
         assert_eq!(res.remaining.len(), 4, "expired deadline must abort all");
         assert_eq!(res.lit, f);
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_stops_both_phases_before_any_check() {
+        // F = x ? (a ^ b) : (a ^ b built another way): the merge phase has
+        // a SAT candidate, and the optimisation phase has care-set ones.
+        let mut aig = Aig::new();
+        let x = aig.add_input();
+        let a = aig.add_input().lit();
+        let b = aig.add_input().lit();
+        let x1 = aig.xor(a, b);
+        let or = aig.or(a, b);
+        let nand = !aig.and(a, b);
+        let x2 = aig.and(or, nand);
+        let f = aig.ite(x.lit(), x1, x2);
+        let mut cfg = QuantConfig::full().with_cancel(Some(Arc::new(AtomicBool::new(true))));
+        cfg.sweep.use_bdd_sweep = false;
+        let mut cnf = AigCnf::new();
+        let (res, _, _, _) = exists_one_full(&mut aig, f, x, &mut cnf, &mut BddTier::new(), &cfg);
+        assert_eq!(cnf.stats().checks, 0, "a cancelled quantification checked");
+        assert!(exhaustive_exists_check(
+            &mut aig,
+            f,
+            &[x],
+            res.expect("kept"),
+            3
+        ));
     }
 
     #[test]

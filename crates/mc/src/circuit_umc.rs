@@ -206,7 +206,7 @@ fn quantify_in_partition(
         cfg.node_limit = p.node_limit;
     }
     if cfg.cancel.is_none() {
-        cfg.cancel = p.cancel.clone();
+        cfg = cfg.with_cancel(p.cancel.clone());
     }
     let q = exists_many_with(&mut p.aig, f, vars, &mut p.cnf, &mut p.bdds, &cfg);
     let mut out = PartQuant {

@@ -9,7 +9,7 @@
 //! closes that gap with a fraig-then-collect pipeline run between
 //! backward (or forward) iterations:
 //!
-//! 1. **Simulation-guided candidate classes** — [`cbq_aig::sim::BitSim`]
+//! 1. **Simulation-guided candidate classes** — [`cbq_aig::sim::ConeSim`]
 //!    signatures group the live cones into equivalence candidates;
 //! 2. **Assumption-based SAT confirmation** — candidates are proven or
 //!    refuted on the shared clause database ([`cbq_cnf::AigCnf`]), with
@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cbq_aig::sim::BitSim;
+use cbq_aig::sim::ConeSim;
 use cbq_aig::{Aig, Lit, Var};
 use cbq_cec::{sweep_with as fraig, BddTier, SweepConfig as FraigConfig};
 use cbq_cnf::AigCnf;
@@ -309,27 +309,12 @@ pub fn merge_scout(net: &cbq_ckt::Network, bus: &LemmaBus, cancel: &AtomicBool) 
     let aig = net.aig();
     let mut roots: Vec<Lit> = net.latches().iter().map(|l| l.next).collect();
     roots.push(net.bad());
-    let sim = BitSim::random(aig, SIM_WORDS, SIM_SEED);
-    let cone = aig.collect_cone(&roots);
-    let mut groups = cbq_aig::SigClasses::with_capacity(cone.len());
-    for v in cone {
-        if v == Var::CONST {
-            continue;
-        }
-        let (sig, flip) = sim.normalized_signature(v.lit());
-        groups.insert(&sig, v.lit().xor_sign(flip));
-    }
-    let mut pairs = Vec::new();
-    for (_, mut members) in groups.into_entries() {
-        if members.len() < 2 {
-            continue;
-        }
-        members.sort_unstable();
-        let repr = members[0];
-        for m in &members[1..] {
-            pairs.push((repr, *m));
-        }
-    }
+    let sim = ConeSim::random(aig, &roots, SIM_WORDS, SIM_SEED);
+    let classes = sim.classes(None, |p| p != 0);
+    let mut pairs: Vec<(Lit, Lit)> = classes
+        .iter()
+        .flat_map(|c| c[1..].iter().map(move |&m| (c[0], m)))
+        .collect();
     pairs.sort_unstable();
     let mut cnf = AigCnf::new();
     let mut published = 0;

@@ -15,17 +15,17 @@
 //!   the reference cofactor as an input don't-care set*, nodes of the other
 //!   cofactor are replaced by constants or merged with existing nodes. A
 //!   guess `n'` is valid iff `(n ⊕ n') ∧ ¬F_ref` is unsatisfiable — "the
-//!   above check can be easily achieved by a SAT solver". Candidates are
-//!   guessed by care-set-masked simulation, exactly two kinds as in the
-//!   paper: *constant value (redundancy)* and *merge, modulo
-//!   complementation*;
+//!   above check can be easily achieved by a SAT solver". The guesses are
+//!   exactly the paper's two kinds, *constant value (redundancy)* and
+//!   *merge, modulo complementation*, and come from the merge phase's class
+//!   engine run under the care literal `¬F_ref` ([`cbq_cec::sweep_care`]):
+//!   care-masked simulation classes over the target's cone, checked
+//!   outputs-first, so a target that is constant on the care set costs one
+//!   SAT check, and counterexamples drop the pairs they separate;
 //! * [`odc_simplify`] — the observability variant: a transform is accepted
 //!   when the difference is "not observable on the output of F₁ ∨ F₀",
 //!   validated by the extra equivalence check `F₁ ∨ F₀ ≡ F₁ ∨ F₀'`
 //!   (equivalently, redundancy of the comparing EXOR gate);
-//! * [`redundancy_removal`] — stuck-at-style redundancy removal on a single
-//!   function: AND nodes replaceable by a constant without changing the
-//!   root are eliminated;
 //! * [`optimize_disjunction`] — the driver used by the quantification
 //!   engine: mutually simplifies both cofactors.
 //!
@@ -33,6 +33,7 @@
 //!
 //! ```
 //! use cbq_aig::Aig;
+//! use cbq_cec::SweepConfig;
 //! use cbq_cnf::AigCnf;
 //! use cbq_synth::{dc_simplify, OptConfig};
 //!
@@ -45,7 +46,14 @@
 //! let t0 = aig.and(!a, b);
 //! let target = aig.and(t0, c);
 //! let mut cnf = AigCnf::new();
-//! let (smaller, _stats) = dc_simplify(&mut aig, a, target, &mut cnf, &OptConfig::default());
+//! let (smaller, _stats) = dc_simplify(
+//!     &mut aig,
+//!     a,
+//!     target,
+//!     &mut cnf,
+//!     &OptConfig::default(),
+//!     &SweepConfig::default(),
+//! );
 //! assert!(aig.cone_size(smaller) < aig.cone_size(target));
 //! ```
 
@@ -54,8 +62,8 @@
 
 use std::collections::HashMap;
 
-use cbq_aig::sim::BitSim;
 use cbq_aig::{Aig, Lit, Node, Var};
+use cbq_cec::{apply_merges, sweep_care, SweepConfig};
 use cbq_cnf::{AigCnf, EquivResult};
 
 /// Configuration for the optimisation passes.
@@ -92,10 +100,6 @@ impl Default for OptConfig {
 /// Counters describing what an optimisation pass accomplished.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct OptStats {
-    /// Nodes of the target cone before the pass.
-    pub nodes_before: usize,
-    /// Nodes of the target cone after the pass.
-    pub nodes_after: usize,
     /// Constant-replacement candidates validated by SAT.
     pub const_applied: usize,
     /// Merge candidates validated by SAT.
@@ -106,6 +110,17 @@ pub struct OptStats {
     pub checks: u64,
     /// Checks rejected (candidate was simulation noise).
     pub rejected: u64,
+}
+
+impl OptStats {
+    /// Adds another pass's counters to these.
+    pub fn absorb(&mut self, other: &OptStats) {
+        self.const_applied += other.const_applied;
+        self.merge_applied += other.merge_applied;
+        self.odc_applied += other.odc_applied;
+        self.checks += other.checks;
+        self.rejected += other.rejected;
+    }
 }
 
 /// Rebuilds the cones of `roots` through the manager's hashing and local
@@ -144,100 +159,41 @@ pub fn restrash(aig: &mut Aig, roots: &[Lit]) -> Vec<Lit> {
 ///
 /// Candidates (constants and merges, modulo complementation) are guessed
 /// by care-masked simulation and validated by the SAT check
-/// `(n ⊕ n') ∧ ¬dc_ref` unsatisfiable.
+/// `(n ⊕ n') ∧ ¬dc_ref` unsatisfiable, in one care-masked run of the
+/// class engine ([`cbq_cec::sweep_care`]) with this configuration's
+/// simulation, seed, conflict budget and check cap. The run stops early
+/// once `merge`'s deadline passes or its cancel flag is raised.
 pub fn dc_simplify(
     aig: &mut Aig,
     dc_ref: Lit,
     target: Lit,
     cnf: &mut AigCnf,
     cfg: &OptConfig,
+    merge: &SweepConfig,
 ) -> (Lit, OptStats) {
-    let mut stats = OptStats {
-        nodes_before: aig.cone_size(target),
-        ..OptStats::default()
-    };
     if dc_ref == Lit::TRUE {
         // Everything is don't-care; the disjunction is already true.
-        stats.nodes_after = 0;
-        return (Lit::FALSE, stats);
+        return (Lit::FALSE, OptStats::default());
     }
     if dc_ref == Lit::FALSE || target.is_const() {
-        stats.nodes_after = stats.nodes_before;
-        return (target, stats);
+        return (target, OptStats::default());
     }
-    let care = !dc_ref;
-    let sim = BitSim::random(aig, cfg.sim_words.max(1), cfg.seed);
-    let words = sim.words();
-    let care_sig: Vec<u64> = sim.signature(care);
-
-    // Group cone nodes of `target` by care-masked signature (normalising
-    // the phase on the first care bit), seeding with the constant.
-    let masked = |l: Lit| -> (Vec<u64>, bool) {
-        // Normalise phase by the first care-bit value of the node.
-        let mut flip = false;
-        'outer: for (w, &c) in care_sig.iter().enumerate().take(words) {
-            if c != 0 {
-                let bit = c.trailing_zeros();
-                flip = (sim.lit_word(l, w) >> bit) & 1 != 0;
-                break 'outer;
-            }
-        }
-        let sig = (0..words)
-            .map(|w| (sim.lit_word(l.xor_sign(flip), w)) & care_sig[w])
-            .collect();
-        (sig, flip)
+    let care_run = SweepConfig {
+        sim_words: cfg.sim_words,
+        seed: cfg.seed,
+        sat_budget: cfg.sat_budget,
+        ..merge.clone()
     };
-
-    let cone = aig.collect_cone(&[target]);
-    // Open-addressing class table; unlike a `HashMap`, classes come back
-    // in first-insertion (= ascending node) order, so the merge pass
-    // below is deterministic.
-    let mut groups = cbq_aig::SigClasses::with_capacity(cone.len());
-    let (zero_sig, _) = masked(Lit::FALSE);
-    groups.insert(&zero_sig, Lit::FALSE);
-    for v in &cone {
-        if *v == Var::CONST {
-            continue;
-        }
-        let (sig, flip) = masked(v.lit());
-        groups.insert(&sig, v.lit().xor_sign(flip));
-    }
-
-    let mut merges: HashMap<Var, Lit> = HashMap::new();
-    let mut checks = 0usize;
-    for (_, mut members) in groups.into_entries() {
-        if members.len() < 2 {
-            continue;
-        }
-        members.sort_unstable();
-        let repr = members[0];
-        for &member in &members[1..] {
-            if checks >= cfg.max_checks {
-                break;
-            }
-            if merges.contains_key(&member.var()) || member.var() == repr.var() {
-                continue;
-            }
-            checks += 1;
-            stats.checks += 1;
-            // Valid iff (member ⊕ repr) ∧ care is UNSAT.
-            let diff = aig.xor(member, repr);
-            match cnf.prove_implies(aig, care, !diff, cfg.sat_budget) {
-                EquivResult::Equiv => {
-                    merges.insert(member.var(), repr.xor_sign(member.is_complemented()));
-                    if repr.is_const() {
-                        stats.const_applied += 1;
-                    } else {
-                        stats.merge_applied += 1;
-                    }
-                }
-                _ => stats.rejected += 1,
-            }
-        }
-    }
-    let new_target = apply_subst(aig, target, &merges);
-    stats.nodes_after = aig.cone_size(new_target);
-    (new_target, stats)
+    let run = sweep_care(aig, &[target], !dc_ref, cnf, &care_run, cfg.max_checks);
+    let s = run.stats;
+    let stats = OptStats {
+        const_applied: s.merged_const,
+        merge_applied: s.merged_sat - s.merged_const,
+        checks: s.sat_checks,
+        rejected: s.sat_cex + s.sat_unknown,
+        ..OptStats::default()
+    };
+    (run.roots[0], stats)
 }
 
 /// Observability-don't-care simplification (Section 2.2's "further
@@ -256,10 +212,7 @@ pub fn odc_simplify(
     cnf: &mut AigCnf,
     cfg: &OptConfig,
 ) -> (Lit, OptStats) {
-    let mut stats = OptStats {
-        nodes_before: aig.cone_size(target),
-        ..OptStats::default()
-    };
+    let mut stats = OptStats::default();
     let mut current = target;
     let mut checks = 0usize;
     let whole = aig.or(dc_ref, target);
@@ -290,7 +243,7 @@ pub fn odc_simplify(
             checks += 1;
             stats.checks += 1;
             let subst = HashMap::from([(v, candidate)]);
-            let trial = apply_subst(aig, current, &subst);
+            let trial = apply_merges(aig, &[current], &subst)[0];
             if trial == current {
                 continue;
             }
@@ -309,107 +262,34 @@ pub fn odc_simplify(
             }
         }
     }
-    stats.nodes_after = aig.cone_size(current);
-    (current, stats)
-}
-
-/// Stuck-at-style redundancy removal: AND nodes of the cone of `root`
-/// that can be replaced by a constant without changing `root` are
-/// eliminated. Returns the (possibly) smaller root.
-///
-/// "As our main goal is finding merge points, we are more interested in
-/// finding redundancies, than good test patterns for faults."
-pub fn redundancy_removal(
-    aig: &mut Aig,
-    root: Lit,
-    cnf: &mut AigCnf,
-    cfg: &OptConfig,
-) -> (Lit, OptStats) {
-    let mut stats = OptStats {
-        nodes_before: aig.cone_size(root),
-        ..OptStats::default()
-    };
-    let sim = BitSim::random(aig, cfg.sim_words.max(1), cfg.seed);
-    let mut current = root;
-    let mut checks = 0usize;
-    let nodes: Vec<Var> = aig
-        .collect_cone(&[root])
-        .into_iter()
-        .filter(|v| aig.node(*v).is_and())
-        .collect();
-    for v in nodes {
-        if checks >= cfg.max_checks {
-            break;
-        }
-        if !aig.support_contains(current, v) && current.var() != v {
-            continue;
-        }
-        // Simulation guess: a node that never (or always) fires is a
-        // constant-redundancy candidate.
-        let sig = sim.signature(v.lit());
-        let candidate = if sig.iter().all(|w| *w == 0) {
-            Lit::FALSE
-        } else if sig.iter().all(|w| *w == !0u64) {
-            Lit::TRUE
-        } else {
-            continue;
-        };
-        checks += 1;
-        stats.checks += 1;
-        let subst = HashMap::from([(v, candidate)]);
-        let trial = apply_subst(aig, current, &subst);
-        if trial == current {
-            continue;
-        }
-        match cnf.prove_equiv(aig, current, trial, cfg.sat_budget) {
-            EquivResult::Equiv => {
-                current = trial;
-                stats.const_applied += 1;
-            }
-            _ => stats.rejected += 1,
-        }
-    }
-    stats.nodes_after = aig.cone_size(current);
     (current, stats)
 }
 
 /// Mutually simplifies the two cofactors of a disjunction (the paper's
 /// category-1 optimisation): `f0` is simplified under the onset of `f1`,
 /// then `f1` under the onset of the new `f0`; optionally the ODC pass
-/// runs on both. Returns the new pair and combined statistics.
+/// runs on both. `merge` is the merge phase's configuration, whose
+/// deadline and cancel flag the don't-care passes share. Returns the new
+/// pair and combined statistics.
 pub fn optimize_disjunction(
     aig: &mut Aig,
     f1: Lit,
     f0: Lit,
     cnf: &mut AigCnf,
     cfg: &OptConfig,
+    merge: &SweepConfig,
 ) -> (Lit, Lit, OptStats) {
-    let (nf0, s0) = dc_simplify(aig, f1, f0, cnf, cfg);
-    let (nf1, s1) = dc_simplify(aig, nf0, f1, cnf, cfg);
-    let mut total = combine(s0, s1);
-    let (nf1, nf0) = if cfg.use_odc {
-        let (of0, s2) = odc_simplify(aig, nf1, nf0, cnf, cfg);
-        let (of1, s3) = odc_simplify(aig, of0, nf1, cnf, cfg);
-        total = combine(total, combine(s2, s3));
-        (of1, of0)
-    } else {
-        (nf1, nf0)
-    };
-    total.nodes_before = aig.cone_size_many(&[f1, f0]);
-    total.nodes_after = aig.cone_size_many(&[nf1, nf0]);
-    (nf1, nf0, total)
-}
-
-fn combine(a: OptStats, b: OptStats) -> OptStats {
-    OptStats {
-        nodes_before: a.nodes_before,
-        nodes_after: b.nodes_after,
-        const_applied: a.const_applied + b.const_applied,
-        merge_applied: a.merge_applied + b.merge_applied,
-        odc_applied: a.odc_applied + b.odc_applied,
-        checks: a.checks + b.checks,
-        rejected: a.rejected + b.rejected,
+    let (nf0, mut total) = dc_simplify(aig, f1, f0, cnf, cfg, merge);
+    let (nf1, s1) = dc_simplify(aig, nf0, f1, cnf, cfg, merge);
+    total.absorb(&s1);
+    if !cfg.use_odc {
+        return (nf1, nf0, total);
     }
+    let (of0, s2) = odc_simplify(aig, nf1, nf0, cnf, cfg);
+    let (of1, s3) = odc_simplify(aig, of0, nf1, cnf, cfg);
+    total.absorb(&s2);
+    total.absorb(&s3);
+    (of1, of0, total)
 }
 
 /// Depth-balancing pass: maximal AND trees are collected and rebuilt as
@@ -488,46 +368,13 @@ pub fn balance(aig: &mut Aig, roots: &[Lit]) -> Vec<Lit> {
         .collect()
 }
 
-/// Rebuilds `root` substituting each variable in `subst` by its
-/// replacement literal, chasing replacements through the rebuilt graph.
-pub fn apply_subst(aig: &mut Aig, root: Lit, subst: &HashMap<Var, Lit>) -> Lit {
-    if subst.is_empty() {
-        return root;
-    }
-    let cone = aig.collect_cone(&[root]);
-    let mut memo: Vec<Option<Lit>> = vec![None; root.var().index() + 1];
-    for v in cone {
-        let rebuilt = match aig.node(v) {
-            Node::Const => Lit::FALSE,
-            Node::Input { .. } => v.lit(),
-            Node::And { f0, f1 } => {
-                let a = resolve(&memo, subst, f0);
-                let b = resolve(&memo, subst, f1);
-                aig.and(a, b)
-            }
-        };
-        memo[v.index()] = Some(rebuilt);
-    }
-    resolve(&memo, subst, root)
-}
-
-fn resolve(memo: &[Option<Lit>], subst: &HashMap<Var, Lit>, l: Lit) -> Lit {
-    let mut cur = l;
-    let mut hops = 0;
-    while let Some(&next) = subst.get(&cur.var()) {
-        cur = next.xor_sign(cur.is_complemented());
-        hops += 1;
-        debug_assert!(hops < 1_000_000, "substitution cycle");
-    }
-    match memo.get(cur.var().index()).copied().flatten() {
-        Some(m) => m.xor_sign(cur.is_complemented()),
-        None => cur,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn merge() -> SweepConfig {
+        SweepConfig::default()
+    }
 
     fn exhaustive_equal(aig: &Aig, a: Lit, b: Lit, n: usize) -> bool {
         (0..1u32 << n).all(|mask| {
@@ -559,7 +406,8 @@ mod tests {
         };
         let before = aig.or(f1, f0);
         let mut cnf = AigCnf::new();
-        let (nf0, _stats) = dc_simplify(&mut aig, f1, f0, &mut cnf, &OptConfig::default());
+        let (nf0, _stats) =
+            dc_simplify(&mut aig, f1, f0, &mut cnf, &OptConfig::default(), &merge());
         let after = aig.or(f1, nf0);
         assert!(exhaustive_equal(&aig, before, after, 4));
     }
@@ -571,9 +419,16 @@ mod tests {
         let b = aig.add_input().lit();
         let t = aig.and(a, b);
         let mut cnf = AigCnf::new();
-        let (nt, stats) = dc_simplify(&mut aig, Lit::TRUE, t, &mut cnf, &OptConfig::default());
+        let (nt, stats) = dc_simplify(
+            &mut aig,
+            Lit::TRUE,
+            t,
+            &mut cnf,
+            &OptConfig::default(),
+            &merge(),
+        );
         assert_eq!(nt, Lit::FALSE);
-        assert_eq!(stats.nodes_after, 0);
+        assert_eq!(stats.checks, 0);
     }
 
     #[test]
@@ -587,7 +442,14 @@ mod tests {
         let t0 = aig.and(!a, b);
         let target = aig.and(t0, c);
         let mut cnf = AigCnf::new();
-        let (nt, stats) = dc_simplify(&mut aig, a, target, &mut cnf, &OptConfig::default());
+        let (nt, stats) = dc_simplify(
+            &mut aig,
+            a,
+            target,
+            &mut cnf,
+            &OptConfig::default(),
+            &merge(),
+        );
         assert!(aig.cone_size(nt) < aig.cone_size(target));
         assert!(stats.const_applied + stats.merge_applied >= 1);
         let before = aig.or(a, target);
@@ -618,30 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn redundancy_removal_eliminates_dead_terms() {
-        let mut aig = Aig::new();
-        let a = aig.add_input().lit();
-        let b = aig.add_input().lit();
-        let c = aig.add_input().lit();
-        // (a & !a-ish dead term) | (b & c) where the dead term is built to
-        // dodge local rewriting: xor(a, a) via distinct structure.
-        let x = aig.xor(a, b);
-        let xn = {
-            let both = aig.and(a, b);
-            let neither = aig.and(!a, !b);
-            aig.or(both, neither)
-        };
-        let dead = aig.and(x, xn); // constant false, structurally hidden
-        let keep = aig.and(b, c);
-        let root = aig.or(dead, keep);
-        let mut cnf = AigCnf::new();
-        let (nr, stats) = redundancy_removal(&mut aig, root, &mut cnf, &OptConfig::default());
-        assert!(exhaustive_equal(&aig, root, nr, 3));
-        assert!(aig.cone_size(nr) < aig.cone_size(root));
-        assert!(stats.const_applied >= 1);
-    }
-
-    #[test]
     fn optimize_disjunction_end_to_end() {
         let mut aig = Aig::new();
         let ins: Vec<Lit> = (0..5).map(|_| aig.add_input().lit()).collect();
@@ -661,10 +499,10 @@ mod tests {
             use_odc: true,
             ..OptConfig::default()
         };
-        let (nf1, nf0, stats) = optimize_disjunction(&mut aig, f1, f0, &mut cnf, &cfg);
+        let (nf1, nf0, _stats) = optimize_disjunction(&mut aig, f1, f0, &mut cnf, &cfg, &merge());
         let after = aig.or(nf1, nf0);
         assert!(exhaustive_equal(&aig, before, after, 5));
-        assert!(stats.nodes_after <= stats.nodes_before);
+        assert!(aig.cone_size_many(&[nf1, nf0]) <= aig.cone_size_many(&[f1, f0]));
     }
 
     #[test]
@@ -699,19 +537,5 @@ mod tests {
             assert_eq!(aig.eval(f, &asg), aig.eval(b, &asg));
         }
         assert!(aig.node_level(b.var()) <= aig.node_level(f.var()));
-    }
-
-    #[test]
-    fn apply_subst_chases_chains() {
-        let mut aig = Aig::new();
-        let a = aig.add_input().lit();
-        let b = aig.add_input().lit();
-        let c = aig.add_input().lit();
-        let ab = aig.and(a, b);
-        let f = aig.or(ab, c);
-        // ab -> c, c stays: f becomes c | c = c.
-        let subst = HashMap::from([(ab.var(), c)]);
-        let nf = apply_subst(&mut aig, f, &subst);
-        assert_eq!(nf, c);
     }
 }
